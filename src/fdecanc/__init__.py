@@ -62,6 +62,7 @@ from .optimizer import (
 )
 from .sichannel import (
     SynthChannelSpec,
+    format_si_channel,
     load_si_channel,
     save_si_channel,
     synth_si_channel,

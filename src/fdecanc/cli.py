@@ -1,7 +1,10 @@
 """Command-line frontend emitting CSV/JSON plot data.
 
 Commands: model, fit, sweep, network (uldl | tdma), genchannel.
-Exit codes: 0 success, 1 usage error, 2 computation failure.
+Exit codes: 0 success, 1 usage error, 2 computation failure.  Usage errors
+include malformed flag values and an output path (--out, --out-report,
+--out-csv) whose directory does not exist or that names a directory; both
+are checked before any computation starts.
 All frequency flags accept `start:stop:count` grid syntax; outputs are
 written atomically (temp file + rename) and are deterministic given --seed.
 """
@@ -43,7 +46,7 @@ from .optimizer import (
     greedy_extend,
     quantization_preset,
 )
-from .sichannel import SynthChannelSpec, load_si_channel, save_si_channel, synth_si_channel
+from .sichannel import SynthChannelSpec, format_si_channel, load_si_channel, synth_si_channel
 
 
 class UsageError(Exception):
@@ -80,6 +83,31 @@ def _parse_db_range(text: str) -> np.ndarray:
         return np.array([float(text)])
     except ValueError:
         raise UsageError(f"malformed value {text!r}") from None
+
+
+def _parse_list(text: str, conv, flag: str) -> list:
+    """Comma-separated values, each converted by `conv`."""
+    try:
+        return [conv(tok) for tok in text.split(",")]
+    except ValueError:
+        raise UsageError(f"malformed {flag} value {text!r}") from None
+
+
+def _reflection(tok: str) -> tuple:
+    """One `ampdb:delayns` echo as (amp_db, delay_s)."""
+    a, d = tok.split(":")
+    return float(a), float(d) * 1e-9
+
+
+def _check_out_paths(args) -> None:
+    for flag in ("out", "out_report", "out_csv"):
+        path = getattr(args, flag, None)
+        if path is None:
+            continue
+        if os.path.isdir(path):
+            raise UsageError(f"output path {path!r} is a directory")
+        if not os.path.isdir(os.path.dirname(os.path.abspath(path))):
+            raise UsageError(f"directory of output path {path!r} does not exist")
 
 
 def _snr_linear(db: float) -> float:
@@ -167,8 +195,8 @@ def cmd_fit(args) -> int:
 
 
 def cmd_sweep(args) -> int:
-    taps_list = [int(t) for t in args.taps.split(",")]
-    bw_list = [float(b) for b in args.bandwidths_mhz.split(",")]
+    taps_list = _parse_list(args.taps, int, "--taps")
+    bw_list = _parse_list(args.bandwidths_mhz, float, "--bandwidths-mhz")
     center = args.center_mhz * 1e6
     opts = SolveOptions(restarts=args.restarts, max_iters=args.max_iters, seed=args.seed)
     spec = quantization_preset(args.quantize) if args.quantize else None
@@ -233,7 +261,7 @@ def cmd_network_uldl(args) -> int:
 
 def cmd_network_tdma(args) -> int:
     n = args.users
-    gammas = [_snr_linear(float(g)) for g in args.gammas_db.split(",")]
+    gammas = [_snr_linear(g) for g in _parse_list(args.gammas_db, float, "--gammas-db")]
     if len(gammas) == 1:
         gammas = gammas * n
     if args.fd is None:
@@ -267,11 +295,7 @@ def cmd_genchannel(args) -> int:
     if args.no_reflections:
         refl = ()
     elif args.reflections is not None:
-        refl = []
-        for tok in args.reflections.split(","):
-            a, d = tok.split(":")
-            refl.append((float(a), float(d) * 1e-9))
-        refl = tuple(refl)
+        refl = tuple(_parse_list(args.reflections, _reflection, "--reflections"))
     else:
         refl = SynthChannelSpec().reflections
     spec = SynthChannelSpec(
@@ -280,17 +304,7 @@ def cmd_genchannel(args) -> int:
         reflections=refl,
         seed=args.seed,
     )
-    r = synth_si_channel(spec, grid)
-    d = os.path.dirname(os.path.abspath(args.out))
-    fd_, tmp = tempfile.mkstemp(dir=d, prefix=".tmp-", suffix=".part")
-    os.close(fd_)
-    try:
-        save_si_channel(tmp, r)
-        os.replace(tmp, args.out)
-    except BaseException:
-        if os.path.exists(tmp):
-            os.unlink(tmp)
-        raise
+    _atomic_write(args.out, format_si_channel(synth_si_channel(spec, grid)))
     return 0
 
 
@@ -383,6 +397,7 @@ def main(argv=None) -> int:
     parser = build_parser()
     try:
         args = parser.parse_args(argv)
+        _check_out_paths(args)
         return args.func(args)
     except UsageError as exc:
         print(f"usage error: {exc}", file=sys.stderr)

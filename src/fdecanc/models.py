@@ -87,7 +87,11 @@ class PcbBoardParams:
 
 @dataclass(frozen=True)
 class TwoPortMatrix:
-    """2x2 ABCD transmission matrix; cascades compose by matrix product."""
+    """2x2 ABCD transmission matrix; cascades compose by matrix product.
+
+    Entries may be scalars or equal-shape numpy arrays (one matrix per
+    frequency), so a whole grid cascades in one product.
+    """
 
     a: complex
     b: complex
@@ -96,7 +100,7 @@ class TwoPortMatrix:
 
     def __post_init__(self):
         for v in (self.a, self.b, self.c, self.d):
-            if not np.isfinite(v):
+            if not np.all(np.isfinite(v)):
                 raise InvalidArgumentError("matrix entries must be finite")
 
     def __matmul__(self, other: "TwoPortMatrix") -> "TwoPortMatrix":
@@ -146,7 +150,7 @@ def tline_matrix(beta_l_rad: float, z0_ohm: float) -> TwoPortMatrix:
 
 
 def shunt_matrix(y: complex) -> TwoPortMatrix:
-    """ABCD matrix of a shunt admittance element."""
+    """ABCD matrix of a shunt admittance element (y scalar or array)."""
     return TwoPortMatrix(1.0, 0.0, y, 1.0)
 
 
@@ -182,19 +186,18 @@ def pcb_bpf_response_abcd(
 
     Cascade: [shunt Y_Q] [t-line] [shunt Y_F] [t-line] [shunt Y_Q];
     H(f) = 1 / (R_s * C-entry).  This is the ground-truth evaluation; the
-    closed form below must match it.
+    closed form below must match it.  The cascade is evaluated on the whole
+    grid at once, with array-valued matrix entries.
     """
     if np.any(grid.points <= 0):
         raise InvalidArgumentError("PCB BPF requires strictly positive frequencies")
     y_f, y_q = _tank_admittances(cfg, params, grid.points)
     tl = tline_matrix(params.beta_l_rad, params.z0_ohm)
-    vals = np.empty(grid.count, dtype=complex)
-    for k in range(grid.count):
-        m = shunt_matrix(y_q[k]) @ tl @ shunt_matrix(y_f[k]) @ tl @ shunt_matrix(y_q[k])
-        if m.c == 0:
-            raise SingularNetworkError(grid.points[k])
-        vals[k] = 1.0 / (params.r_s_ohm * m.c)
-    return ComplexResponse(grid, vals)
+    m = shunt_matrix(y_q) @ tl @ shunt_matrix(y_f) @ tl @ shunt_matrix(y_q)
+    bad = m.c == 0
+    if np.any(bad):
+        raise SingularNetworkError(grid.points[np.argmax(bad)])
+    return ComplexResponse(grid, 1.0 / (params.r_s_ohm * m.c))
 
 
 def pcb_bpf_response_closed_form(

@@ -354,6 +354,10 @@ def residual_objective(h_si: ComplexResponse, h_canc: ComplexResponse) -> float:
     return float(np.sum(d.real**2 + d.imag**2))
 
 
+# Backtracking candidates [lo, hi) evaluated per batch: 40 halvings in all.
+_BT_CHUNKS = ((0, 1), (1, 4), (4, 40))
+
+
 def _descend(kernel, z0, lows, span, periodic, opts):
     """Projected gradient descent in box-normalized coordinates z in [0,1].
 
@@ -386,7 +390,6 @@ def _descend(kernel, z0, lows, span, periodic, opts):
     trace = [fz]
     h = max(opts.grad_eps, 1e-9)
     t = 1.0
-    n_bt = 40
     g_prev = None
     s_prev = None
     for _ in range(opts.max_iters):
@@ -408,7 +411,8 @@ def _descend(kernel, z0, lows, span, periodic, opts):
         if gnorm2 == 0 or not np.isfinite(gnorm2):
             break
         # spectral (Barzilai-Borwein) initial step length, safeguarded by
-        # backtracking; all candidate step lengths evaluated in one batch
+        # backtracking; the halved step lengths are evaluated in growing
+        # batches, stopping at the first batch holding an acceptable step
         t_bb = None
         if g_prev is not None and s_prev is not None:
             y = g - g_prev
@@ -417,14 +421,17 @@ def _descend(kernel, z0, lows, span, periodic, opts):
                 t_bb = float(np.dot(s_prev, s_prev)) / sy
         t = t_bb if t_bb is not None else t * 2.0
         t = min(max(t, 1e-12), 1e3)
-        steps = t * 0.5 ** np.arange(n_bt)
-        cands = project(z[None, :] - steps[:, None] * g[None, :])
-        fcs = f_batch(cands)
-        ok = np.isfinite(fcs) & (fcs <= fz - 1e-4 * steps * gnorm2)
-        if not np.any(ok):
+        steps = t * 0.5 ** np.arange(_BT_CHUNKS[-1][1])
+        for lo, hi in _BT_CHUNKS:
+            cands = project(z[None, :] - steps[lo:hi, None] * g[None, :])
+            fcs = f_batch(cands)
+            ok = np.isfinite(fcs) & (fcs <= fz - 1e-4 * steps[lo:hi] * gnorm2)
+            if np.any(ok):
+                break
+        else:
             break
         k = int(np.argmax(ok))
-        t = float(steps[k])
+        t = float(steps[lo + k])
         cand, fc = cands[k], float(fcs[k])
         s_prev = cand - z
         s_prev[periodic] = (s_prev[periodic] + 0.5) % 1.0 - 0.5
@@ -525,17 +532,12 @@ def local_search(
 ) -> SolveReport:
     """Coordinate-wise +/-1-step hill climbing on the quantization lattice."""
     kernel = ModelKernel(model, h_si, board)
-    x = config_vector(qconfig)
-    idx = _grid_indices(spec, x)
+    idx = _grid_indices(spec, config_vector(qconfig))
     knob_vals = [k.values() for k in spec.knobs()]
     periodic = [k.periodic for k in spec.knobs()]
 
-    def vec(ix):
-        return np.array(
-            [[knob_vals[j][ix[i, j]] for j in range(4)] for i in range(ix.shape[0])]
-        )
-
-    fx = kernel.objective(vec(idx))
+    x = np.stack([knob_vals[j][idx[:, j]] for j in range(4)], axis=1)
+    fx = kernel.objective(x)
     trace = [fx]
     rounds = 0
     for _ in range(max_rounds):
@@ -544,22 +546,32 @@ def local_search(
         for i in range(idx.shape[0]):
             for j in range(4):
                 n = knob_vals[j].size
+                moves = []
                 for delta in (-1, 1):
-                    cand = idx.copy()
                     k = idx[i, j] + delta
                     if periodic[j]:
                         k %= n
                     elif k < 0 or k >= n:
                         continue
-                    cand[i, j] = k
-                    fc = kernel.objective(vec(cand))
+                    moves.append(k)
+                if not moves:
+                    continue
+                # Both moves start from the current point.  Once the -1 move
+                # is taken, the +1 move from there is the old point, which
+                # cannot beat the new objective, so only the first
+                # improving move of the pair is ever accepted.
+                cands = np.repeat(x[None], len(moves), axis=0)
+                cands[:, i, j] = knob_vals[j][moves]
+                fcs = kernel.objective_batch(cands)
+                for k, cand, fc in zip(moves, cands, fcs):
                     if fc < fx:
-                        idx, fx = cand, fc
+                        idx[i, j] = k
+                        x, fx = cand, float(fc)
                         trace.append(fx)
                         improved = True
+                        break
         if not improved:
             break
-    x = vec(idx)
     return SolveReport(
         config=kernel.configs_from_vector(x),
         objective=fx,
@@ -711,6 +723,58 @@ def fit_pipeline(
 # exhaustive lattice oracle
 
 
+_SCREEN_ROWS = 64
+
+
+def _pair_rows(target: np.ndarray, resp: np.ndarray) -> np.ndarray:
+    """Ascending indices i of every row that can hold the best pair (i, j).
+
+    The pair objective |t - r_i - r_j|^2 expands, with the real float views
+    R_i = (Re r_i1, Im r_i1, ..., Re r_iK, Im r_iK) and T of t, of length
+    n = 2K, to
+
+        obj(i, j) = |T|^2 + u_i + u_j + 2 R_i.R_j,   u_i = |R_i|^2 - 2 T.R_i,
+
+    so every row minimum m_i = min_j obj(i, j) comes from one real GEMM
+    R[block] @ R.T per block of rows, with no P x P matrix kept.
+
+    Rounding bound.  Let eps be the unit roundoff, tau = |t|, rho = max_i |r_i|
+    and S = (tau + 2 rho)^2.  The absolute values of the terms above sum to
+    at most S (|T|^2 + |u_i| + |u_j| + 2|R_i.R_j| <= tau^2 + 4 rho tau
+    + 4 rho^2).  A length-n dot product in any summation order is off by at
+    most gamma_n = n eps / (1 - n eps) times the sum of its absolute
+    products, and four additions assemble obj, so the screened value is
+    within about (2K + 4) eps S of the exact obj.  The caller's direct
+    evaluation sum_k |(t_k - r_ik) - r_jk|^2 (two subtractions, the squares
+    and a K-term sum) is within about (K + 6) eps S of it, since by Minkowski
+    sum_c (|T_c| + |R_ic| + |R_jc|)^2 <= S.  So screened and direct values
+    differ by at most (3K + 10) eps S <= slack = 16 K eps S, and so do the
+    screened row minimum m_i and the direct one.  A row whose direct minimum
+    ties the smallest therefore has m_i <= min(m) + 2 slack, and every such
+    row is returned; the caller's strict-< scan over these rows then picks
+    the same (i, j) and objective as a scan over all rows.  Non-finite
+    bounds or minima keep every row.
+    """
+    p, k = resp.shape
+    r = resp.view(np.float64)
+    t = target.view(np.float64)
+    norm2 = np.einsum("ij,ij->i", r, r)
+    u = norm2 - 2.0 * (r @ t)
+    row_min = np.empty(p)
+    buf = np.empty((_SCREEN_ROWS, p))
+    for b0 in range(0, p, _SCREEN_ROWS):
+        b1 = min(b0 + _SCREEN_ROWS, p)
+        g = buf[: b1 - b0]
+        np.matmul(r[b0:b1], r.T, out=g)
+        g *= 2.0
+        g += u[None, :]
+        row_min[b0:b1] = g.min(axis=1)
+    row_min += u + t @ t
+    s = (np.sqrt(t @ t) + 2.0 * np.sqrt(np.max(norm2))) ** 2
+    slack = 16.0 * k * np.finfo(float).eps * s
+    return np.flatnonzero(~(row_min > np.min(row_min) + 2.0 * slack))
+
+
 def grid_search_oracle(
     model: str,
     h_si: ComplexResponse,
@@ -756,7 +820,7 @@ def grid_search_oracle(
     else:
         fbest = np.inf
         best_pair = (0, 0)
-        for i in range(per_tap):
+        for i in _pair_rows(target, resp):
             d = target[None, :] - resp[i][None, :] - resp
             obj = np.sum(d.real**2 + d.imag**2, axis=1)
             j = int(np.argmin(obj))

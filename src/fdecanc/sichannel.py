@@ -52,12 +52,18 @@ def synth_si_channel(spec: SynthChannelSpec, grid: FrequencyGrid) -> ComplexResp
     return ComplexResponse(grid, h)
 
 
+def format_si_channel(r: ComplexResponse) -> str:
+    """The canonical CSV text; values at 17 significant digits round-trip."""
+    rows = ["freq_hz,re,im\n"]
+    for f, v in zip(r.grid.points, r.values):
+        rows.append("%.17g,%.17g,%.17g\n" % (f, v.real, v.imag))
+    return "".join(rows)
+
+
 def save_si_channel(path, r: ComplexResponse) -> None:
-    """Write the canonical CSV; values at 17 significant digits round-trip."""
+    """Write the canonical CSV of :func:`format_si_channel`."""
     with open(path, "w", newline="", encoding="utf-8") as fh:
-        fh.write("freq_hz,re,im\n")
-        for f, v in zip(r.grid.points, r.values):
-            fh.write("%.17g,%.17g,%.17g\n" % (f, v.real, v.imag))
+        fh.write(format_si_channel(r))
 
 
 def load_si_channel(path) -> ComplexResponse:

@@ -6,9 +6,12 @@ import pytest
 from fdecanc import (
     PcbBoardParams,
     PcbTapConfig,
+    SynthChannelSpec,
     amplitude_db,
     load_si_channel,
     pcb_bpf_response_abcd,
+    save_si_channel,
+    synth_si_channel,
 )
 from fdecanc.cli import main
 from fdecanc.core import FrequencyGrid
@@ -252,3 +255,63 @@ class TestGenchannel:
         # single echo at 25 ns -> 40 MHz amplitude ripple period (40 grid steps)
         mag = np.abs(load_si_channel(out).values)
         assert np.allclose(mag[: 101 - 40], mag[40:], rtol=1e-9)
+
+    def test_bytes_match_save_si_channel(self, tmp_path):
+        out, ref = tmp_path / "ch.csv", tmp_path / "ref.csv"
+        rc = main(["genchannel", "--band", "850e6:950e6:51", "--out", str(out)])
+        assert rc == 0
+        grid = FrequencyGrid.linspace(850e6, 950e6, 51)
+        save_si_channel(ref, synth_si_channel(SynthChannelSpec(), grid))
+        assert out.read_bytes() == ref.read_bytes()
+
+
+class TestUsageErrors:
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["genchannel", "--band", "850e6:950e6:11", "--reflections", "bad"],
+            ["genchannel", "--band", "850e6:950e6:11", "--reflections", "-10:x"],
+            ["sweep", "--taps", "1,x"],
+            ["sweep", "--bandwidths-mhz", "20,x"],
+            ["network", "tdma", "--schedule", "rro", "--gammas-db", "1,x"],
+        ],
+    )
+    def test_malformed_value_is_one_line_usage_error(self, tmp_path, capsys, argv):
+        rc = main([*argv, "--out", str(tmp_path / "o.csv")])
+        assert rc == 1
+        err = capsys.readouterr().err
+        assert err.startswith("usage error: ") and err.count("\n") == 1
+        assert not (tmp_path / "o.csv").exists()
+
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["fit", "--synth", "--band", "890e6:910e6:21", "--out-report", "{bad}"],
+            ["fit", "--synth", "--band", "890e6:910e6:21", "--out-report", "{ok}",
+             "--out-csv", "{bad}"],
+            ["sweep", "--out", "{bad}"],
+            ["genchannel", "--band", "850e6:950e6:11", "--out", "{bad}"],
+            ["model", "--kind", "pcb", "--band", "850e6:950e6:11", "--out", "{bad}"],
+            ["network", "uldl", "--gamma-ul-db", "0", "--gamma-dl-db", "0",
+             "--out", "{bad}"],
+            ["network", "tdma", "--schedule", "rro", "--out", "{tmp}"],
+        ],
+    )
+    def test_bad_output_path_fails_before_compute(
+        self, tmp_path, capsys, monkeypatch, argv
+    ):
+        import fdecanc.cli as cli
+
+        def no_compute(*args, **kwargs):
+            raise AssertionError("computation started")
+
+        for name in ("fit_pipeline", "synth_si_channel", "uldl_throughputs",
+                     "tdma_schedule_eval", "pcb_bpf_response_closed_form"):
+            monkeypatch.setattr(cli, name, no_compute)
+        paths = {"bad": str(tmp_path / "missing" / "o.csv"),
+                 "ok": str(tmp_path / "r.json"), "tmp": str(tmp_path)}
+        rc = main([a.format(**paths) for a in argv])
+        assert rc == 1
+        err = capsys.readouterr().err
+        assert err.startswith("usage error: ") and err.count("\n") == 1
+        assert list(tmp_path.iterdir()) == []

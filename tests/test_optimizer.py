@@ -1,7 +1,10 @@
 import json
+from dataclasses import replace
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from fdecanc import (
     ComplexResponse,
@@ -24,7 +27,16 @@ from fdecanc import (
     synth_si_channel,
     SynthChannelSpec,
 )
-from fdecanc.optimizer import ModelKernel, config_vector, fit_pipeline
+from fdecanc.models import PcbBoardParams
+from fdecanc.optimizer import (
+    ModelKernel,
+    _descend,
+    _grid_indices,
+    _ideal_tap_matrix,
+    _pcb_tap_matrix,
+    config_vector,
+    fit_pipeline,
+)
 
 GRID = FrequencyGrid.linspace(890e6, 910e6, 101)
 FAST = SolveOptions(restarts=6, max_iters=150, seed=0)
@@ -332,3 +344,234 @@ class TestPipelineAndReports:
         back = report_from_dict(d)
         assert back.objective == rep.objective
         assert config_vector(back.config).tolist() == config_vector(rep.config).tolist()
+
+
+# ---------------------------------------------------------------------------
+# search kernels against plain reference implementations
+
+
+def _sublattice(spec, points):
+    """The oracle's per-tap sublattice, rows in meshgrid (ij) order."""
+    sub = []
+    for knob in spec.knobs():
+        vals = knob.values()
+        ix = np.unique(np.round(np.linspace(0, vals.size - 1, points)).astype(int))
+        sub.append(vals[ix])
+    grids = np.meshgrid(*sub, indexing="ij")
+    return np.stack([g.ravel() for g in grids], axis=1)
+
+
+def _tap_rows(model, rows, grid):
+    if model == "ideal":
+        return _ideal_tap_matrix(rows, grid.points)
+    return _pcb_tap_matrix(rows, grid.points, PcbBoardParams())
+
+
+def brute_force_pair(target, resp):
+    """First (i, j) in row-major order with the smallest objective."""
+    best, pair = np.inf, (0, 0)
+    for i in range(resp.shape[0]):
+        for j in range(resp.shape[0]):
+            d = target - resp[i] - resp[j]
+            obj = np.sum(d.real**2 + d.imag**2)
+            if obj < best:
+                best, pair = float(obj), (i, j)
+    return best, pair
+
+
+class TestOraclePairSearch:
+    @settings(max_examples=30, deadline=None)
+    @given(
+        model=st.sampled_from(["ideal", "pcb"]),
+        points=st.integers(2, 3),
+        k=st.integers(2, 12),
+        seed=st.integers(0, 2**32 - 1),
+        planted=st.booleans(),
+        amp_floor=st.booleans(),
+    )
+    def test_matches_brute_force(self, model, points, k, seed, planted, amp_floor):
+        spec = quantization_preset("rfic" if model == "ideal" else "pcb")
+        if amp_floor:
+            # taps far below the channel: every pair ties at working precision
+            spec = replace(spec, amp_db=KnobSpec(-400.0, -390.0, step=5.0))
+        grid = FrequencyGrid.linspace(880e6, 920e6, k)
+        rows = _sublattice(spec, points)
+        resp = _tap_rows(model, rows, grid)
+        rng = np.random.default_rng(seed)
+        if planted:
+            # an exact pair: (a, b) and (b, a) both reach about 0
+            a, b = rng.integers(rows.shape[0], size=2)
+            target = resp[a] + resp[b]
+        else:
+            target = 0.1 * (rng.normal(size=k) + 1j * rng.normal(size=k))
+        fbest, (i, j) = brute_force_pair(target, resp)
+        rep = grid_search_oracle(model, ComplexResponse(grid, target), spec, points, 2)
+        assert rep.objective == fbest
+        assert config_vector(rep.config).tolist() == rows[[i, j]].tolist()
+
+    def test_forced_ties_pick_first_pair(self):
+        # at -400 dB every pair's objective rounds to |t|^2 exactly
+        spec = replace(
+            quantization_preset("rfic"), amp_db=KnobSpec(-400.0, -390.0, step=5.0)
+        )
+        h = synth_si_channel(SynthChannelSpec(), GRID)
+        rows = _sublattice(spec, 2)
+        rep = grid_search_oracle("ideal", h, spec, 2, 2)
+        assert rep.objective == float(np.sum(np.abs(h.values) ** 2))
+        assert config_vector(rep.config).tolist() == rows[[0, 0]].tolist()
+
+
+def descend_eager(kernel, z0, lows, span, periodic, opts):
+    """Projected descent evaluating all 40 backtracking candidates at once."""
+    n = z0.size
+    m = n // 4
+
+    def denorm(z):
+        return lows + z * span
+
+    def project(z):
+        z = z.copy()
+        z[..., periodic] = z[..., periodic] % 1.0
+        np.clip(z, 0.0, 1.0, out=z)
+        return z
+
+    def f_batch(zs):
+        return kernel.objective_batch(denorm(zs).reshape(zs.shape[0], m, 4))
+
+    z = project(z0)
+    fz = kernel.objective(denorm(z))
+    trace = [fz]
+    h = max(opts.grad_eps, 1e-9)
+    t = 1.0
+    g_prev = s_prev = None
+    for _ in range(opts.max_iters):
+        zs = np.repeat(z[None, :], 2 * n, axis=0)
+        dz = np.empty(n)
+        for i in range(n):
+            if periodic[i]:
+                zp, zm = z[i] + h, z[i] - h
+            else:
+                zp, zm = min(z[i] + h, 1.0), max(z[i] - h, 0.0)
+            zs[2 * i, i] = zp
+            zs[2 * i + 1, i] = zm
+            dz[i] = zp - zm
+        fs = f_batch(project(zs))
+        with np.errstate(invalid="ignore"):
+            g = np.where(dz != 0, (fs[0::2] - fs[1::2]) / np.where(dz == 0, 1, dz), 0.0)
+        gnorm2 = float(np.dot(g, g))
+        if gnorm2 == 0 or not np.isfinite(gnorm2):
+            break
+        t_bb = None
+        if g_prev is not None:
+            sy = float(np.dot(s_prev, g - g_prev))
+            if sy > 0 and np.isfinite(sy):
+                t_bb = float(np.dot(s_prev, s_prev)) / sy
+        t = t_bb if t_bb is not None else t * 2.0
+        t = min(max(t, 1e-12), 1e3)
+        steps = t * 0.5 ** np.arange(40)
+        cands = project(z[None, :] - steps[:, None] * g[None, :])
+        fcs = f_batch(cands)
+        ok = np.isfinite(fcs) & (fcs <= fz - 1e-4 * steps * gnorm2)
+        if not np.any(ok):
+            break
+        k = int(np.argmax(ok))
+        t = float(steps[k])
+        cand, fc = cands[k], float(fcs[k])
+        s_prev = cand - z
+        s_prev[periodic] = (s_prev[periodic] + 0.5) % 1.0 - 0.5
+        g_prev = g
+        gain = fz - fc
+        z, fz = cand, fc
+        trace.append(fz)
+        if gain <= opts.tol * max(fz, 1e-300):
+            break
+    return z, fz, trace
+
+
+class TestLazyLineSearch:
+    @settings(max_examples=15, deadline=None)
+    @given(
+        model=st.sampled_from(["ideal", "pcb"]),
+        taps=st.integers(1, 2),
+        seed=st.integers(0, 2**32 - 1),
+    )
+    def test_trace_matches_eager_reference(self, model, taps, seed):
+        grid = FrequencyGrid.linspace(890e6, 910e6, 21)
+        h = synth_si_channel(SynthChannelSpec(), grid)
+        kernel = ModelKernel(model, h)
+        bounds = quantization_preset("rfic" if model == "ideal" else "pcb").bounds()
+        lows = np.tile(bounds.lows(), taps)
+        span = np.tile(bounds.highs(), taps) - lows
+        periodic = np.tile(np.array([False, True, False, False]), taps)
+        opts = SolveOptions(max_iters=40)
+        z0 = np.random.default_rng(seed).uniform(size=4 * taps)
+        z, fz, trace = _descend(kernel, z0, lows, span, periodic, opts)
+        z_ref, fz_ref, trace_ref = descend_eager(kernel, z0, lows, span, periodic, opts)
+        assert trace == trace_ref
+        assert fz == fz_ref
+        assert z.tolist() == z_ref.tolist()
+
+
+def local_search_scalar(qconfig, model, h_si, spec, max_rounds=10):
+    """Coordinate search with one scalar objective call per move:
+    (trace, final knob matrix, rounds)."""
+    kernel = ModelKernel(model, h_si)
+    idx = _grid_indices(spec, config_vector(qconfig))
+    knob_vals = [k.values() for k in spec.knobs()]
+
+    def vec(ix):
+        return np.array(
+            [[knob_vals[j][ix[i, j]] for j in range(4)] for i in range(ix.shape[0])]
+        )
+
+    fx = kernel.objective(vec(idx))
+    trace = [fx]
+    rounds = 0
+    for _ in range(max_rounds):
+        rounds += 1
+        improved = False
+        for i in range(idx.shape[0]):
+            for j, knob in enumerate(spec.knobs()):
+                n = knob_vals[j].size
+                for delta in (-1, 1):
+                    cand = idx.copy()
+                    k = idx[i, j] + delta
+                    if knob.periodic:
+                        k %= n
+                    elif k < 0 or k >= n:
+                        continue
+                    cand[i, j] = k
+                    fc = kernel.objective(vec(cand))
+                    if fc < fx:
+                        idx, fx = cand, fc
+                        trace.append(fx)
+                        improved = True
+        if not improved:
+            break
+    return trace, vec(idx), rounds
+
+
+class TestLocalSearchReference:
+    @settings(max_examples=20, deadline=None)
+    @given(
+        model=st.sampled_from(["ideal", "pcb"]),
+        taps=st.integers(1, 3),
+        seed=st.integers(0, 2**32 - 1),
+        max_rounds=st.integers(1, 12),
+    )
+    def test_accepts_same_sequence(self, model, taps, seed, max_rounds):
+        spec = quantization_preset("rfic" if model == "ideal" else "pcb")
+        grid = FrequencyGrid.linspace(880e6, 920e6, 31)
+        h = synth_si_channel(SynthChannelSpec(), grid)
+        rng = np.random.default_rng(seed)
+        knob_vals = [k.values() for k in spec.knobs()]
+        x = np.array(
+            [[v[rng.integers(v.size)] for v in knob_vals] for _ in range(taps)]
+        )
+        start = ModelKernel(model, h).configs_from_vector(x)
+        rep = local_search(start, model, h, spec, max_rounds=max_rounds)
+        trace, x_ref, rounds = local_search_scalar(start, model, h, spec, max_rounds)
+        assert rep.trace == trace
+        assert rep.objective == trace[-1]
+        assert rep.iterations == rounds
+        assert config_vector(rep.config).tolist() == x_ref.tolist()

@@ -2,9 +2,9 @@
 
 Commands: model, fit, sweep, network (uldl | tdma), genchannel.
 Exit codes: 0 success, 1 usage error, 2 computation failure.  Usage errors
-include malformed flag values and an output path (--out, --out-report,
---out-csv) whose directory does not exist or that names a directory; both
-are checked before any computation starts.
+include malformed flag values, a --channel file that cannot be read, and an
+output path (--out, --out-report, --out-csv) whose directory does not exist
+or that names a directory; all are checked before any computation starts.
 All frequency flags accept `start:stop:count` grid syntax; outputs are
 written atomically (temp file + rename) and are deterministic given --seed.
 """
@@ -93,6 +93,13 @@ def _parse_list(text: str, conv, flag: str) -> list:
         raise UsageError(f"malformed {flag} value {text!r}") from None
 
 
+def _fd_flag(tok: str) -> bool:
+    """One `--fd` token: 1 full duplex, 0 half duplex."""
+    if tok not in ("0", "1"):
+        raise ValueError(tok)
+    return tok == "1"
+
+
 def _reflection(tok: str) -> tuple:
     """One `ampdb:delayns` echo as (amp_db, delay_s)."""
     a, d = tok.split(":")
@@ -155,7 +162,12 @@ def cmd_model(args) -> int:
 
 def _load_or_synth(args):
     if args.channel is not None:
-        return load_si_channel(args.channel)
+        try:
+            return load_si_channel(args.channel)
+        except OSError as exc:
+            raise UsageError(
+                f"cannot read --channel {args.channel!r}: {exc.strerror or exc}"
+            ) from None
     if not args.synth:
         raise UsageError("provide --channel FILE or --synth")
     if args.band is None:
@@ -267,7 +279,7 @@ def cmd_network_tdma(args) -> int:
     if args.fd is None:
         fd = [True] + [False] * (n - 1)
     else:
-        fd = [tok == "1" for tok in args.fd.split(",")]
+        fd = _parse_list(args.fd, _fd_flag, "--fd")
     iui_lin = _snr_linear(args.iui_db)
     iui = tuple(
         tuple(0.0 if i == j else iui_lin for j in range(n)) for i in range(n)

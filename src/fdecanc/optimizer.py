@@ -4,7 +4,8 @@ The configuration problem is a box-constrained nonlinear least squares:
 minimize sum_k |H_SI(f_k) - H(f_k; x)|^2 over the 4M knobs x of an M-tap
 canceller.  This module provides:
 
-* multi-start projected gradient descent on the continuous box,
+* multi-start projected Levenberg-Marquardt on the continuous box, with
+  the analytic Jacobian of each tap model,
 * rounding onto quantization grids plus coordinate-wise local search,
 * the per-tap iterative fitting heuristic,
 * an exhaustive lattice oracle for testing.
@@ -18,7 +19,7 @@ from __future__ import annotations
 
 import json
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 
 import numpy as np
 
@@ -147,13 +148,41 @@ def default_bounds(model: str) -> BoxBounds:
 # model kernels (vectorized evaluation from raw knob matrices)
 
 
-def _ideal_tap_matrix(x: np.ndarray, f: np.ndarray) -> np.ndarray:
-    """Per-tap responses of M ideal taps, shape (M, K); x has shape (M, 4)."""
+def _tap_jacobian(t, d_center, d_q):
+    """dT/dx (M, 4, K) from the per-tap responses T and their derivatives by
+    the two filter knobs; every tap is A e^{-j phi} times a filter, so
+    dT/d(amp_db) = T ln10/20 and dT/d(phase) = -jT."""
+    return np.stack((t * (np.log(10.0) / 20.0), -1j * t, d_center, d_q), axis=1)
+
+
+def _ideal_tap_terms(x: np.ndarray, f: np.ndarray):
+    """Per-tap responses T of M ideal taps, shape (M, K), with the detuning
+    ratio f_c/f - f/f_c and the denominator D = 1 - jQ*ratio they share with
+    their derivatives."""
     amp = 10.0 ** (x[:, 0] / 20.0)
     fc = x[:, 2]
     q = x[:, 3]
     ratio = fc[:, None] / f[None, :] - f[None, :] / fc[:, None]
-    return amp[:, None] * np.exp(-1j * x[:, 1])[:, None] / (1.0 - 1j * q[:, None] * ratio)
+    d = 1.0 - 1j * q[:, None] * ratio
+    return amp[:, None] * np.exp(-1j * x[:, 1])[:, None] / d, ratio, d
+
+
+def _ideal_tap_matrix(x: np.ndarray, f: np.ndarray) -> np.ndarray:
+    """Per-tap responses of M ideal taps, shape (M, K); x has shape (M, 4)."""
+    return _ideal_tap_terms(x, f)[0]
+
+
+def _ideal_tap_jacobian(x: np.ndarray, f: np.ndarray):
+    """Per-tap responses T (M, K) of M ideal taps and their derivatives
+    dT/dx (M, 4, K) by (amp_db, phase_rad, f_c, Q):
+
+        T ln10/20,   -jT,   jQ (1/f + f/f_c^2) T/D,   j ratio T/D.
+    """
+    t, ratio, d = _ideal_tap_terms(x, f)
+    fc = x[:, 2, None]
+    t_d = t / d
+    d_fc = 1j * x[:, 3, None] * (1.0 / f[None, :] + f[None, :] / (fc * fc)) * t_d
+    return t, _tap_jacobian(t, d_fc, 1j * ratio * t_d)
 
 
 def _ideal_values(x: np.ndarray, f: np.ndarray) -> np.ndarray:
@@ -161,9 +190,11 @@ def _ideal_values(x: np.ndarray, f: np.ndarray) -> np.ndarray:
     return _ideal_tap_matrix(x, f).sum(axis=0)
 
 
-def _pcb_tap_matrix(x: np.ndarray, f: np.ndarray, board: PcbBoardParams) -> np.ndarray:
-    """Per-tap responses of M PCB taps including the global attenuation/delay
-    factor (which is linear, so the canceller response is the row sum)."""
+def _pcb_tap_terms(x: np.ndarray, f: np.ndarray, board: PcbBoardParams):
+    """Per-tap responses T of M PCB taps, shape (M, K), including the global
+    attenuation/delay factor (which is linear, so the canceller response is
+    the row sum), with the tank admittances Y_F, Y_Q and the denominator M_C
+    (H_BPF = 1/(R_S M_C)) they share with their derivatives."""
     w = 2.0 * np.pi * f
     y_f = (
         1.0 / board.r_f_ohm
@@ -190,7 +221,34 @@ def _pcb_tap_matrix(x: np.ndarray, f: np.ndarray, board: PcbBoardParams) -> np.n
     amp = 10.0 ** (x[:, 0] / 20.0)
     weighted = amp[:, None] * np.exp(-1j * x[:, 1])[:, None] * h_bpf
     a0 = 10.0 ** (board.a0_db / 20.0)
-    return a0 * np.exp(-2j * np.pi * f * board.tau0_s)[None, :] * weighted
+    t = a0 * np.exp(-2j * np.pi * f * board.tau0_s)[None, :] * weighted
+    return t, y_f, y_q, m_c
+
+
+def _pcb_tap_matrix(x: np.ndarray, f: np.ndarray, board: PcbBoardParams) -> np.ndarray:
+    """Per-tap responses of M PCB taps, shape (M, K); x has shape (M, 4) with
+    C in pF."""
+    return _pcb_tap_terms(x, f, board)[0]
+
+
+def _pcb_tap_jacobian(x: np.ndarray, f: np.ndarray, board: PcbBoardParams):
+    """Per-tap responses T (M, K) of M PCB taps and their derivatives dT/dx
+    (M, 4, K) by (amp_db, phase_rad, C_F, C_Q); by the chain rule through
+    Y = ... + jwC*1e-12, dT/dC = -T/M_C * dM_C/dY * jw*1e-12."""
+    t, y_f, y_q, m_c = _pcb_tap_terms(x, f, board)
+    bl = board.beta_l_rad
+    z0 = board.z0_ohm
+    s2 = np.sin(2.0 * bl)
+    sin2_z0z0 = np.sin(bl) ** 2 * z0 * z0
+    dm_dyf = 1j * s2 * z0 * y_q + np.cos(bl) ** 2 - sin2_z0z0 * y_q * y_q
+    dm_dyq = (
+        1j * s2 * z0 * y_f
+        + 2.0 * np.cos(2.0 * bl)
+        + 2j * s2 * z0 * y_q
+        - 2.0 * sin2_z0z0 * y_f * y_q
+    )
+    dy_dc = -t / m_c * (1j * 2.0 * np.pi * f * 1e-12)[None, :]
+    return t, _tap_jacobian(t, dm_dyf * dy_dc, dm_dyq * dy_dc)
 
 
 def _pcb_values(x: np.ndarray, f: np.ndarray, board: PcbBoardParams) -> np.ndarray:
@@ -232,6 +290,16 @@ class ModelKernel:
         d = self._target[None, :] - resp
         return np.sum(d.real**2 + d.imag**2, axis=1)
 
+    def residual_jacobian(self, x: np.ndarray):
+        """Residual r = h_si - H(x), shape (K,), and the Jacobian dH/dx =
+        -dr/dx, shape (4M, K) with rows in knob-vector order."""
+        x = np.asarray(x, dtype=float).reshape(-1, 4)
+        if self.model == "ideal":
+            taps, jac = _ideal_tap_jacobian(x, self._f)
+        else:
+            taps, jac = _pcb_tap_jacobian(x, self._f, self.board)
+        return self._target - taps.sum(axis=0), jac.reshape(-1, self._f.size)
+
     def configs_from_vector(self, x: np.ndarray):
         x = np.asarray(x, dtype=float).reshape(-1, 4)
         if self.model == "ideal":
@@ -264,15 +332,14 @@ def config_vector(cfgs) -> np.ndarray:
 class SolveOptions:
     restarts: int = 16
     max_iters: int = 500
-    grad_eps: float = 1e-6
     tol: float = 1e-10
     seed: int = 0
 
     def __post_init__(self):
         if self.restarts < 1 or self.max_iters < 1:
             raise InvalidArgumentError("restarts and max_iters must be >= 1")
-        if not (self.grad_eps > 0) or self.tol < 0:
-            raise InvalidArgumentError("grad_eps must be > 0 and tol >= 0")
+        if self.tol < 0:
+            raise InvalidArgumentError("tol must be >= 0")
 
 
 @dataclass(frozen=True)
@@ -284,6 +351,9 @@ class SolveReport:
     restart_index: int
     trace: list = field(repr=False)
     quantized: bool = False
+    # why the winning restart of a continuous solve stopped (STOP_REASONS);
+    # not part of to_dict(), so report JSON keeps its keys
+    stop_reason: str | None = None
 
     def to_dict(self) -> dict:
         cfgs = []
@@ -354,19 +424,38 @@ def residual_objective(h_si: ComplexResponse, h_canc: ComplexResponse) -> float:
     return float(np.sum(d.real**2 + d.imag**2))
 
 
-# Backtracking candidates [lo, hi) evaluated per batch: 40 halvings in all.
-_BT_CHUNKS = ((0, 1), (1, 4), (4, 40))
+STOP_REASONS = ("tol", "max_iters", "no_descent", "non_finite")
+
+# Marquardt damping: start value, factor on a rejected / accepted step, and
+# the value past which the solver stops with "no_descent".
+_LAMBDA0 = 1e-3
+_LAMBDA_UP = 4.0
+_LAMBDA_DOWN = 3.0
+_LAMBDA_MAX = 1e32
+# An accepted step that gains this many times its predicted decrease is
+# followed along 2**k times its length, k = 1..7, in one batch.  Gauss-Newton
+# curvature can be far too high (a one-tap fit with its amplitude on the
+# box floor) and would otherwise crawl to the iteration cap.
+_EXTRAPOLATE_RATIO = 1.5
+_EXTRAPOLATE = 2.0 ** np.arange(1, 8)
 
 
 def _descend(kernel, z0, lows, span, periodic, opts):
-    """Projected gradient descent in box-normalized coordinates z in [0,1].
+    """Projected Levenberg-Marquardt in box-normalized coordinates z in [0,1].
 
-    Returns (z_best, objective, trace) with a monotone non-increasing trace,
-    or None if the objective was never finite.
+    Each iteration solves (A + lam diag(A)) d = g on the free knobs, with
+    A = Re(J^H J) and g = Re(J^H r) from the analytic Jacobian J = dH/dz and
+    the residual r.  Knobs on a box edge whose descent direction points out
+    of the box are frozen; periodic knobs wrap and are never frozen.  A step
+    is accepted only if it strictly lowers the objective, so the trace is
+    strictly decreasing; lam is divided by 3 on acceptance and multiplied by
+    4 on rejection.  `opts.max_iters` caps the accepted steps.
+
+    Returns (z_best, objective, trace, stop_reason) with stop_reason one of
+    STOP_REASONS, or None if the objective at the start is not finite.
     """
-
-    n = z0.size
-    m = n // 4
+    m = z0.size // 4
+    bounded = ~periodic
 
     def denorm(z):
         return lows + z * span
@@ -377,71 +466,59 @@ def _descend(kernel, z0, lows, span, periodic, opts):
         np.clip(z, 0.0, 1.0, out=z)
         return z
 
-    def f(z):
-        return kernel.objective(denorm(z))
-
     def f_batch(zs):
         return kernel.objective_batch(denorm(zs).reshape(zs.shape[0], m, 4))
 
     z = project(z0)
-    fz = f(z)
+    fz = kernel.objective(denorm(z))
     if not np.isfinite(fz):
         return None
     trace = [fz]
-    h = max(opts.grad_eps, 1e-9)
-    t = 1.0
-    g_prev = None
-    s_prev = None
-    for _ in range(opts.max_iters):
-        # central-difference gradient, all 2n perturbed points in one batch
-        zs = np.repeat(z[None, :], 2 * n, axis=0)
-        dz = np.empty(n)
-        for i in range(n):
-            if periodic[i]:
-                zp, zm = z[i] + h, z[i] - h
-            else:
-                zp, zm = min(z[i] + h, 1.0), max(z[i] - h, 0.0)
-            zs[2 * i, i] = zp
-            zs[2 * i + 1, i] = zm
-            dz[i] = zp - zm
-        fs = f_batch(project(zs))
-        with np.errstate(invalid="ignore"):
-            g = np.where(dz != 0, (fs[0::2] - fs[1::2]) / np.where(dz == 0, 1, dz), 0.0)
-        gnorm2 = float(np.dot(g, g))
-        if gnorm2 == 0 or not np.isfinite(gnorm2):
-            break
-        # spectral (Barzilai-Borwein) initial step length, safeguarded by
-        # backtracking; the halved step lengths are evaluated in growing
-        # batches, stopping at the first batch holding an acceptable step
-        t_bb = None
-        if g_prev is not None and s_prev is not None:
-            y = g - g_prev
-            sy = float(np.dot(s_prev, y))
-            if sy > 0 and np.isfinite(sy):
-                t_bb = float(np.dot(s_prev, s_prev)) / sy
-        t = t_bb if t_bb is not None else t * 2.0
-        t = min(max(t, 1e-12), 1e3)
-        steps = t * 0.5 ** np.arange(_BT_CHUNKS[-1][1])
-        for lo, hi in _BT_CHUNKS:
-            cands = project(z[None, :] - steps[lo:hi, None] * g[None, :])
-            fcs = f_batch(cands)
-            ok = np.isfinite(fcs) & (fcs <= fz - 1e-4 * steps[lo:hi] * gnorm2)
-            if np.any(ok):
+    lam = _LAMBDA0
+    while len(trace) <= opts.max_iters:
+        r, jac = kernel.residual_jacobian(denorm(z))
+        jz = (jac * span[:, None]).view(np.float64)
+        a = jz @ jz.T
+        g = jz @ r.view(np.float64)
+        if not (np.all(np.isfinite(a)) and np.all(np.isfinite(g))):
+            return z, fz, trace, "non_finite"
+        free = periodic | ~(((z <= 0.0) & (g < 0.0)) | ((z >= 1.0) & (g > 0.0)))
+        if not np.any(g[free]):
+            return z, fz, trace, "no_descent"
+        a_free = a[np.ix_(free, free)]
+        # a knob with zero curvature still gets some damping, so the damped
+        # matrix is positive definite
+        diag = np.diag(a_free)
+        damp = np.maximum(diag, 1e-15 * np.max(diag))
+        while True:
+            step = np.zeros_like(z)
+            try:
+                step[free] = np.linalg.solve(a_free + np.diag(lam * damp), g[free])
+            except np.linalg.LinAlgError:
+                step[:] = np.nan
+            # clipped step on the box; periodic knobs move unwrapped
+            step[bounded] = np.clip(z[bounded] + step[bounded], 0.0, 1.0) - z[bounded]
+            cand = project(z + step)
+            fc = kernel.objective(denorm(cand))
+            if fc < fz:
                 break
-        else:
-            break
-        k = int(np.argmax(ok))
-        t = float(steps[lo + k])
-        cand, fc = cands[k], float(fcs[k])
-        s_prev = cand - z
-        s_prev[periodic] = (s_prev[periodic] + 0.5) % 1.0 - 0.5
-        g_prev = g
+            lam *= _LAMBDA_UP
+            if lam > _LAMBDA_MAX or np.array_equal(cand, z):
+                return z, fz, trace, "no_descent"
+        pred = 2.0 * (step @ g) - step @ a @ step
+        if fz - fc > _EXTRAPOLATE_RATIO * pred:
+            far = project(z[None, :] + _EXTRAPOLATE[:, None] * step[None, :])
+            ffar = f_batch(far)
+            k = int(np.argmin(ffar))
+            if ffar[k] < fc:
+                cand, fc = far[k], float(ffar[k])
+        lam /= _LAMBDA_DOWN
         gain = fz - fc
         z, fz = cand, fc
         trace.append(fz)
         if gain <= opts.tol * max(fz, 1e-300):
-            break
-    return z, fz, trace
+            return z, fz, trace, "tol"
+    return z, fz, trace, "max_iters"
 
 
 def solve_continuous(
@@ -453,11 +530,13 @@ def solve_continuous(
     board: PcbBoardParams | None = None,
     init_configs=None,
 ) -> SolveReport:
-    """Multi-start projected gradient descent over the continuous knob box.
+    """Multi-start projected Levenberg-Marquardt over the continuous knob box.
 
-    `init_configs` optionally adds deterministic warm starts (lists of tap
-    configs) after the random ones; the best start by final objective wins,
-    with the lowest start index breaking ties.
+    Each start descends with an analytic Jacobian in box-normalized knob
+    coordinates (phase wraps); see `_descend`.  `init_configs` optionally
+    adds deterministic warm starts (lists of tap configs) after the random
+    ones; the best start by final objective wins, with the lowest start index
+    breaking ties.  The report's `stop_reason` says why that start stopped.
     """
     if num_taps < 1:
         raise InvalidArgumentError("num_taps must be >= 1")
@@ -479,12 +558,12 @@ def solve_continuous(
         out = _descend(kernel, z0, lows, span, periodic, opts)
         if out is None:
             continue
-        z, fz, trace = out
+        z, fz, trace, reason = out
         if best is None or fz < best[1]:
-            best = (z, fz, trace, r)
+            best = (z, fz, trace, reason, r)
     if best is None:
         raise SolverFailureError("all restarts produced non-finite objectives")
-    z, fz, trace, r = best
+    z, fz, trace, reason, r = best
     x = lows + z * span
     return SolveReport(
         config=kernel.configs_from_vector(x),
@@ -493,6 +572,7 @@ def solve_continuous(
         iterations=len(trace) - 1,
         restart_index=r,
         trace=trace,
+        stop_reason=reason,
     )
 
 
@@ -617,13 +697,7 @@ def iterative_heuristic(
         j = min(max(j, 1), grid.count - 2)
         window = FrequencyGrid(f[j - 1 : j + 2])
         sub = ComplexResponse(window, residual[j - 1 : j + 2])
-        sub_opts = SolveOptions(
-            restarts=opts.restarts,
-            max_iters=opts.max_iters,
-            grad_eps=opts.grad_eps,
-            tol=opts.tol,
-            seed=opts.seed + tap_i,
-        )
+        sub_opts = replace(opts, seed=opts.seed + tap_i)
         rep = solve_continuous(model, sub, bounds, sub_opts, num_taps=1, board=board)
         cfg = rep.config[0]
         if spec is not None:
@@ -703,15 +777,8 @@ def fit_pipeline(
     qcfg = quantize_config(cont.config, spec)
     qrep = local_search(qcfg, model, h_si, spec, board=board)
     if qrep.objective < cont.objective:
-        polish_opts = SolveOptions(
-            restarts=1,
-            max_iters=opts.max_iters,
-            grad_eps=opts.grad_eps,
-            tol=opts.tol,
-            seed=opts.seed,
-        )
         polished = solve_continuous(
-            model, h_si, bounds, polish_opts, num_taps, board,
+            model, h_si, bounds, replace(opts, restarts=1), num_taps, board,
             init_configs=[qrep.config],
         )
         if polished.objective < cont.objective:

@@ -122,6 +122,25 @@ class TestFitCommand:
         )
         assert rc == 2
 
+    @pytest.mark.parametrize("name", ["missing.csv", "."])
+    def test_unreadable_channel_is_usage_error(
+        self, tmp_path, capsys, monkeypatch, name
+    ):
+        import fdecanc.cli as cli
+
+        def no_compute(*args, **kwargs):
+            raise AssertionError("computation started")
+
+        monkeypatch.setattr(cli, "fit_pipeline", no_compute)
+        rc = main(
+            ["fit", "--channel", str(tmp_path / name), *FIT_FAST,
+             "--out-report", str(tmp_path / "r.json")]
+        )
+        assert rc == 1
+        err = capsys.readouterr().err
+        assert err.startswith("usage error: ") and err.count("\n") == 1
+        assert not (tmp_path / "r.json").exists()
+
     def test_no_channel_source_is_usage_error(self, tmp_path):
         rc = main(["fit", "--out-report", str(tmp_path / "r.json")])
         assert rc == 1
@@ -274,6 +293,8 @@ class TestUsageErrors:
             ["sweep", "--taps", "1,x"],
             ["sweep", "--bandwidths-mhz", "20,x"],
             ["network", "tdma", "--schedule", "rro", "--gammas-db", "1,x"],
+            ["network", "tdma", "--schedule", "rro", "--fd", "1,x,0"],
+            ["network", "tdma", "--schedule", "rro", "--fd", "1,2,0"],
         ],
     )
     def test_malformed_value_is_one_line_usage_error(self, tmp_path, capsys, argv):

@@ -29,12 +29,14 @@ from fdecanc import (
 )
 from fdecanc.models import PcbBoardParams
 from fdecanc.optimizer import (
+    STOP_REASONS,
     ModelKernel,
     _descend,
     _grid_indices,
     _ideal_tap_matrix,
     _pcb_tap_matrix,
     config_vector,
+    default_bounds,
     fit_pipeline,
 )
 
@@ -421,95 +423,113 @@ class TestOraclePairSearch:
         assert config_vector(rep.config).tolist() == rows[[0, 0]].tolist()
 
 
-def descend_eager(kernel, z0, lows, span, periodic, opts):
-    """Projected descent evaluating all 40 backtracking candidates at once."""
-    n = z0.size
-    m = n // 4
-
-    def denorm(z):
-        return lows + z * span
-
-    def project(z):
-        z = z.copy()
-        z[..., periodic] = z[..., periodic] % 1.0
-        np.clip(z, 0.0, 1.0, out=z)
-        return z
-
-    def f_batch(zs):
-        return kernel.objective_batch(denorm(zs).reshape(zs.shape[0], m, 4))
-
-    z = project(z0)
-    fz = kernel.objective(denorm(z))
-    trace = [fz]
-    h = max(opts.grad_eps, 1e-9)
-    t = 1.0
-    g_prev = s_prev = None
-    for _ in range(opts.max_iters):
-        zs = np.repeat(z[None, :], 2 * n, axis=0)
-        dz = np.empty(n)
-        for i in range(n):
-            if periodic[i]:
-                zp, zm = z[i] + h, z[i] - h
-            else:
-                zp, zm = min(z[i] + h, 1.0), max(z[i] - h, 0.0)
-            zs[2 * i, i] = zp
-            zs[2 * i + 1, i] = zm
-            dz[i] = zp - zm
-        fs = f_batch(project(zs))
-        with np.errstate(invalid="ignore"):
-            g = np.where(dz != 0, (fs[0::2] - fs[1::2]) / np.where(dz == 0, 1, dz), 0.0)
-        gnorm2 = float(np.dot(g, g))
-        if gnorm2 == 0 or not np.isfinite(gnorm2):
-            break
-        t_bb = None
-        if g_prev is not None:
-            sy = float(np.dot(s_prev, g - g_prev))
-            if sy > 0 and np.isfinite(sy):
-                t_bb = float(np.dot(s_prev, s_prev)) / sy
-        t = t_bb if t_bb is not None else t * 2.0
-        t = min(max(t, 1e-12), 1e3)
-        steps = t * 0.5 ** np.arange(40)
-        cands = project(z[None, :] - steps[:, None] * g[None, :])
-        fcs = f_batch(cands)
-        ok = np.isfinite(fcs) & (fcs <= fz - 1e-4 * steps * gnorm2)
-        if not np.any(ok):
-            break
-        k = int(np.argmax(ok))
-        t = float(steps[k])
-        cand, fc = cands[k], float(fcs[k])
-        s_prev = cand - z
-        s_prev[periodic] = (s_prev[periodic] + 0.5) % 1.0 - 0.5
-        g_prev = g
-        gain = fz - fc
-        z, fz = cand, fc
-        trace.append(fz)
-        if gain <= opts.tol * max(fz, 1e-300):
-            break
-    return z, fz, trace
+def _box(model, taps):
+    bounds = quantization_preset("rfic" if model == "ideal" else "pcb").bounds()
+    lows = np.tile(bounds.lows(), taps)
+    span = np.tile(bounds.highs(), taps) - lows
+    return lows, span, np.tile(np.array([False, True, False, False]), taps)
 
 
-class TestLazyLineSearch:
+class TestAnalyticJacobian:
+    @settings(max_examples=40, deadline=None)
+    @given(
+        model=st.sampled_from(["ideal", "pcb"]),
+        taps=st.integers(1, 3),
+        seed=st.integers(0, 2**32 - 1),
+    )
+    def test_matches_central_differences(self, model, taps, seed):
+        grid = FrequencyGrid.linspace(880e6, 920e6, 17)
+        kernel = ModelKernel(model, synth_si_channel(SynthChannelSpec(), grid))
+        lows, span, _ = _box(model, taps)
+        x = lows + np.random.default_rng(seed).uniform(0.01, 0.99, size=lows.size) * span
+        r, jac = kernel.residual_jacobian(x)
+        assert r.tolist() == (kernel.h_si.values - kernel.response_values(x)).tolist()
+        for i in range(x.size):
+            h = 1e-6 * span[i]
+            xp, xm = x.copy(), x.copy()
+            xp[i] += h
+            xm[i] -= h
+            fd = (kernel.response_values(xp) - kernel.response_values(xm)) / (2 * h)
+            scale = np.max(np.abs(jac[i]))
+            assert np.max(np.abs(jac[i] - fd)) <= 1e-6 * scale, (i, scale)
+
+
+class TestLevenbergMarquardt:
     @settings(max_examples=15, deadline=None)
     @given(
         model=st.sampled_from(["ideal", "pcb"]),
-        taps=st.integers(1, 2),
+        taps=st.integers(1, 3),
         seed=st.integers(0, 2**32 - 1),
     )
-    def test_trace_matches_eager_reference(self, model, taps, seed):
+    def test_trace_strictly_decreases_and_ends_finite(self, model, taps, seed):
         grid = FrequencyGrid.linspace(890e6, 910e6, 21)
-        h = synth_si_channel(SynthChannelSpec(), grid)
-        kernel = ModelKernel(model, h)
-        bounds = quantization_preset("rfic" if model == "ideal" else "pcb").bounds()
-        lows = np.tile(bounds.lows(), taps)
-        span = np.tile(bounds.highs(), taps) - lows
-        periodic = np.tile(np.array([False, True, False, False]), taps)
-        opts = SolveOptions(max_iters=40)
-        z0 = np.random.default_rng(seed).uniform(size=4 * taps)
-        z, fz, trace = _descend(kernel, z0, lows, span, periodic, opts)
-        z_ref, fz_ref, trace_ref = descend_eager(kernel, z0, lows, span, periodic, opts)
-        assert trace == trace_ref
-        assert fz == fz_ref
-        assert z.tolist() == z_ref.tolist()
+        kernel = ModelKernel(model, synth_si_channel(SynthChannelSpec(), grid))
+        lows, span, periodic = _box(model, taps)
+        z0 = np.random.default_rng(seed).uniform(size=lows.size)
+        z, fz, trace, reason = _descend(
+            kernel, z0, lows, span, periodic, SolveOptions(max_iters=60)
+        )
+        assert reason in STOP_REASONS
+        assert np.all(np.diff(trace) < 0)
+        assert np.isfinite(fz) and fz == trace[-1]
+        assert np.all((z >= 0) & (z <= 1))
+        assert fz == kernel.objective(lows + z * span)
+
+    @pytest.mark.parametrize("edge", [0.0, 1.0])
+    def test_leaves_box_edge_toward_interior_optimum(self, edge):
+        # every bounded knob starts on a box edge and the planted tap lies
+        # inside the box, so each must leave its edge
+        cfg = IdealTapConfig(-20.0, 0.5, 900e6, 10.0)
+        kernel = ModelKernel("ideal", ideal_tap_response(cfg, GRID))
+        lows, span, periodic = _box("ideal", 1)
+        z0 = np.array([edge, 0.3, edge, edge])
+        z, fz, trace, reason = _descend(kernel, z0, lows, span, periodic, FAST)
+        assert fz <= 1e-8 * GRID.count
+        assert lows + z * span == pytest.approx(config_vector([cfg])[0], rel=1e-3)
+
+    def test_stops_on_tol(self):
+        h = synth_si_channel(SynthChannelSpec(), GRID)
+        rep = solve_continuous("ideal", h, opts=FAST, num_taps=1)
+        assert rep.stop_reason == "tol"
+        assert rep.iterations < FAST.max_iters
+
+    def test_stops_on_max_iters(self):
+        h = synth_si_channel(SynthChannelSpec(), GRID)
+        opts = SolveOptions(restarts=2, max_iters=3, seed=0)
+        rep = solve_continuous("ideal", h, opts=opts, num_taps=2)
+        assert rep.stop_reason == "max_iters"
+        assert rep.iterations == 3
+
+    def test_stops_without_descent_at_exact_fit(self):
+        lows, span, periodic = _box("ideal", 1)
+        z0 = np.array([0.4, 0.6, 0.5, 0.2])
+        h = ModelKernel("ideal", flat_channel(0.0)).response_values(lows + z0 * span)
+        kernel = ModelKernel("ideal", ComplexResponse(GRID, h))
+        # zero residual, hence zero gradient
+        z, fz, trace, reason = _descend(kernel, z0, lows, span, periodic, FAST)
+        assert (fz, trace, reason) == (0.0, [0.0], "no_descent")
+        # a residual at rounding level: no step lowers it before lam runs out
+        z, fz, trace, reason = _descend(kernel, z0 + 1e-12, lows, span, periodic, FAST)
+        assert reason == "no_descent" and fz < 1e-20
+
+    def test_stops_on_non_finite_normal_equations(self):
+        # a Q range of 1e300 makes J^T J overflow while the objective at the
+        # start (Q = 1) is finite
+        kernel = ModelKernel("ideal", synth_si_channel(SynthChannelSpec(), GRID))
+        bounds = replace(default_bounds("ideal"), q=(1.0, 1e300))
+        lows = bounds.lows()
+        span = bounds.highs() - lows
+        z0 = np.array([0.5, 0.5, 0.5, 0.0])
+        with np.errstate(over="ignore"):
+            out = _descend(kernel, z0, lows, span, _box("ideal", 1)[2], FAST)
+        z, fz, trace, reason = out
+        assert reason == "non_finite"
+        assert np.isfinite(fz) and trace == [fz]
+
+    def test_stop_reason_stays_out_of_report_json(self):
+        h = synth_si_channel(SynthChannelSpec(), GRID)
+        rep = solve_continuous("ideal", h, opts=FAST, num_taps=1)
+        assert "stop_reason" not in rep.to_dict()
 
 
 def local_search_scalar(qconfig, model, h_si, spec, max_rounds=10):

@@ -2,9 +2,11 @@
 
 Commands: model, fit, sweep, network (uldl | tdma), genchannel.
 Exit codes: 0 success, 1 usage error, 2 computation failure.  Usage errors
-include malformed flag values, a --channel file that cannot be read, and an
-output path (--out, --out-report, --out-csv) whose directory does not exist
-or that names a directory; all are checked before any computation starts.
+include malformed flag values, `sweep --taps` values below 1 and
+`--bandwidths-mhz` values that are not positive, a --channel file that
+cannot be read, and an output path (--out, --out-report, --out-csv) whose
+directory does not exist or that names a directory; all are checked before
+any computation starts.
 All frequency flags accept `start:stop:count` grid syntax; outputs are
 written atomically (temp file + rename) and are deterministic given --seed.
 """
@@ -23,6 +25,7 @@ from .core import ComplexResponse, FrequencyGrid, amplitude_db, group_delay, unw
 from .errors import FdecancError
 from .metrics import rf_sic_db
 from .models import (
+    TAP_MODELS,
     IdealTapConfig,
     PcbBoardParams,
     PcbTapConfig,
@@ -173,7 +176,7 @@ def _load_or_synth(args):
     if args.band is None:
         raise UsageError("--band is required with --synth")
     grid = _parse_band(args.band)
-    return synth_si_channel(SynthChannelSpec(seed=args.seed), grid)
+    return synth_si_channel(SynthChannelSpec(), grid)
 
 
 def cmd_fit(args) -> int:
@@ -209,6 +212,8 @@ def cmd_fit(args) -> int:
 def cmd_sweep(args) -> int:
     taps_list = _parse_list(args.taps, int, "--taps")
     bw_list = _parse_list(args.bandwidths_mhz, float, "--bandwidths-mhz")
+    if min(taps_list) < 1 or not all(bw > 0 for bw in bw_list):
+        raise UsageError("--taps values must be >= 1 and --bandwidths-mhz values > 0")
     center = args.center_mhz * 1e6
     opts = SolveOptions(restarts=args.restarts, max_iters=args.max_iters, seed=args.seed)
     spec = quantization_preset(args.quantize) if args.quantize else None
@@ -221,7 +226,7 @@ def cmd_sweep(args) -> int:
     for bw_mhz in bw_list:
         bw = bw_mhz * 1e6
         grid = FrequencyGrid.linspace(center - bw / 2, center + bw / 2, args.points)
-        h_si = synth_si_channel(SynthChannelSpec(seed=args.seed), grid)
+        h_si = synth_si_channel(SynthChannelSpec(), grid)
         prev = None  # (num_taps, config) for warm-starting larger solves
         for m in taps_list:
             inits = None
@@ -314,7 +319,6 @@ def cmd_genchannel(args) -> int:
         isolation_db=args.isolation_db,
         base_delay_s=args.base_delay_ns * 1e-9,
         reflections=refl,
-        seed=args.seed,
     )
     _atomic_write(args.out, format_si_channel(synth_si_channel(spec, grid)))
     return 0
@@ -344,7 +348,7 @@ def build_parser() -> _Parser:
     pf.add_argument("--channel", default=None)
     pf.add_argument("--synth", action="store_true")
     pf.add_argument("--band", default=None)
-    pf.add_argument("--model", choices=["ideal", "pcb"], default="ideal")
+    pf.add_argument("--model", choices=list(TAP_MODELS), default="ideal")
     pf.add_argument("--taps", type=int, default=2)
     pf.add_argument("--seed", type=int, default=0)
     pf.add_argument("--restarts", type=int, default=16)
@@ -360,7 +364,7 @@ def build_parser() -> _Parser:
     ps.add_argument("--bandwidths-mhz", default="20,40,80")
     ps.add_argument("--center-mhz", type=float, default=900.0)
     ps.add_argument("--points", type=int, default=101)
-    ps.add_argument("--model", choices=["ideal", "pcb"], default="ideal")
+    ps.add_argument("--model", choices=list(TAP_MODELS), default="ideal")
     ps.add_argument("--quantize", choices=["rfic", "pcb"], default=None)
     ps.add_argument("--seed", type=int, default=0)
     ps.add_argument("--restarts", type=int, default=16)
@@ -398,7 +402,6 @@ def build_parser() -> _Parser:
     pg.add_argument("--base-delay-ns", type=float, default=10.0)
     pg.add_argument("--reflections", default=None, help="ampdb:delayns,...")
     pg.add_argument("--no-reflections", action="store_true")
-    pg.add_argument("--seed", type=int, default=0)
     pg.add_argument("--out", default="channel.csv")
     pg.set_defaults(func=cmd_genchannel)
 

@@ -1,22 +1,31 @@
 """Transfer-function models for ideal (RFIC-style) and PCB FDE canceller taps.
 
-The ideal tap is a second-order bandpass with amplitude/phase weighting:
+Every tap is a bandpass filter behind an attenuator and a phase shifter,
+A_i e^{-j phi_i} H_BPF(f).  The ideal tap's filter is a second-order bandpass:
 
     H_i(f) = A_i e^{-j phi_i} / (1 - j Q_i (f_c/f - f/f_c))
 
-The PCB tap is a discrete-component bandpass built from two shunt RLC tanks
-separated by transmission-line sections, evaluated either by multiplying the
-five ABCD matrices of the cascade or by an expanded closed form of the same
-cascade.  The two evaluations are mutual oracles and must agree pointwise.
+The PCB tap's filter is two shunt RLC tanks (C_F in the middle one, C_Q in
+the outer impedance-tuning ones) separated by transmission-line sections,
+under a global attenuation/delay.  Its closed form expands the C-entry of the
+five-matrix ABCD cascade; the cascade (`pcb_bpf_response_abcd`) is kept as
+the oracle that the closed form must match pointwise.
+
+`TAP_MODELS` has one entry per model: config class, knob fields in
+knob-vector order, quantization preset, and one vectorized kernel for M taps
+from an (M, 4) knob matrix, with its analytic Jacobian.  The per-config
+functions here, the solvers, the lattice oracle and the CLI all evaluate
+taps through these kernels.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from typing import Callable
 
 import numpy as np
 
-from .core import ComplexResponse, FrequencyGrid, db_to_linear
+from .core import ComplexResponse, FrequencyGrid
 from .errors import InvalidArgumentError, SingularNetworkError
 
 
@@ -115,29 +124,200 @@ class TwoPortMatrix:
         return self.a * self.d - self.b * self.c
 
 
+# ---------------------------------------------------------------------------
+# tap kernels: M taps at once from an (M, 4) knob matrix x on frequencies f
+
+
+def _rlc_admittance(r_ohm, l_h, c_f, w):
+    """Admittance 1/R + jwC + 1/(jwL) of a parallel RLC tank; broadcasts."""
+    return 1.0 / r_ohm + 1j * w * c_f + 1.0 / (1j * w * l_h)
+
+
+def _weights(x: np.ndarray) -> np.ndarray:
+    """Attenuator and phase-shifter weights A e^{-j phi}, shape (M, 1)."""
+    return (10.0 ** (x[:, 0] / 20.0))[:, None] * np.exp(-1j * x[:, 1])[:, None]
+
+
+def _tap_jacobian(t, d_center, d_q):
+    """dT/dx (M, 4, K) from the per-tap responses T and their derivatives by
+    the two filter knobs; every tap is A e^{-j phi} times a filter, so
+    dT/d(amp_db) = T ln10/20 and dT/d(phase) = -jT."""
+    return np.stack((t * (np.log(10.0) / 20.0), -1j * t, d_center, d_q), axis=1)
+
+
+def _ideal_kernel(x: np.ndarray, f: np.ndarray, board=None):
+    """Per-tap responses T (M, K) of M ideal taps, knobs (amp_db, phase_rad,
+    f_c, Q), with the detuning ratio f_c/f - f/f_c and the denominator
+    D = 1 - jQ*ratio that the Jacobian reuses.  `board` is unused."""
+    fc = x[:, 2]
+    ratio = fc[:, None] / f[None, :] - f[None, :] / fc[:, None]
+    d = 1.0 - 1j * x[:, 3, None] * ratio
+    return _weights(x) / d, ratio, d
+
+
+def _ideal_jacobian(x: np.ndarray, f: np.ndarray, board=None):
+    """T (M, K) and dT/dx (M, 4, K) of M ideal taps by (amp_db, phase_rad,
+    f_c, Q):
+
+        T ln10/20,   -jT,   jQ (1/f + f/f_c^2) T/D,   j ratio T/D.
+    """
+    t, ratio, d = _ideal_kernel(x, f)
+    fc = x[:, 2, None]
+    t_d = t / d
+    d_fc = 1j * x[:, 3, None] * (1.0 / f[None, :] + f[None, :] / (fc * fc)) * t_d
+    return t, _tap_jacobian(t, d_fc, 1j * ratio * t_d)
+
+
+def _pcb_kernel(x: np.ndarray, f: np.ndarray, board: PcbBoardParams):
+    """Per-tap responses T (M, K) of M PCB taps, knobs (amp_db, phase_rad,
+    C_F, C_Q) with C in pF, including the global attenuation/delay factor
+    (linear, so the canceller response is the row sum), with the tank
+    admittances Y_F, Y_Q and the cascade's C-entry M_C that the Jacobian
+    reuses.  H_BPF = 1/(R_S M_C) and, with a = cos(beta*l), s2 = sin(2*beta*l):
+
+        M_C = j s2 Z0 Y_F Y_Q + a^2 Y_F + 2 cos(2 beta l) Y_Q
+              + j s2 / Z0 + j s2 Z0 Y_Q^2 - sin^2(beta l) Z0^2 Y_F Y_Q^2
+    """
+    w = 2.0 * np.pi * f
+    y_f = _rlc_admittance(board.r_f_ohm, board.l_f_nh * 1e-9, x[:, 2, None] * 1e-12, w)
+    y_q = _rlc_admittance(board.r_q_ohm, board.l_q_nh * 1e-9, x[:, 3, None] * 1e-12, w)
+    bl = board.beta_l_rad
+    z0 = board.z0_ohm
+    s2 = np.sin(2.0 * bl)
+    m_c = (
+        1j * s2 * z0 * y_f * y_q
+        + np.cos(bl) ** 2 * y_f
+        + 2.0 * np.cos(2.0 * bl) * y_q
+        + 1j * s2 / z0
+        + 1j * s2 * z0 * y_q * y_q
+        - np.sin(bl) ** 2 * z0 * z0 * y_f * y_q * y_q
+    )
+    weighted = _weights(x) * (1.0 / (board.r_s_ohm * m_c))
+    a0 = 10.0 ** (board.a0_db / 20.0)
+    t = a0 * np.exp(-2j * np.pi * f * board.tau0_s)[None, :] * weighted
+    return t, y_f, y_q, m_c
+
+
+def _pcb_jacobian(x: np.ndarray, f: np.ndarray, board: PcbBoardParams):
+    """T (M, K) and dT/dx (M, 4, K) of M PCB taps by (amp_db, phase_rad,
+    C_F, C_Q); by the chain rule through Y = ... + jwC*1e-12,
+    dT/dC = -T/M_C * dM_C/dY * jw*1e-12."""
+    t, y_f, y_q, m_c = _pcb_kernel(x, f, board)
+    bl = board.beta_l_rad
+    z0 = board.z0_ohm
+    s2 = np.sin(2.0 * bl)
+    sin2_z0z0 = np.sin(bl) ** 2 * z0 * z0
+    dm_dyf = 1j * s2 * z0 * y_q + np.cos(bl) ** 2 - sin2_z0z0 * y_q * y_q
+    dm_dyq = (
+        1j * s2 * z0 * y_f
+        + 2.0 * np.cos(2.0 * bl)
+        + 2j * s2 * z0 * y_q
+        - 2.0 * sin2_z0z0 * y_f * y_q
+    )
+    dy_dc = -t / m_c * (1j * 2.0 * np.pi * f * 1e-12)[None, :]
+    return t, _tap_jacobian(t, dm_dyf * dy_dc, dm_dyq * dy_dc)
+
+
+# ---------------------------------------------------------------------------
+# the registry
+
+
+@dataclass(frozen=True)
+class TapModel:
+    """One tap model of `TAP_MODELS`.
+
+    `kernel(x, f, board)` returns the per-tap responses T (M, K) of the
+    (M, 4) knob matrix x first, then the terms its Jacobian reuses;
+    `jacobian(x, f, board)` returns T and dT/dx (M, 4, K).  Knob rows follow
+    `knobs`, the config fields in knob-vector order.
+    """
+
+    name: str
+    config_class: type
+    knobs: tuple
+    preset: str
+    kernel: Callable
+    jacobian: Callable
+
+    def vector(self, cfgs) -> np.ndarray:
+        """The (M, 4) knob matrix of a list of this model's tap configs."""
+        rows = []
+        for c in cfgs:
+            if not isinstance(c, self.config_class):
+                raise InvalidArgumentError(
+                    f"{type(c).__name__} is not a {self.name!r} tap config"
+                )
+            rows.append([getattr(c, k) for k in self.knobs])
+        return np.array(rows, dtype=float)
+
+    def configs(self, x) -> list:
+        """Tap configs from a knob vector or an (M, 4) knob matrix."""
+        x = np.asarray(x, dtype=float).reshape(-1, 4)
+        return [self.config_class(*row) for row in x]
+
+
+TAP_MODELS = {
+    "ideal": TapModel(
+        "ideal", IdealTapConfig, ("amp_db", "phase_rad", "center_hz", "q"), "rfic",
+        _ideal_kernel, _ideal_jacobian,
+    ),
+    "pcb": TapModel(
+        "pcb", PcbTapConfig, ("amp_db", "phase_rad", "cf_pf", "cq_pf"), "pcb",
+        _pcb_kernel, _pcb_jacobian,
+    ),
+}
+
+
+def tap_model(name: str) -> TapModel:
+    """The registry entry of a model name."""
+    if name not in TAP_MODELS:
+        raise InvalidArgumentError(f"unknown tap model {name!r}")
+    return TAP_MODELS[name]
+
+
+def tap_model_of(cfg) -> TapModel:
+    """The registry entry of a tap config's class."""
+    for tm in TAP_MODELS.values():
+        if isinstance(cfg, tm.config_class):
+            return tm
+    raise InvalidArgumentError(f"unsupported config type {type(cfg).__name__}")
+
+
+# ---------------------------------------------------------------------------
+# per-config evaluation
+
+
+def _positive_points(grid: FrequencyGrid, what: str) -> np.ndarray:
+    if np.any(grid.points <= 0):
+        raise InvalidArgumentError(f"{what} requires strictly positive frequencies")
+    return grid.points
+
+
+def _check_nonsingular(m_c, f: np.ndarray) -> None:
+    """Raise at the first frequency (row-major over taps) where M_C = 0."""
+    bad = m_c == 0
+    if np.any(bad):
+        raise SingularNetworkError(f[np.argmax(bad) % f.size])
+
+
 def ideal_tap_response(cfg: IdealTapConfig, grid: FrequencyGrid) -> ComplexResponse:
     """Evaluate one ideal tap on the grid.
 
     At f = center_hz the denominator is exactly 1, so the value is
     linear(amp_db) * e^{-j phase_rad}.
     """
-    f = grid.points
-    if np.any(f <= 0):
-        raise InvalidArgumentError("ideal tap requires strictly positive frequencies")
-    fc = cfg.center_hz
-    denom = 1.0 - 1j * cfg.q * (fc / f - f / fc)
-    vals = db_to_linear(cfg.amp_db) * np.exp(-1j * cfg.phase_rad) / denom
-    return ComplexResponse(grid, vals)
+    f = _positive_points(grid, "ideal tap")
+    taps = _ideal_kernel(TAP_MODELS["ideal"].vector([cfg]), f)[0]
+    return ComplexResponse(grid, taps[0])
 
 
 def multi_tap_response(cfgs, grid: FrequencyGrid) -> ComplexResponse:
     """Sum of parallel ideal taps."""
     if not cfgs:
         raise InvalidArgumentError("need at least one tap")
-    total = np.zeros(grid.count, dtype=complex)
-    for cfg in cfgs:
-        total = total + ideal_tap_response(cfg, grid).values
-    return ComplexResponse(grid, total)
+    f = _positive_points(grid, "ideal tap")
+    taps = _ideal_kernel(TAP_MODELS["ideal"].vector(cfgs), f)[0]
+    return ComplexResponse(grid, taps.sum(axis=0))
 
 
 def tline_matrix(beta_l_rad: float, z0_ohm: float) -> TwoPortMatrix:
@@ -160,23 +340,13 @@ def shunt_admittance(r_ohm: float, l_h: float, c_f: float, f_hz: float) -> compl
         raise InvalidArgumentError("f_hz must be positive")
     if not (r_ohm > 0 and l_h > 0 and c_f > 0):
         raise InvalidArgumentError("R, L, C must be positive")
-    w = 2.0 * np.pi * f_hz
-    return 1.0 / r_ohm + 1j * w * c_f + 1.0 / (1j * w * l_h)
+    return _rlc_admittance(r_ohm, l_h, c_f, 2.0 * np.pi * f_hz)
 
 
 def _tank_admittances(cfg: PcbTapConfig, params: PcbBoardParams, f: np.ndarray):
-    w = 2.0 * np.pi * f
-    y_f = (
-        1.0 / params.r_f_ohm
-        + 1j * w * (cfg.cf_pf * 1e-12)
-        + 1.0 / (1j * w * (params.l_f_nh * 1e-9))
-    )
-    y_q = (
-        1.0 / params.r_q_ohm
-        + 1j * w * (cfg.cq_pf * 1e-12)
-        + 1.0 / (1j * w * (params.l_q_nh * 1e-9))
-    )
-    return y_f, y_q
+    """Y_F and Y_Q of one PCB tap's tanks on the frequencies f."""
+    _, y_f, y_q, _ = _pcb_kernel(TAP_MODELS["pcb"].vector([cfg]), f, params)
+    return y_f[0], y_q[0]
 
 
 def pcb_bpf_response_abcd(
@@ -186,53 +356,27 @@ def pcb_bpf_response_abcd(
 
     Cascade: [shunt Y_Q] [t-line] [shunt Y_F] [t-line] [shunt Y_Q];
     H(f) = 1 / (R_s * C-entry).  This is the ground-truth evaluation; the
-    closed form below must match it.  The cascade is evaluated on the whole
-    grid at once, with array-valued matrix entries.
+    closed form of the PCB kernel must match it.  The cascade is evaluated
+    on the whole grid at once, with array-valued matrix entries.
     """
-    if np.any(grid.points <= 0):
-        raise InvalidArgumentError("PCB BPF requires strictly positive frequencies")
-    y_f, y_q = _tank_admittances(cfg, params, grid.points)
+    f = _positive_points(grid, "PCB BPF")
+    y_f, y_q = _tank_admittances(cfg, params, f)
     tl = tline_matrix(params.beta_l_rad, params.z0_ohm)
     m = shunt_matrix(y_q) @ tl @ shunt_matrix(y_f) @ tl @ shunt_matrix(y_q)
-    bad = m.c == 0
-    if np.any(bad):
-        raise SingularNetworkError(grid.points[np.argmax(bad)])
+    _check_nonsingular(m.c, f)
     return ComplexResponse(grid, 1.0 / (params.r_s_ohm * m.c))
 
 
 def pcb_bpf_response_closed_form(
     cfg: PcbTapConfig, params: PcbBoardParams, grid: FrequencyGrid
 ) -> ComplexResponse:
-    """PCB BPF response via the expanded C-entry of the cascade.
-
-    With a = cos(beta*l), s2 = sin(2*beta*l):
-
-        M_C = j s2 Z0 Y_F Y_Q + a^2 Y_F + 2 cos(2 beta l) Y_Q
-              + j s2 / Z0 + j s2 Z0 Y_Q^2 - sin^2(beta l) Z0^2 Y_F Y_Q^2
-
-    and H = 1 / (R_s * M_C).  This expansion is algebraically identical to
-    the matrix product in pcb_bpf_response_abcd.
+    """Bare PCB BPF response 1 / (R_s * M_C), with M_C the expanded C-entry
+    of the cascade in the PCB kernel; no attenuator, phase shifter or global
+    attenuation/delay.  Algebraically identical to `pcb_bpf_response_abcd`.
     """
-    if np.any(grid.points <= 0):
-        raise InvalidArgumentError("PCB BPF requires strictly positive frequencies")
-    y_f, y_q = _tank_admittances(cfg, params, grid.points)
-    bl = params.beta_l_rad
-    z0 = params.z0_ohm
-    s2 = np.sin(2.0 * bl)
-    c2 = np.cos(2.0 * bl)
-    cos2 = np.cos(bl) ** 2
-    sin2 = np.sin(bl) ** 2
-    m_c = (
-        1j * s2 * z0 * y_f * y_q
-        + cos2 * y_f
-        + 2.0 * c2 * y_q
-        + 1j * s2 / z0
-        + 1j * s2 * z0 * y_q * y_q
-        - sin2 * z0 * z0 * y_f * y_q * y_q
-    )
-    bad = m_c == 0
-    if np.any(bad):
-        raise SingularNetworkError(grid.points[np.argmax(bad)])
+    f = _positive_points(grid, "PCB BPF")
+    m_c = _pcb_kernel(TAP_MODELS["pcb"].vector([cfg]), f, params)[3][0]
+    _check_nonsingular(m_c, f)
     return ComplexResponse(grid, 1.0 / (params.r_s_ohm * m_c))
 
 
@@ -245,10 +389,7 @@ def pcb_canceller_response(
     """
     if not cfgs:
         raise InvalidArgumentError("need at least one tap")
-    f = grid.points
-    total = np.zeros(grid.count, dtype=complex)
-    for cfg in cfgs:
-        h_bpf = pcb_bpf_response_closed_form(cfg, params, grid).values
-        total = total + db_to_linear(cfg.amp_db) * np.exp(-1j * cfg.phase_rad) * h_bpf
-    global_factor = db_to_linear(params.a0_db) * np.exp(-2j * np.pi * f * params.tau0_s)
-    return ComplexResponse(grid, global_factor * total)
+    f = _positive_points(grid, "PCB BPF")
+    taps, _, _, m_c = _pcb_kernel(TAP_MODELS["pcb"].vector(cfgs), f, params)
+    _check_nonsingular(m_c, f)
+    return ComplexResponse(grid, taps.sum(axis=0))

@@ -10,8 +10,11 @@ canceller.  This module provides:
 * the per-tap iterative fitting heuristic,
 * an exhaustive lattice oracle for testing.
 
-Knob vectors are ordered (amp_db, phase_rad, center, q) per tap, taps
-concatenated.  For the ideal model center/q are f_c (Hz) and Q; for the PCB
+Every solver takes a model name and evaluates taps through that model's one
+vectorized kernel and Jacobian in `models.TAP_MODELS`; `ModelKernel`
+resolves the registry entry once.  Knob vectors are ordered (amp_db,
+phase_rad, center, q) per tap, taps concatenated, following the entry's
+config fields: for the ideal model center/q are f_c (Hz) and Q; for the PCB
 model they are C_F and C_Q in pF.
 """
 
@@ -26,9 +29,8 @@ import numpy as np
 from .core import ComplexResponse, FrequencyGrid
 from .errors import InvalidArgumentError, LatticeTooLargeError, SolverFailureError
 from .metrics import rf_sic_db
-from .models import IdealTapConfig, PcbBoardParams, PcbTapConfig
+from .models import PcbBoardParams, tap_model, tap_model_of
 
-KNOB_NAMES = ("amp_db", "phase_rad", "center", "q")
 LATTICE_CAP = 10**7
 
 
@@ -141,138 +143,28 @@ def quantization_preset(name: str) -> QuantizationSpec:
 
 
 def default_bounds(model: str) -> BoxBounds:
-    return quantization_preset("rfic" if model == "ideal" else "pcb").bounds()
+    return quantization_preset(tap_model(model).preset).bounds()
 
 
 # ---------------------------------------------------------------------------
-# model kernels (vectorized evaluation from raw knob matrices)
-
-
-def _tap_jacobian(t, d_center, d_q):
-    """dT/dx (M, 4, K) from the per-tap responses T and their derivatives by
-    the two filter knobs; every tap is A e^{-j phi} times a filter, so
-    dT/d(amp_db) = T ln10/20 and dT/d(phase) = -jT."""
-    return np.stack((t * (np.log(10.0) / 20.0), -1j * t, d_center, d_q), axis=1)
-
-
-def _ideal_tap_terms(x: np.ndarray, f: np.ndarray):
-    """Per-tap responses T of M ideal taps, shape (M, K), with the detuning
-    ratio f_c/f - f/f_c and the denominator D = 1 - jQ*ratio they share with
-    their derivatives."""
-    amp = 10.0 ** (x[:, 0] / 20.0)
-    fc = x[:, 2]
-    q = x[:, 3]
-    ratio = fc[:, None] / f[None, :] - f[None, :] / fc[:, None]
-    d = 1.0 - 1j * q[:, None] * ratio
-    return amp[:, None] * np.exp(-1j * x[:, 1])[:, None] / d, ratio, d
-
-
-def _ideal_tap_matrix(x: np.ndarray, f: np.ndarray) -> np.ndarray:
-    """Per-tap responses of M ideal taps, shape (M, K); x has shape (M, 4)."""
-    return _ideal_tap_terms(x, f)[0]
-
-
-def _ideal_tap_jacobian(x: np.ndarray, f: np.ndarray):
-    """Per-tap responses T (M, K) of M ideal taps and their derivatives
-    dT/dx (M, 4, K) by (amp_db, phase_rad, f_c, Q):
-
-        T ln10/20,   -jT,   jQ (1/f + f/f_c^2) T/D,   j ratio T/D.
-    """
-    t, ratio, d = _ideal_tap_terms(x, f)
-    fc = x[:, 2, None]
-    t_d = t / d
-    d_fc = 1j * x[:, 3, None] * (1.0 / f[None, :] + f[None, :] / (fc * fc)) * t_d
-    return t, _tap_jacobian(t, d_fc, 1j * ratio * t_d)
-
-
-def _ideal_values(x: np.ndarray, f: np.ndarray) -> np.ndarray:
-    """Canceller response of M ideal taps; x has shape (M, 4)."""
-    return _ideal_tap_matrix(x, f).sum(axis=0)
-
-
-def _pcb_tap_terms(x: np.ndarray, f: np.ndarray, board: PcbBoardParams):
-    """Per-tap responses T of M PCB taps, shape (M, K), including the global
-    attenuation/delay factor (which is linear, so the canceller response is
-    the row sum), with the tank admittances Y_F, Y_Q and the denominator M_C
-    (H_BPF = 1/(R_S M_C)) they share with their derivatives."""
-    w = 2.0 * np.pi * f
-    y_f = (
-        1.0 / board.r_f_ohm
-        + 1j * w[None, :] * (x[:, 2, None] * 1e-12)
-        + 1.0 / (1j * w[None, :] * (board.l_f_nh * 1e-9))
-    )
-    y_q = (
-        1.0 / board.r_q_ohm
-        + 1j * w[None, :] * (x[:, 3, None] * 1e-12)
-        + 1.0 / (1j * w[None, :] * (board.l_q_nh * 1e-9))
-    )
-    bl = board.beta_l_rad
-    z0 = board.z0_ohm
-    s2 = np.sin(2.0 * bl)
-    m_c = (
-        1j * s2 * z0 * y_f * y_q
-        + np.cos(bl) ** 2 * y_f
-        + 2.0 * np.cos(2.0 * bl) * y_q
-        + 1j * s2 / z0
-        + 1j * s2 * z0 * y_q * y_q
-        - np.sin(bl) ** 2 * z0 * z0 * y_f * y_q * y_q
-    )
-    h_bpf = 1.0 / (board.r_s_ohm * m_c)
-    amp = 10.0 ** (x[:, 0] / 20.0)
-    weighted = amp[:, None] * np.exp(-1j * x[:, 1])[:, None] * h_bpf
-    a0 = 10.0 ** (board.a0_db / 20.0)
-    t = a0 * np.exp(-2j * np.pi * f * board.tau0_s)[None, :] * weighted
-    return t, y_f, y_q, m_c
-
-
-def _pcb_tap_matrix(x: np.ndarray, f: np.ndarray, board: PcbBoardParams) -> np.ndarray:
-    """Per-tap responses of M PCB taps, shape (M, K); x has shape (M, 4) with
-    C in pF."""
-    return _pcb_tap_terms(x, f, board)[0]
-
-
-def _pcb_tap_jacobian(x: np.ndarray, f: np.ndarray, board: PcbBoardParams):
-    """Per-tap responses T (M, K) of M PCB taps and their derivatives dT/dx
-    (M, 4, K) by (amp_db, phase_rad, C_F, C_Q); by the chain rule through
-    Y = ... + jwC*1e-12, dT/dC = -T/M_C * dM_C/dY * jw*1e-12."""
-    t, y_f, y_q, m_c = _pcb_tap_terms(x, f, board)
-    bl = board.beta_l_rad
-    z0 = board.z0_ohm
-    s2 = np.sin(2.0 * bl)
-    sin2_z0z0 = np.sin(bl) ** 2 * z0 * z0
-    dm_dyf = 1j * s2 * z0 * y_q + np.cos(bl) ** 2 - sin2_z0z0 * y_q * y_q
-    dm_dyq = (
-        1j * s2 * z0 * y_f
-        + 2.0 * np.cos(2.0 * bl)
-        + 2j * s2 * z0 * y_q
-        - 2.0 * sin2_z0z0 * y_f * y_q
-    )
-    dy_dc = -t / m_c * (1j * 2.0 * np.pi * f * 1e-12)[None, :]
-    return t, _tap_jacobian(t, dm_dyf * dy_dc, dm_dyq * dy_dc)
-
-
-def _pcb_values(x: np.ndarray, f: np.ndarray, board: PcbBoardParams) -> np.ndarray:
-    """Canceller response of M PCB taps; x has shape (M, 4) with C in pF."""
-    return _pcb_tap_matrix(x, f, board).sum(axis=0)
+# objective over one tap model's kernel (raw knob matrices)
 
 
 class ModelKernel:
     """Evaluates objective(x) = sum_k |h_si_k - H(f_k; x)|^2 for one model."""
 
     def __init__(self, model: str, h_si: ComplexResponse, board=None):
-        if model not in ("ideal", "pcb"):
-            raise InvalidArgumentError(f"unknown model {model!r}")
-        self.model = model
+        self.tap_model = tap_model(model)
         self.h_si = h_si
         self.board = board if board is not None else PcbBoardParams()
         self._f = h_si.grid.points
         self._target = h_si.values
+        self._kernel = self.tap_model.kernel
+        self._jacobian = self.tap_model.jacobian
 
     def response_values(self, x: np.ndarray) -> np.ndarray:
         x = np.asarray(x, dtype=float).reshape(-1, 4)
-        if self.model == "ideal":
-            return _ideal_values(x, self._f)
-        return _pcb_values(x, self._f, self.board)
+        return self._kernel(x, self._f, self.board)[0].sum(axis=0)
 
     def objective(self, x: np.ndarray) -> float:
         d = self._target - self.response_values(x)
@@ -281,11 +173,7 @@ class ModelKernel:
     def objective_batch(self, xs: np.ndarray) -> np.ndarray:
         """Objectives for a batch of configs; xs has shape (P, M, 4)."""
         p, m, _ = xs.shape
-        flat = xs.reshape(p * m, 4)
-        if self.model == "ideal":
-            mat = _ideal_tap_matrix(flat, self._f)
-        else:
-            mat = _pcb_tap_matrix(flat, self._f, self.board)
+        mat = self._kernel(xs.reshape(p * m, 4), self._f, self.board)[0]
         resp = mat.reshape(p, m, self._f.size).sum(axis=1)
         d = self._target[None, :] - resp
         return np.sum(d.real**2 + d.imag**2, axis=1)
@@ -294,17 +182,11 @@ class ModelKernel:
         """Residual r = h_si - H(x), shape (K,), and the Jacobian dH/dx =
         -dr/dx, shape (4M, K) with rows in knob-vector order."""
         x = np.asarray(x, dtype=float).reshape(-1, 4)
-        if self.model == "ideal":
-            taps, jac = _ideal_tap_jacobian(x, self._f)
-        else:
-            taps, jac = _pcb_tap_jacobian(x, self._f, self.board)
+        taps, jac = self._jacobian(x, self._f, self.board)
         return self._target - taps.sum(axis=0), jac.reshape(-1, self._f.size)
 
     def configs_from_vector(self, x: np.ndarray):
-        x = np.asarray(x, dtype=float).reshape(-1, 4)
-        if self.model == "ideal":
-            return [IdealTapConfig(r[0], r[1], r[2], r[3]) for r in x]
-        return [PcbTapConfig(r[0], r[1], r[2], r[3]) for r in x]
+        return self.tap_model.configs(x)
 
     def avg_sic_db(self, x: np.ndarray) -> float:
         resid = self._target - self.response_values(x)
@@ -312,16 +194,9 @@ class ModelKernel:
 
 
 def config_vector(cfgs) -> np.ndarray:
-    """Flatten tap configs into the (M, 4) knob matrix."""
-    rows = []
-    for c in cfgs:
-        if isinstance(c, IdealTapConfig):
-            rows.append([c.amp_db, c.phase_rad, c.center_hz, c.q])
-        elif isinstance(c, PcbTapConfig):
-            rows.append([c.amp_db, c.phase_rad, c.cf_pf, c.cq_pf])
-        else:
-            raise InvalidArgumentError(f"unsupported config type {type(c).__name__}")
-    return np.array(rows, dtype=float)
+    """Flatten tap configs of one model into the (M, 4) knob matrix."""
+    cfgs = list(cfgs)
+    return tap_model_of(cfgs[0]).vector(cfgs) if cfgs else np.zeros((0, 4))
 
 
 # ---------------------------------------------------------------------------
@@ -358,26 +233,8 @@ class SolveReport:
     def to_dict(self) -> dict:
         cfgs = []
         for c in self.config:
-            if isinstance(c, IdealTapConfig):
-                cfgs.append(
-                    {
-                        "kind": "ideal",
-                        "amp_db": c.amp_db,
-                        "phase_rad": c.phase_rad,
-                        "center_hz": c.center_hz,
-                        "q": c.q,
-                    }
-                )
-            else:
-                cfgs.append(
-                    {
-                        "kind": "pcb",
-                        "amp_db": c.amp_db,
-                        "phase_rad": c.phase_rad,
-                        "cf_pf": c.cf_pf,
-                        "cq_pf": c.cq_pf,
-                    }
-                )
+            tm = tap_model_of(c)
+            cfgs.append({"kind": tm.name, **{k: getattr(c, k) for k in tm.knobs}})
         return {
             "config": cfgs,
             "objective": self.objective,
@@ -395,12 +252,8 @@ class SolveReport:
 def report_from_dict(d: dict) -> SolveReport:
     cfgs = []
     for c in d["config"]:
-        if c["kind"] == "ideal":
-            cfgs.append(
-                IdealTapConfig(c["amp_db"], c["phase_rad"], c["center_hz"], c["q"])
-            )
-        else:
-            cfgs.append(PcbTapConfig(c["amp_db"], c["phase_rad"], c["cf_pf"], c["cq_pf"]))
+        tm = tap_model(c["kind"])
+        cfgs.append(tm.config_class(*(c[k] for k in tm.knobs)))
     return SolveReport(
         cfgs,
         d["objective"],
@@ -550,7 +403,7 @@ def solve_continuous(
     rng = np.random.default_rng(opts.seed)
     starts = [z for z in rng.uniform(size=(opts.restarts, 4 * num_taps))]
     for cfgs in init_configs or []:
-        x = config_vector(cfgs).ravel()
+        x = kernel.tap_model.vector(cfgs).ravel()
         starts.append((x - lows) / span)
 
     best = None
@@ -584,12 +437,9 @@ def quantize_config(config, spec: QuantizationSpec):
     """Snap every knob of every tap to its nearest quantization-grid value."""
     out = []
     for c in config:
-        x = config_vector([c])[0]
-        snapped = [k.snap(v) for k, v in zip(spec.knobs(), x)]
-        if isinstance(c, IdealTapConfig):
-            out.append(IdealTapConfig(*snapped))
-        else:
-            out.append(PcbTapConfig(*snapped))
+        tm = tap_model_of(c)
+        x = tm.vector([c])[0]
+        out.append(tm.config_class(*[k.snap(v) for k, v in zip(spec.knobs(), x)]))
     return out
 
 
@@ -612,7 +462,7 @@ def local_search(
 ) -> SolveReport:
     """Coordinate-wise +/-1-step hill climbing on the quantization lattice."""
     kernel = ModelKernel(model, h_si, board)
-    idx = _grid_indices(spec, config_vector(qconfig))
+    idx = _grid_indices(spec, kernel.tap_model.vector(qconfig))
     knob_vals = [k.values() for k in spec.knobs()]
     periodic = [k.periodic for k in spec.knobs()]
 
@@ -703,11 +553,9 @@ def iterative_heuristic(
         if spec is not None:
             cfg = quantize_config([cfg], spec)[0]
         configs.append(cfg)
-        tap_vals = ModelKernel(model, h_si, board).response_values(
-            config_vector([cfg])
-        )
+        tap_vals = kernel_full.response_values(kernel_full.tap_model.vector([cfg]))
         residual = residual - tap_vals
-    x = config_vector(configs)
+    x = kernel_full.tap_model.vector(configs)
     obj = kernel_full.objective(x)
     return SolveReport(
         config=configs,
@@ -740,7 +588,7 @@ def greedy_extend(
     cfg = list(config)[:num_taps]
     kernel = ModelKernel(model, h_si, board)
     while len(cfg) < num_taps:
-        resid = h_si.values - kernel.response_values(config_vector(cfg))
+        resid = h_si.values - kernel.response_values(kernel.tap_model.vector(cfg))
         sub = ComplexResponse(h_si.grid, resid)
         opts = SolveOptions(restarts=8, max_iters=150, seed=seed + len(cfg))
         rep = solve_continuous(model, sub, bounds, opts, 1, board)
@@ -872,10 +720,7 @@ def grid_search_oracle(
     tap_configs = np.stack([g.ravel() for g in grids], axis=1)  # (per_tap, 4)
 
     # single-tap response of every lattice point: (per_tap, K)
-    if model == "ideal":
-        resp = _ideal_tap_matrix(tap_configs, h_si.grid.points)
-    else:
-        resp = _pcb_tap_matrix(tap_configs, h_si.grid.points, kernel.board)
+    resp = kernel.tap_model.kernel(tap_configs, h_si.grid.points, kernel.board)[0]
     target = h_si.values
 
     if num_taps == 1:

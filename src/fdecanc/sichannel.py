@@ -25,7 +25,6 @@ class SynthChannelSpec:
     isolation_db: float = -20.0
     base_delay_s: float = 10e-9
     reflections: tuple = DEFAULT_REFLECTIONS
-    seed: int = 0
 
     def __post_init__(self):
         if not (self.isolation_db < 0):

@@ -295,9 +295,19 @@ class TestUsageErrors:
             ["network", "tdma", "--schedule", "rro", "--gammas-db", "1,x"],
             ["network", "tdma", "--schedule", "rro", "--fd", "1,x,0"],
             ["network", "tdma", "--schedule", "rro", "--fd", "1,2,0"],
+            ["sweep", "--taps", "2,0"],
+            ["sweep", "--bandwidths-mhz", "20,0"],
         ],
     )
-    def test_malformed_value_is_one_line_usage_error(self, tmp_path, capsys, argv):
+    def test_malformed_value_is_one_line_usage_error(
+        self, tmp_path, capsys, monkeypatch, argv
+    ):
+        import fdecanc.cli as cli
+
+        def no_compute(*args, **kwargs):
+            raise AssertionError("computation started")
+
+        monkeypatch.setattr(cli, "fit_pipeline", no_compute)
         rc = main([*argv, "--out", str(tmp_path / "o.csv")])
         assert rc == 1
         err = capsys.readouterr().err

@@ -1,12 +1,18 @@
+import cmath
+
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from fdecanc import (
+    ComplexResponse,
     FrequencyGrid,
     IdealTapConfig,
     InvalidArgumentError,
     PcbBoardParams,
     PcbTapConfig,
+    SynthChannelSpec,
     amplitude_db,
     db_to_linear,
     group_delay,
@@ -15,9 +21,12 @@ from fdecanc import (
     pcb_bpf_response_abcd,
     pcb_bpf_response_closed_form,
     pcb_canceller_response,
+    quantization_preset,
     shunt_admittance,
+    synth_si_channel,
     tline_matrix,
 )
+from fdecanc.optimizer import ModelKernel
 
 GRID = FrequencyGrid.linspace(850e6, 950e6, 101)
 
@@ -270,3 +279,97 @@ class TestPcbCanceller:
             + pcb_canceller_response([t2], params, GRID).values
         )
         assert np.allclose(both, s, rtol=1e-14, atol=0)
+
+
+# ---------------------------------------------------------------------------
+# the batch kernels against independent oracles
+
+
+def _kernel(model, grid, board=None):
+    zero = ComplexResponse(grid, np.zeros(grid.count, dtype=complex))
+    return ModelKernel(model, zero, board)
+
+
+PCB_TAPS = st.lists(
+    st.tuples(
+        st.floats(-15.5, 0.0),
+        st.floats(-np.pi, np.pi),
+        st.floats(0.6, 2.4),
+        st.floats(2.0, 14.0),
+    ),
+    min_size=1,
+    max_size=4,
+)
+BOARDS = st.builds(
+    PcbBoardParams,
+    l_f_nh=st.floats(1.0, 2.5),
+    l_q_nh=st.floats(2.0, 4.0),
+    r_f_ohm=st.floats(20.0, 200.0),
+    r_q_ohm=st.floats(20.0, 100.0),
+    r_s_ohm=st.floats(25.0, 100.0),
+    beta_l_rad=st.floats(0.5, 2.5),
+    z0_ohm=st.floats(30.0, 100.0),
+    a0_db=st.floats(-10.0, 0.0),
+    tau0_s=st.floats(0.0, 10e-9),
+)
+IDEAL_TAPS = st.lists(
+    st.tuples(
+        st.floats(-40.0, -10.0),
+        st.floats(-np.pi, np.pi),
+        st.floats(875e6, 925e6),
+        st.floats(1.0, 50.0),
+    ),
+    min_size=1,
+    max_size=4,
+)
+
+
+class TestKernelOracles:
+    @settings(max_examples=60, deadline=None)
+    @given(taps=PCB_TAPS, board=BOARDS)
+    def test_pcb_kernel_matches_abcd_cascade(self, taps, board):
+        # a0 e^{-j2 pi f tau0} sum_i w_i H_i with every H_i from the cascade
+        grid = FrequencyGrid.linspace(850e6, 950e6, 41)
+        cfgs = [PcbTapConfig(*t) for t in taps]
+        terms = [
+            10.0 ** (c.amp_db / 20.0)
+            * np.exp(-1j * c.phase_rad)
+            * pcb_bpf_response_abcd(c, board, grid).values
+            for c in cfgs
+        ]
+        a0 = 10.0 ** (board.a0_db / 20.0)
+        ref = a0 * np.exp(-2j * np.pi * grid.points * board.tau0_s) * sum(terms)
+        # per point, relative to the tap magnitudes, which may cancel
+        scale = a0 * sum(np.abs(t) for t in terms)
+        got = _kernel("pcb", grid, board).response_values(np.array(taps))
+        assert np.all(np.abs(got - ref) <= 1e-9 * scale)
+        canc = pcb_canceller_response(cfgs, board, grid).values
+        assert np.all(np.abs(canc - ref) <= 1e-9 * scale)
+
+    @settings(max_examples=60, deadline=None)
+    @given(taps=IDEAL_TAPS)
+    def test_ideal_kernel_matches_pointwise_formula(self, taps):
+        grid = FrequencyGrid.linspace(880e6, 920e6, 21)
+        got = _kernel("ideal", grid).response_values(np.array(taps))
+        for k, f in enumerate(grid.points.tolist()):
+            vals = [
+                10.0 ** (a / 20.0) * cmath.exp(-1j * ph)
+                / (1 - 1j * q * (fc / f - f / fc))
+                for a, ph, fc, q in taps
+            ]
+            assert abs(complex(got[k]) - sum(vals)) <= 1e-12 * sum(map(abs, vals))
+
+    @settings(max_examples=40, deadline=None)
+    @given(
+        model=st.sampled_from(["ideal", "pcb"]),
+        batch=st.integers(1, 6),
+        taps=st.integers(1, 4),
+        seed=st.integers(0, 2**32 - 1),
+    )
+    def test_objective_batch_equals_separate_objectives(self, model, batch, taps, seed):
+        bounds = quantization_preset("rfic" if model == "ideal" else "pcb").bounds()
+        rng = np.random.default_rng(seed)
+        xs = rng.uniform(bounds.lows(), bounds.highs(), size=(batch, taps, 4))
+        grid = FrequencyGrid.linspace(880e6, 920e6, 31)
+        kernel = ModelKernel(model, synth_si_channel(SynthChannelSpec(), grid))
+        assert kernel.objective_batch(xs).tolist() == [kernel.objective(x) for x in xs]

@@ -27,14 +27,12 @@ from fdecanc import (
     synth_si_channel,
     SynthChannelSpec,
 )
-from fdecanc.models import PcbBoardParams
+from fdecanc.models import TAP_MODELS, PcbBoardParams, PcbTapConfig
 from fdecanc.optimizer import (
     STOP_REASONS,
     ModelKernel,
     _descend,
     _grid_indices,
-    _ideal_tap_matrix,
-    _pcb_tap_matrix,
     config_vector,
     default_bounds,
     fit_pipeline,
@@ -341,11 +339,48 @@ class TestPipelineAndReports:
 
     def test_report_json_round_trip(self):
         h = synth_si_channel(SynthChannelSpec(), GRID)
-        rep = solve_continuous("ideal", h, opts=FAST, num_taps=1)
-        d = json.loads(rep.to_json())
-        back = report_from_dict(d)
-        assert back.objective == rep.objective
-        assert config_vector(back.config).tolist() == config_vector(rep.config).tolist()
+        keys = {
+            "ideal": ["kind", "amp_db", "phase_rad", "center_hz", "q"],
+            "pcb": ["kind", "amp_db", "phase_rad", "cf_pf", "cq_pf"],
+        }
+        for model in ("ideal", "pcb"):
+            rep = solve_continuous(model, h, opts=FAST, num_taps=1)
+            d = json.loads(rep.to_json())
+            assert list(d["config"][0]) == keys[model]
+            assert d["config"][0]["kind"] == model
+            back = report_from_dict(d)
+            assert back.objective == rep.objective
+            assert back.config == rep.config
+            x = config_vector(rep.config)
+            assert config_vector(back.config).tolist() == x.tolist()
+
+    def test_report_unknown_kind_rejected(self):
+        h = synth_si_channel(SynthChannelSpec(), GRID)
+        d = json.loads(solve_continuous("ideal", h, opts=FAST).to_json())
+        d["config"][0]["kind"] = "idel"
+        with pytest.raises(InvalidArgumentError, match="'idel'"):
+            report_from_dict(d)
+
+
+class TestConfigOfOtherModel:
+    """A config of one tap model is never read as a config of the other."""
+
+    PCB_TAP = PcbTapConfig(-5.0, 0.0, 1.2, 6.0)
+    IDEAL_TAP = IdealTapConfig(-20.0, 0.0, 900e6, 10.0)
+
+    def test_local_search(self):
+        h = synth_si_channel(SynthChannelSpec(), GRID)
+        with pytest.raises(InvalidArgumentError, match="PcbTapConfig"):
+            local_search([self.PCB_TAP], "ideal", h, quantization_preset("rfic"))
+        with pytest.raises(InvalidArgumentError, match="IdealTapConfig"):
+            local_search([self.IDEAL_TAP], "pcb", h, quantization_preset("pcb"))
+
+    def test_init_configs(self):
+        h = synth_si_channel(SynthChannelSpec(), GRID)
+        with pytest.raises(InvalidArgumentError, match="PcbTapConfig"):
+            solve_continuous("ideal", h, opts=FAST, init_configs=[[self.PCB_TAP]])
+        with pytest.raises(InvalidArgumentError, match="IdealTapConfig"):
+            solve_continuous("pcb", h, opts=FAST, init_configs=[[self.IDEAL_TAP]])
 
 
 # ---------------------------------------------------------------------------
@@ -364,9 +399,7 @@ def _sublattice(spec, points):
 
 
 def _tap_rows(model, rows, grid):
-    if model == "ideal":
-        return _ideal_tap_matrix(rows, grid.points)
-    return _pcb_tap_matrix(rows, grid.points, PcbBoardParams())
+    return TAP_MODELS[model].kernel(rows, grid.points, PcbBoardParams())[0]
 
 
 def brute_force_pair(target, resp):

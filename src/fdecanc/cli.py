@@ -2,13 +2,18 @@
 
 Commands: model, fit, sweep, network (uldl | tdma), genchannel.
 Exit codes: 0 success, 1 usage error, 2 computation failure.  Usage errors
-include malformed flag values, `sweep --taps` values below 1 and
-`--bandwidths-mhz` values that are not positive, a --channel file that
-cannot be read, and an output path (--out, --out-report, --out-csv) whose
-directory does not exist or that names a directory; all are checked before
-any computation starts.
+include malformed flag values; values out of range (`fit --taps`, `sweep
+--taps`, `--restarts` and `--max-iters` below 1, `--bandwidths-mhz` values
+that are not positive); a `--quantize` preset of the other tap model; `tdma
+--fd` and `--gammas-db` lists whose length is not `--users` (`--gammas-db`
+may also be one value), and `tdma` values that the scenario rejects, such as
+`--users` other than 2 or 3; a --channel file that cannot be read; and an
+output path (--out, --out-report, --out-csv) whose directory does not exist
+or that names a directory.  All are checked before any computation starts.
 All frequency flags accept `start:stop:count` grid syntax; outputs are
 written atomically (temp file + rename) and are deterministic given --seed.
+A `start:stop:count` value that begins with '-' must be attached to its flag
+with '=' (`--gamma-iui-db=-5:5:3`), or argparse reads it as an option.
 """
 
 from __future__ import annotations
@@ -22,7 +27,7 @@ import tempfile
 import numpy as np
 
 from .core import ComplexResponse, FrequencyGrid, amplitude_db, group_delay, unwrapped_phase
-from .errors import FdecancError
+from .errors import FdecancError, InvalidArgumentError
 from .metrics import rf_sic_db
 from .models import (
     TAP_MODELS,
@@ -109,6 +114,25 @@ def _reflection(tok: str) -> tuple:
     return float(a), float(d) * 1e-9
 
 
+def _check_at_least_one(args, *flags) -> None:
+    for flag in flags:
+        if getattr(args, flag) < 1:
+            raise UsageError(f"--{flag.replace('_', '-')} must be >= 1")
+
+
+def _quantization_spec(args):
+    """The `--quantize` preset, which must be the `--model`'s own."""
+    if args.quantize is None:
+        return None
+    own = TAP_MODELS[args.model].preset
+    if args.quantize != own:
+        raise UsageError(
+            f"--quantize {args.quantize} is not a preset of --model {args.model} "
+            f"(use --quantize {own})"
+        )
+    return quantization_preset(args.quantize)
+
+
 def _check_out_paths(args) -> None:
     for flag in ("out", "out_report", "out_csv"):
         path = getattr(args, flag, None)
@@ -180,9 +204,10 @@ def _load_or_synth(args):
 
 
 def cmd_fit(args) -> int:
+    _check_at_least_one(args, "taps", "restarts", "max_iters")
+    spec = _quantization_spec(args)
     h_si = _load_or_synth(args)
     opts = SolveOptions(restarts=args.restarts, max_iters=args.max_iters, seed=args.seed)
-    spec = quantization_preset(args.quantize) if args.quantize else None
     cont, quant = fit_pipeline(args.model, h_si, args.taps, opts, spec)
     rep = quant if quant is not None else cont
     report = rep.to_dict()
@@ -214,9 +239,10 @@ def cmd_sweep(args) -> int:
     bw_list = _parse_list(args.bandwidths_mhz, float, "--bandwidths-mhz")
     if min(taps_list) < 1 or not all(bw > 0 for bw in bw_list):
         raise UsageError("--taps values must be >= 1 and --bandwidths-mhz values > 0")
+    _check_at_least_one(args, "restarts", "max_iters")
+    spec = _quantization_spec(args)
     center = args.center_mhz * 1e6
     opts = SolveOptions(restarts=args.restarts, max_iters=args.max_iters, seed=args.seed)
-    spec = quantization_preset(args.quantize) if args.quantize else None
     bounds = spec.bounds() if spec is not None else default_bounds(args.model)
     lines = ["taps,bandwidth_hz,mode,avg_sic_db,avg_sic_pow_db"]
 
@@ -277,6 +303,7 @@ def cmd_network_uldl(args) -> int:
 
 
 def cmd_network_tdma(args) -> int:
+    _check_at_least_one(args, "users")
     n = args.users
     gammas = [_snr_linear(g) for g in _parse_list(args.gammas_db, float, "--gammas-db")]
     if len(gammas) == 1:
@@ -285,18 +312,25 @@ def cmd_network_tdma(args) -> int:
         fd = [True] + [False] * (n - 1)
     else:
         fd = _parse_list(args.fd, _fd_flag, "--fd")
+    for flag, values in (("--gammas-db", gammas), ("--fd", fd)):
+        if len(values) != n:
+            raise UsageError(f"{flag} has {len(values)} values for --users {n}")
     iui_lin = _snr_linear(args.iui_db)
     iui = tuple(
         tuple(0.0 if i == j else iui_lin for j in range(n)) for i in range(n)
     )
-    s = MultiUserScenario(
-        gammas=tuple(gammas),
-        fd_capable=tuple(fd),
-        gamma_self=args.gamma_self,
-        bandwidth_hz=args.bandwidth_hz,
-    )
     slots = args.slots if args.slots is not None else n
-    res = tdma_schedule_eval(s, ScheduleSpec(args.schedule, slots, iui))
+    try:
+        s = MultiUserScenario(
+            gammas=tuple(gammas),
+            fd_capable=tuple(fd),
+            gamma_self=args.gamma_self,
+            bandwidth_hz=args.bandwidth_hz,
+        )
+        sched = ScheduleSpec(args.schedule, slots, iui)
+    except InvalidArgumentError as exc:
+        raise UsageError(str(exc)) from None
+    res = tdma_schedule_eval(s, sched)
     hd_total = sum(shannon_rate(g, s.bandwidth_hz) / n for g in s.gammas)
     gain = res["total"] / hd_total if hd_total > 0 else float("nan")
     lines = ["scenario_id,case,total_bps,jfi,gain"]
@@ -328,6 +362,12 @@ def cmd_genchannel(args) -> int:
 # parser
 
 
+_RANGE_HELP = (
+    "dB value or start:stop:count sweep; attach a sweep that begins with '-' "
+    "with '=', as in --gamma-ul-db=-5:5:3"
+)
+
+
 def build_parser() -> _Parser:
     p = _Parser(prog="fdecanc", description=__doc__)
     sub = p.add_subparsers(dest="command", required=True)
@@ -353,7 +393,8 @@ def build_parser() -> _Parser:
     pf.add_argument("--seed", type=int, default=0)
     pf.add_argument("--restarts", type=int, default=16)
     pf.add_argument("--max-iters", type=int, default=500)
-    pf.add_argument("--quantize", choices=["rfic", "pcb"], default=None)
+    pf.add_argument("--quantize", choices=["rfic", "pcb"], default=None,
+                    help="lattice preset of --model: rfic (ideal) or pcb (pcb)")
     pf.add_argument("--min-sic-db", type=float, default=0.0)
     pf.add_argument("--out-report", default="report.json")
     pf.add_argument("--out-csv", default=None)
@@ -365,7 +406,8 @@ def build_parser() -> _Parser:
     ps.add_argument("--center-mhz", type=float, default=900.0)
     ps.add_argument("--points", type=int, default=101)
     ps.add_argument("--model", choices=list(TAP_MODELS), default="ideal")
-    ps.add_argument("--quantize", choices=["rfic", "pcb"], default=None)
+    ps.add_argument("--quantize", choices=["rfic", "pcb"], default=None,
+                    help="lattice preset of --model: rfic (ideal) or pcb (pcb)")
     ps.add_argument("--seed", type=int, default=0)
     ps.add_argument("--restarts", type=int, default=16)
     ps.add_argument("--max-iters", type=int, default=500)
@@ -376,9 +418,9 @@ def build_parser() -> _Parser:
     nsub = pn.add_subparsers(dest="netcmd", required=True)
 
     pu = nsub.add_parser("uldl", help="UL-DL gain surface")
-    pu.add_argument("--gamma-ul-db", required=True)
-    pu.add_argument("--gamma-dl-db", required=True)
-    pu.add_argument("--gamma-iui-db", default="0")
+    pu.add_argument("--gamma-ul-db", required=True, help=_RANGE_HELP)
+    pu.add_argument("--gamma-dl-db", required=True, help=_RANGE_HELP)
+    pu.add_argument("--gamma-iui-db", default="0", help=_RANGE_HELP)
     pu.add_argument("--gamma-self", type=float, default=1.0)
     pu.add_argument("--bandwidth-hz", type=float, default=1.0)
     pu.add_argument("--out", default="uldl.csv")
@@ -400,7 +442,11 @@ def build_parser() -> _Parser:
     pg.add_argument("--band", required=True)
     pg.add_argument("--isolation-db", type=float, default=-20.0)
     pg.add_argument("--base-delay-ns", type=float, default=10.0)
-    pg.add_argument("--reflections", default=None, help="ampdb:delayns,...")
+    pg.add_argument(
+        "--reflections", default=None,
+        help="ampdb:delayns,... (a list that begins with '-' needs '=': "
+        "--reflections=-10:20,-16:45)",
+    )
     pg.add_argument("--no-reflections", action="store_true")
     pg.add_argument("--out", default="channel.csv")
     pg.set_defaults(func=cmd_genchannel)

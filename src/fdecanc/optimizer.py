@@ -5,7 +5,7 @@ minimize sum_k |H_SI(f_k) - H(f_k; x)|^2 over the 4M knobs x of an M-tap
 canceller.  This module provides:
 
 * multi-start projected Levenberg-Marquardt on the continuous box, with
-  the analytic Jacobian of each tap model,
+  the analytic Jacobian of each tap model and all starts in lockstep,
 * rounding onto quantization grids plus coordinate-wise local search,
 * the per-tap iterative fitting heuristic,
 * an exhaustive lattice oracle for testing.
@@ -22,6 +22,7 @@ from __future__ import annotations
 
 import json
 import math
+import sys
 from dataclasses import dataclass, field, replace
 
 import numpy as np
@@ -178,12 +179,14 @@ class ModelKernel:
         d = self._target[None, :] - resp
         return np.sum(d.real**2 + d.imag**2, axis=1)
 
-    def residual_jacobian(self, x: np.ndarray):
-        """Residual r = h_si - H(x), shape (K,), and the Jacobian dH/dx =
-        -dr/dx, shape (4M, K) with rows in knob-vector order."""
-        x = np.asarray(x, dtype=float).reshape(-1, 4)
-        taps, jac = self._jacobian(x, self._f, self.board)
-        return self._target - taps.sum(axis=0), jac.reshape(-1, self._f.size)
+    def residual_jacobian(self, xs: np.ndarray):
+        """Residuals r = h_si - H(x), shape (P, K), and Jacobians dH/dx =
+        -dr/dx, shape (P, 4M, K) with rows in knob-vector order, for a batch
+        of configs; xs has shape (P, M, 4)."""
+        p, m, _ = xs.shape
+        taps, jac = self._jacobian(xs.reshape(p * m, 4), self._f, self.board)
+        k = self._f.size
+        return self._target - taps.reshape(p, m, k).sum(axis=1), jac.reshape(p, 4 * m, k)
 
     def configs_from_vector(self, x: np.ndarray):
         return self.tap_model.configs(x)
@@ -293,85 +296,205 @@ _EXTRAPOLATE_RATIO = 1.5
 _EXTRAPOLATE = 2.0 ** np.arange(1, 8)
 
 
-def _descend(kernel, z0, lows, span, periodic, opts):
-    """Projected Levenberg-Marquardt in box-normalized coordinates z in [0,1].
+def _reduced_systems(a, g, free):
+    """The normal equations of each start on its free knobs, grouped by free
+    mask: (batch rows, their index into (R, n) arrays, free knobs, stacked A,
+    stacked diag(damp), stacked g).
 
-    Each iteration solves (A + lam diag(A)) d = g on the free knobs, with
-    A = Re(J^H J) and g = Re(J^H r) from the analytic Jacobian J = dH/dz and
-    the residual r.  Knobs on a box edge whose descent direction points out
-    of the box are frozen; periodic knobs wrap and are never frozen.  A step
-    is accepted only if it strictly lowers the objective, so the trace is
-    strictly decreasing; lam is divided by 3 on acceptance and multiplied by
-    4 on rejection.  `opts.max_iters` caps the accepted steps.
-
-    Returns (z_best, objective, trace, stop_reason) with stop_reason one of
-    STOP_REASONS, or None if the objective at the start is not finite.
+    Each start solves its own reduced system: a padded one with identity rows
+    for the frozen knobs rounds differently.
     """
-    m = z0.size // 4
+    groups = {}
+    for i, row in enumerate(free):
+        groups.setdefault(row.tobytes(), []).append(i)
+    systems = []
+    for rows in groups.values():
+        fi = free[rows[0]].nonzero()[0]
+        if len(rows) == len(free) and fi.size == free.shape[1]:
+            # one group holding every start and every knob: nothing to gather
+            sub, mats = np.s_[:, :], a
+        else:
+            r = np.array(rows)[:, None]
+            sub, mats = (r, fi), a[r[:, :, None], fi[:, None], fi]
+        # a knob with zero curvature still gets some damping, so the damped
+        # matrix is positive definite
+        diag = mats.diagonal(axis1=1, axis2=2)
+        damp = np.maximum(diag, 1e-15 * diag.max(axis=1, keepdims=True))
+        dmat = damp[:, :, None] * np.eye(fi.size)
+        systems.append((rows, sub, fi, mats, dmat, g[sub]))
+    return systems
+
+
+def _damped_steps(systems, lam, shape):
+    """Steps d of (A + lam diag(damp)) d = g from `_reduced_systems`, zero on
+    frozen knobs; `lam` holds each start's damping.  A group is solved as one
+    stack; if one of its matrices is singular, its starts are solved one by
+    one and only the singular start gets a NaN step."""
+    step = np.zeros(shape)
+    for rows, sub, fi, mats, dmat, rhs in systems:
+        damped = mats + np.array([lam[i] for i in rows])[:, None, None] * dmat
+        try:
+            step[sub] = np.linalg.solve(damped, rhs[:, :, None])[:, :, 0]
+        except np.linalg.LinAlgError:
+            for i, mat, b in zip(rows, damped, rhs):
+                try:
+                    step[i, fi] = np.linalg.solve(mat, b)
+                except np.linalg.LinAlgError:
+                    step[i] = np.nan
+    return step
+
+
+def _descend(kernel, z0, lows, span, periodic, opts):
+    """Projected Levenberg-Marquardt in box-normalized coordinates z in [0,1],
+    with all starts advancing in lockstep.
+
+    z0 is an (R, n) matrix of starts.  Each iteration of a start solves
+    (A + lam diag(A)) d = g on its free knobs, with A = Re(J^H J) and
+    g = Re(J^H r) from the analytic Jacobian J = dH/dz and the residual r.
+    Knobs on a box edge whose descent direction points out of the box are
+    frozen; periodic knobs wrap and are never frozen.  A step is accepted
+    only if it strictly lowers the objective, so the trace is strictly
+    decreasing; lam is divided by 3 on acceptance and multiplied by 4 on
+    rejection.  `opts.max_iters` caps the accepted steps.
+
+    Each pass gives every running start one trial: one Jacobian call for the
+    starts that moved, one damped solve per group of starts with the same free
+    mask, one `objective_batch` call for all candidates and one for all
+    extrapolations.  A start leaves the batch when it stops, and starts share
+    no state, so each start's result is bitwise the one it gets alone.
+
+    Returns one (z_best, objective, trace, stop_reason) per start, in start
+    order, with stop_reason one of STOP_REASONS, or None for a start whose
+    objective is not finite.
+    """
+    n = z0.shape[1]
+    m = n // 4
     bounded = ~periodic
 
     def denorm(z):
         return lows + z * span
 
     def project(z):
-        z = z.copy()
-        z[..., periodic] = z[..., periodic] % 1.0
-        np.clip(z, 0.0, 1.0, out=z)
-        return z
+        return np.clip(np.where(periodic, z % 1.0, z), 0.0, 1.0)
 
     def f_batch(zs):
-        return kernel.objective_batch(denorm(zs).reshape(zs.shape[0], m, 4))
+        return kernel.objective_batch(denorm(zs).reshape(-1, m, 4))
 
+    out = [None] * len(z0)
     z = project(z0)
-    fz = kernel.objective(denorm(z))
-    if not np.isfinite(fz):
+    f0 = f_batch(z)
+    # the running starts, one batch row each: start index, point, objective,
+    # trace, damping, whether the point moved since the normal equations
+    # A, g and the free mask were built, and those
+    ids = np.flatnonzero(np.isfinite(f0)).tolist()
+    z = z[ids]
+    fz = f0[ids].tolist()
+    traces = [[v] for v in fz]
+    lam = [_LAMBDA0] * len(ids)
+    moved = [True] * len(ids)
+    a = np.empty((len(ids), n, n))
+    g = np.empty((len(ids), n))
+    free = np.empty((len(ids), n), dtype=bool)
+    systems = None
+
+    def retire(stops):
+        """Record each start of `stops` (batch row -> stop reason) as done
+        and drop it from the batch."""
+        nonlocal ids, z, fz, traces, lam, moved, a, g, free, systems
+        for i, reason in stops.items():
+            out[ids[i]] = (z[i].copy(), fz[i], traces[i], reason)
+        keep = [i for i in range(len(ids)) if i not in stops]
+        z, a, g, free = z[keep], a[keep], g[keep], free[keep]
+        ids, fz, traces, lam, moved = (
+            [v[i] for i in keep] for v in (ids, fz, traces, lam, moved)
+        )
+        systems = None
+
+    while ids:
+        if any(moved):
+            rows = [i for i, mv in enumerate(moved) if mv]
+            sel = slice(None) if len(rows) == len(ids) else rows
+            zn = z[sel]
+            r, jac = kernel.residual_jacobian(denorm(zn).reshape(-1, m, 4))
+            jz = (jac * span[:, None]).view(np.float64)
+            an = np.matmul(jz, jz.transpose(0, 2, 1))
+            gn = np.matmul(jz, r.view(np.float64)[:, :, None])[:, :, 0]
+            fr = periodic | ~(((zn <= 0.0) & (gn < 0.0)) | ((zn >= 1.0) & (gn > 0.0)))
+            a[sel], g[sel], free[sel] = an, gn, fr
+            moved = [False] * len(ids)
+            systems = None
+            down = (fr & (gn != 0.0)).any(axis=1)
+            if not (np.isfinite(an).all() and np.isfinite(gn).all() and down.all()):
+                ok = np.isfinite(an).all(axis=(1, 2)) & np.isfinite(gn).all(axis=1)
+                retire({
+                    i: "no_descent" if o else "non_finite"
+                    for i, o, d in zip(rows, ok.tolist(), down.tolist()) if not (o and d)
+                })
+                if not ids:
+                    break
+        if systems is None:
+            systems = _reduced_systems(a, g, free)
+        step = _damped_steps(systems, lam, z.shape)
+        # clipped step on the box; periodic knobs move unwrapped
+        step = np.where(bounded, np.clip(z + step, 0.0, 1.0) - z, step)
+        cand = project(z + step)
+        fc = f_batch(cand).tolist()
+        accepted = [c < f for c, f in zip(fc, fz)]
+        stops = {}
+        if not all(accepted):
+            same = (cand == z).all(axis=1).tolist()
+            for i, acc in enumerate(accepted):
+                if not acc:
+                    lam[i] *= _LAMBDA_UP
+                    if lam[i] > _LAMBDA_MAX or same[i]:
+                        stops[i] = "no_descent"
+        if any(accepted):
+            row = step[:, None, :]
+            pred = (
+                2.0 * np.matmul(row, g[:, :, None])
+                - np.matmul(np.matmul(row, a), step[:, :, None])
+            ).ravel().tolist()
+            ext = [
+                i for i, acc in enumerate(accepted)
+                if acc and fz[i] - fc[i] > _EXTRAPOLATE_RATIO * pred[i]
+            ]
+            if ext:
+                far = z[ext][:, None, :] + _EXTRAPOLATE[:, None] * step[ext][:, None, :]
+                far = project(far)
+                ffar = f_batch(far.reshape(-1, n)).reshape(len(ext), -1)
+                for e, (i, k) in enumerate(zip(ext, ffar.argmin(axis=1).tolist())):
+                    fk = float(ffar[e, k])
+                    if fk < fc[i]:
+                        cand[i], fc[i] = far[e, k], fk
+            for i, acc in enumerate(accepted):
+                if acc:
+                    lam[i] /= _LAMBDA_DOWN
+                    gain = fz[i] - fc[i]
+                    fz[i] = fc[i]
+                    traces[i].append(fc[i])
+                    if gain <= opts.tol * max(fz[i], 1e-300):
+                        stops[i] = "tol"
+                    elif len(traces[i]) > opts.max_iters:
+                        stops[i] = "max_iters"
+            z = cand if all(accepted) else np.where(np.array(accepted)[:, None], cand, z)
+            moved = accepted
+        if stops:
+            retire(stops)
+    return out
+
+
+def _debug_log():
+    """The "fdecanc" logger if it handles DEBUG records, else None.
+
+    A program that never imported `logging` has configured no handler, so
+    nothing could receive the records; importing it here would only add its
+    half megabyte to every process that uses this package.
+    """
+    logging = sys.modules.get("logging")
+    if logging is None:
         return None
-    trace = [fz]
-    lam = _LAMBDA0
-    while len(trace) <= opts.max_iters:
-        r, jac = kernel.residual_jacobian(denorm(z))
-        jz = (jac * span[:, None]).view(np.float64)
-        a = jz @ jz.T
-        g = jz @ r.view(np.float64)
-        if not (np.all(np.isfinite(a)) and np.all(np.isfinite(g))):
-            return z, fz, trace, "non_finite"
-        free = periodic | ~(((z <= 0.0) & (g < 0.0)) | ((z >= 1.0) & (g > 0.0)))
-        if not np.any(g[free]):
-            return z, fz, trace, "no_descent"
-        a_free = a[np.ix_(free, free)]
-        # a knob with zero curvature still gets some damping, so the damped
-        # matrix is positive definite
-        diag = np.diag(a_free)
-        damp = np.maximum(diag, 1e-15 * np.max(diag))
-        while True:
-            step = np.zeros_like(z)
-            try:
-                step[free] = np.linalg.solve(a_free + np.diag(lam * damp), g[free])
-            except np.linalg.LinAlgError:
-                step[:] = np.nan
-            # clipped step on the box; periodic knobs move unwrapped
-            step[bounded] = np.clip(z[bounded] + step[bounded], 0.0, 1.0) - z[bounded]
-            cand = project(z + step)
-            fc = kernel.objective(denorm(cand))
-            if fc < fz:
-                break
-            lam *= _LAMBDA_UP
-            if lam > _LAMBDA_MAX or np.array_equal(cand, z):
-                return z, fz, trace, "no_descent"
-        pred = 2.0 * (step @ g) - step @ a @ step
-        if fz - fc > _EXTRAPOLATE_RATIO * pred:
-            far = project(z[None, :] + _EXTRAPOLATE[:, None] * step[None, :])
-            ffar = f_batch(far)
-            k = int(np.argmin(ffar))
-            if ffar[k] < fc:
-                cand, fc = far[k], float(ffar[k])
-        lam /= _LAMBDA_DOWN
-        gain = fz - fc
-        z, fz = cand, fc
-        trace.append(fz)
-        if gain <= opts.tol * max(fz, 1e-300):
-            return z, fz, trace, "tol"
-    return z, fz, trace, "max_iters"
+    log = logging.getLogger("fdecanc")
+    return log if log.isEnabledFor(logging.DEBUG) else None
 
 
 def solve_continuous(
@@ -386,10 +509,13 @@ def solve_continuous(
     """Multi-start projected Levenberg-Marquardt over the continuous knob box.
 
     Each start descends with an analytic Jacobian in box-normalized knob
-    coordinates (phase wraps); see `_descend`.  `init_configs` optionally
-    adds deterministic warm starts (lists of tap configs) after the random
-    ones; the best start by final objective wins, with the lowest start index
-    breaking ties.  The report's `stop_reason` says why that start stopped.
+    coordinates (phase wraps), and all starts advance in lockstep in one
+    `_descend` call.  `init_configs` optionally adds deterministic warm starts
+    (lists of tap configs) after the random ones; the best start by final
+    objective wins, with the lowest start index breaking ties.  The report's
+    `stop_reason` says why that start stopped.  Each start's outcome (start,
+    iterations, stop_reason, objective, also as record attributes) is logged
+    at DEBUG on the "fdecanc" logger.
     """
     if num_taps < 1:
         raise InvalidArgumentError("num_taps must be >= 1")
@@ -401,19 +527,26 @@ def solve_continuous(
     span = highs - lows
     periodic = np.tile(np.array([False, True, False, False]), num_taps)
     rng = np.random.default_rng(opts.seed)
-    starts = [z for z in rng.uniform(size=(opts.restarts, 4 * num_taps))]
+    starts = [rng.uniform(size=(opts.restarts, 4 * num_taps))]
     for cfgs in init_configs or []:
-        x = kernel.tap_model.vector(cfgs).ravel()
+        x = kernel.tap_model.vector(cfgs).reshape(1, -1)
         starts.append((x - lows) / span)
 
+    outs = _descend(kernel, np.vstack(starts), lows, span, periodic, opts)
+    log = _debug_log()
+    if log is not None:
+        for r, res in enumerate(outs):
+            if res is None:
+                log.debug("start %d: objective not finite at the start point", r)
+                continue
+            info = {"start": r, "iterations": len(res[2]) - 1,
+                    "stop_reason": res[3], "objective": res[1]}
+            log.debug("start %(start)d: %(iterations)d iterations, stop "
+                      "%(stop_reason)s, objective %(objective).17g", info, extra=info)
     best = None
-    for r, z0 in enumerate(starts):
-        out = _descend(kernel, z0, lows, span, periodic, opts)
-        if out is None:
-            continue
-        z, fz, trace, reason = out
-        if best is None or fz < best[1]:
-            best = (z, fz, trace, reason, r)
+    for r, res in enumerate(outs):
+        if res is not None and (best is None or res[1] < best[1]):
+            best = (*res, r)
     if best is None:
         raise SolverFailureError("all restarts produced non-finite objectives")
     z, fz, trace, reason, r = best

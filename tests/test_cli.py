@@ -297,6 +297,22 @@ class TestUsageErrors:
             ["network", "tdma", "--schedule", "rro", "--fd", "1,2,0"],
             ["sweep", "--taps", "2,0"],
             ["sweep", "--bandwidths-mhz", "20,0"],
+            ["fit", "--synth", "--band", "890e6:910e6:21", "--quantize", "pcb"],
+            ["fit", "--synth", "--band", "890e6:910e6:21", "--model", "pcb",
+             "--quantize", "rfic"],
+            ["sweep", "--model", "ideal", "--quantize", "pcb"],
+            ["sweep", "--model", "pcb", "--quantize", "rfic"],
+            ["fit", "--synth", "--band", "890e6:910e6:21", "--taps", "0"],
+            ["fit", "--synth", "--band", "890e6:910e6:21", "--restarts", "0"],
+            ["fit", "--synth", "--band", "890e6:910e6:21", "--max-iters", "0"],
+            ["sweep", "--restarts", "0"],
+            ["sweep", "--max-iters", "0"],
+            ["network", "tdma", "--schedule", "rro", "--users", "3", "--fd", "1,0"],
+            ["network", "tdma", "--schedule", "rro", "--users", "3",
+             "--gammas-db", "10,12"],
+            ["network", "tdma", "--schedule", "rro", "--users", "5"],
+            ["network", "tdma", "--schedule", "rro", "--users", "0"],
+            ["network", "tdma", "--schedule", "rro", "--slots", "0"],
         ],
     )
     def test_malformed_value_is_one_line_usage_error(
@@ -307,8 +323,11 @@ class TestUsageErrors:
         def no_compute(*args, **kwargs):
             raise AssertionError("computation started")
 
-        monkeypatch.setattr(cli, "fit_pipeline", no_compute)
-        rc = main([*argv, "--out", str(tmp_path / "o.csv")])
+        for name in ("fit_pipeline", "synth_si_channel", "tdma_schedule_eval"):
+            monkeypatch.setattr(cli, name, no_compute)
+        # `fit` has no --out; a bare --out would be an ambiguous option
+        out_flag = "--out-report" if argv[0] == "fit" else "--out"
+        rc = main([*argv, out_flag, str(tmp_path / "o.csv")])
         assert rc == 1
         err = capsys.readouterr().err
         assert err.startswith("usage error: ") and err.count("\n") == 1

@@ -1,4 +1,5 @@
 import json
+import logging
 from dataclasses import replace
 
 import numpy as np
@@ -475,7 +476,8 @@ class TestAnalyticJacobian:
         kernel = ModelKernel(model, synth_si_channel(SynthChannelSpec(), grid))
         lows, span, _ = _box(model, taps)
         x = lows + np.random.default_rng(seed).uniform(0.01, 0.99, size=lows.size) * span
-        r, jac = kernel.residual_jacobian(x)
+        r, jac = kernel.residual_jacobian(x.reshape(1, -1, 4))
+        r, jac = r[0], jac[0]
         assert r.tolist() == (kernel.h_si.values - kernel.response_values(x)).tolist()
         for i in range(x.size):
             h = 1e-6 * span[i]
@@ -499,8 +501,8 @@ class TestLevenbergMarquardt:
         kernel = ModelKernel(model, synth_si_channel(SynthChannelSpec(), grid))
         lows, span, periodic = _box(model, taps)
         z0 = np.random.default_rng(seed).uniform(size=lows.size)
-        z, fz, trace, reason = _descend(
-            kernel, z0, lows, span, periodic, SolveOptions(max_iters=60)
+        [(z, fz, trace, reason)] = _descend(
+            kernel, z0[None], lows, span, periodic, SolveOptions(max_iters=60)
         )
         assert reason in STOP_REASONS
         assert np.all(np.diff(trace) < 0)
@@ -515,8 +517,8 @@ class TestLevenbergMarquardt:
         cfg = IdealTapConfig(-20.0, 0.5, 900e6, 10.0)
         kernel = ModelKernel("ideal", ideal_tap_response(cfg, GRID))
         lows, span, periodic = _box("ideal", 1)
-        z0 = np.array([edge, 0.3, edge, edge])
-        z, fz, trace, reason = _descend(kernel, z0, lows, span, periodic, FAST)
+        z0 = np.array([[edge, 0.3, edge, edge]])
+        [(z, fz, trace, reason)] = _descend(kernel, z0, lows, span, periodic, FAST)
         assert fz <= 1e-8 * GRID.count
         assert lows + z * span == pytest.approx(config_vector([cfg])[0], rel=1e-3)
 
@@ -539,10 +541,12 @@ class TestLevenbergMarquardt:
         h = ModelKernel("ideal", flat_channel(0.0)).response_values(lows + z0 * span)
         kernel = ModelKernel("ideal", ComplexResponse(GRID, h))
         # zero residual, hence zero gradient
-        z, fz, trace, reason = _descend(kernel, z0, lows, span, periodic, FAST)
+        [(z, fz, trace, reason)] = _descend(kernel, z0[None], lows, span, periodic, FAST)
         assert (fz, trace, reason) == (0.0, [0.0], "no_descent")
         # a residual at rounding level: no step lowers it before lam runs out
-        z, fz, trace, reason = _descend(kernel, z0 + 1e-12, lows, span, periodic, FAST)
+        [(z, fz, trace, reason)] = _descend(
+            kernel, z0[None] + 1e-12, lows, span, periodic, FAST
+        )
         assert reason == "no_descent" and fz < 1e-20
 
     def test_stops_on_non_finite_normal_equations(self):
@@ -552,9 +556,9 @@ class TestLevenbergMarquardt:
         bounds = replace(default_bounds("ideal"), q=(1.0, 1e300))
         lows = bounds.lows()
         span = bounds.highs() - lows
-        z0 = np.array([0.5, 0.5, 0.5, 0.0])
+        z0 = np.array([[0.5, 0.5, 0.5, 0.0]])
         with np.errstate(over="ignore"):
-            out = _descend(kernel, z0, lows, span, _box("ideal", 1)[2], FAST)
+            [out] = _descend(kernel, z0, lows, span, _box("ideal", 1)[2], FAST)
         z, fz, trace, reason = out
         assert reason == "non_finite"
         assert np.isfinite(fz) and trace == [fz]
@@ -563,6 +567,139 @@ class TestLevenbergMarquardt:
         h = synth_si_channel(SynthChannelSpec(), GRID)
         rep = solve_continuous("ideal", h, opts=FAST, num_taps=1)
         assert "stop_reason" not in rep.to_dict()
+
+
+def descend_one(kernel, z0, lows, span, periodic, opts):
+    """Projected Levenberg-Marquardt for one start as a plain loop, one trial
+    at a time: (z, objective, trace, stop_reason) or None."""
+    f = kernel.h_si.grid.points
+    bounded = ~periodic
+
+    def denorm(z):
+        return lows + z * span
+
+    def project(z):
+        z = z.copy()
+        z[..., periodic] = z[..., periodic] % 1.0
+        return np.clip(z, 0.0, 1.0)
+
+    z = project(z0)
+    fz = kernel.objective(denorm(z))
+    if not np.isfinite(fz):
+        return None
+    trace = [fz]
+    lam = 1e-3
+    while len(trace) <= opts.max_iters:
+        taps, jac = kernel.tap_model.jacobian(denorm(z).reshape(-1, 4), f, kernel.board)
+        r = kernel.h_si.values - taps.sum(axis=0)
+        jz = (jac.reshape(-1, f.size) * span[:, None]).view(np.float64)
+        a = jz @ jz.T
+        g = jz @ r.view(np.float64)
+        if not (np.all(np.isfinite(a)) and np.all(np.isfinite(g))):
+            return z, fz, trace, "non_finite"
+        free = periodic | ~(((z <= 0.0) & (g < 0.0)) | ((z >= 1.0) & (g > 0.0)))
+        if not np.any(g[free]):
+            return z, fz, trace, "no_descent"
+        a_free = a[np.ix_(free, free)]
+        diag = np.diag(a_free)
+        damp = np.maximum(diag, 1e-15 * np.max(diag))
+        while True:
+            step = np.zeros_like(z)
+            try:
+                step[free] = np.linalg.solve(a_free + np.diag(lam * damp), g[free])
+            except np.linalg.LinAlgError:
+                step[:] = np.nan
+            step[bounded] = np.clip(z[bounded] + step[bounded], 0.0, 1.0) - z[bounded]
+            cand = project(z + step)
+            fc = kernel.objective(denorm(cand))
+            if fc < fz:
+                break
+            lam *= 4.0
+            if lam > 1e32 or np.array_equal(cand, z):
+                return z, fz, trace, "no_descent"
+        pred = 2.0 * (step @ g) - step @ a @ step
+        if fz - fc > 1.5 * pred:
+            far = project(z[None, :] + 2.0 ** np.arange(1, 8)[:, None] * step[None, :])
+            ffar = kernel.objective_batch(denorm(far).reshape(far.shape[0], -1, 4))
+            k = int(np.argmin(ffar))
+            if ffar[k] < fc:
+                cand, fc = far[k], float(ffar[k])
+        lam /= 3.0
+        gain = fz - fc
+        z, fz = cand, fc
+        trace.append(fz)
+        if gain <= opts.tol * max(fz, 1e-300):
+            return z, fz, trace, "tol"
+    return z, fz, trace, "max_iters"
+
+
+def _bits(res):
+    if res is None:
+        return None
+    z, fz, trace, reason = res
+    return z.tobytes(), fz.hex(), [v.hex() for v in trace], reason
+
+
+class TestLockstep:
+    @settings(max_examples=30, deadline=None)
+    @given(
+        model=st.sampled_from(["ideal", "pcb"]),
+        taps=st.integers(1, 3),
+        starts=st.integers(1, 6),
+        seed=st.integers(0, 2**32 - 1),
+        non_finite=st.booleans(),
+    )
+    def test_each_start_matches_its_own_descent(
+        self, model, taps, starts, seed, non_finite
+    ):
+        grid = FrequencyGrid.linspace(885e6, 915e6, 21)
+        kernel = ModelKernel(model, synth_si_channel(SynthChannelSpec(), grid))
+        lows, span, periodic = _box(model, taps)
+        rng = np.random.default_rng(seed)
+        z0 = rng.uniform(size=(starts, lows.size))
+        # knobs on a box edge, so the free masks differ between starts
+        edge = ~periodic & (rng.uniform(size=z0.shape) < 0.3)
+        z0[edge] = rng.integers(0, 2, size=z0.shape)[edge]
+        if non_finite:
+            z0[rng.integers(starts), 0] = np.nan
+        opts = SolveOptions(max_iters=40)
+        stacked = _descend(kernel, z0, lows, span, periodic, opts)
+        assert len(stacked) == starts
+        assert (stacked.count(None) == 1) == non_finite
+        for i in range(starts):
+            [alone] = _descend(kernel, z0[i : i + 1], lows, span, periodic, opts)
+            ref = descend_one(kernel, z0[i], lows, span, periodic, opts)
+            assert _bits(stacked[i]) == _bits(alone) == _bits(ref), i
+
+    def test_logs_each_start_at_debug(self, caplog):
+        h = synth_si_channel(SynthChannelSpec(), GRID)
+        opts = SolveOptions(restarts=3, max_iters=30, seed=0)
+        rep = solve_continuous("ideal", h, opts=opts, num_taps=1)
+        assert not [r for r in caplog.records if r.name == "fdecanc"]
+        with caplog.at_level(logging.DEBUG, logger="fdecanc"):
+            again = solve_continuous("ideal", h, opts=opts, num_taps=1)
+        assert again.to_dict() == rep.to_dict()
+        records = [r for r in caplog.records if r.name == "fdecanc"]
+        assert [r.start for r in records] == [0, 1, 2]
+        assert all(r.levelno == logging.DEBUG for r in records)
+        best = records[rep.restart_index]
+        assert (best.iterations, best.stop_reason, best.objective) == (
+            rep.iterations, rep.stop_reason, rep.objective
+        )
+        assert all(r.stop_reason in STOP_REASONS for r in records)
+
+    def test_logs_start_with_non_finite_objective(self, caplog):
+        # amplitudes above about 3080 dB overflow the objective: with this
+        # seed, starts 1 and 3 begin there
+        h = synth_si_channel(SynthChannelSpec(), GRID)
+        bounds = replace(default_bounds("ideal"), amp_db=(-40.0, 1e4))
+        opts = SolveOptions(restarts=4, max_iters=20, seed=2)
+        with np.errstate(over="ignore", invalid="ignore"):
+            with caplog.at_level(logging.DEBUG, logger="fdecanc"):
+                solve_continuous("ideal", h, bounds=bounds, opts=opts, num_taps=1)
+        records = [r for r in caplog.records if r.name == "fdecanc"]
+        assert [r.getMessage().endswith("not finite at the start point")
+                for r in records] == [False, True, False, True]
 
 
 def local_search_scalar(qconfig, model, h_si, spec, max_rounds=10):

@@ -7,9 +7,12 @@ include malformed flag values; values out of range (`fit --taps`, `sweep
 that are not positive); a `--quantize` preset of the other tap model; `tdma
 --fd` and `--gammas-db` lists whose length is not `--users` (`--gammas-db`
 may also be one value), and `tdma` values that the scenario rejects, such as
-`--users` other than 2 or 3; a --channel file that cannot be read; and an
-output path (--out, --out-report, --out-csv) whose directory does not exist
-or that names a directory.  All are checked before any computation starts.
+`--users` other than 2 or 3 or fewer `--slots` than `--users`; a negative
+`uldl --gamma-self` or a `--bandwidth-hz` that is not positive; a `--band` or
+`sweep --points` that gives no valid frequency grid (fewer than 2 points, not
+increasing) and a `model --band` with a frequency that is not positive; a
+--channel file that cannot be read; and an output path (--out, --out-report,
+--out-csv) whose directory does not exist or that names a directory.  All are checked before any computation starts.
 All frequency flags accept `start:stop:count` grid syntax; outputs are
 written atomically (temp file + rename) and are deterministic given --seed.
 A `start:stop:count` value that begins with '-' must be attached to its flag
@@ -66,6 +69,14 @@ class _Parser(argparse.ArgumentParser):
         raise UsageError(message)
 
 
+def _grid(start: float, stop: float, count: int, what: str) -> FrequencyGrid:
+    """`FrequencyGrid.linspace`, with a grid it rejects as a usage error."""
+    try:
+        return FrequencyGrid.linspace(start, stop, count)
+    except (InvalidArgumentError, ValueError) as exc:
+        raise UsageError(f"{what}: {exc}") from None
+
+
 def _parse_band(text: str) -> FrequencyGrid:
     parts = text.split(":")
     if len(parts) != 3:
@@ -74,7 +85,7 @@ def _parse_band(text: str) -> FrequencyGrid:
         start, stop, count = float(parts[0]), float(parts[1]), int(parts[2])
     except ValueError:
         raise UsageError(f"malformed band spec {text!r}") from None
-    return FrequencyGrid.linspace(start, stop, count)
+    return _grid(start, stop, count, f"--band {text!r}")
 
 
 def _parse_db_range(text: str) -> np.ndarray:
@@ -167,6 +178,8 @@ def _atomic_write(path: str, content: str) -> None:
 
 def cmd_model(args) -> int:
     grid = _parse_band(args.band)
+    if grid.points[0] <= 0:
+        raise UsageError(f"--band {args.band!r}: tap models need positive frequencies")
     if args.kind == "ideal":
         if args.fc is None:
             raise UsageError("--fc is required for --kind ideal")
@@ -244,14 +257,17 @@ def cmd_sweep(args) -> int:
     center = args.center_mhz * 1e6
     opts = SolveOptions(restarts=args.restarts, max_iters=args.max_iters, seed=args.seed)
     bounds = spec.bounds() if spec is not None else default_bounds(args.model)
+    bws = [bw_mhz * 1e6 for bw_mhz in bw_list]
+    grids = [
+        _grid(center - bw / 2, center + bw / 2, args.points, f"--points {args.points}")
+        for bw in bws
+    ]
     lines = ["taps,bandwidth_hz,mode,avg_sic_db,avg_sic_pow_db"]
 
     def pow_db(rep, k):
         return -10.0 * np.log10(rep.objective / k) if rep.objective > 0 else float("inf")
 
-    for bw_mhz in bw_list:
-        bw = bw_mhz * 1e6
-        grid = FrequencyGrid.linspace(center - bw / 2, center + bw / 2, args.points)
+    for bw, grid in zip(bws, grids):
         h_si = synth_si_channel(SynthChannelSpec(), grid)
         prev = None  # (num_taps, config) for warm-starting larger solves
         for m in taps_list:
@@ -283,6 +299,11 @@ def cmd_network_uldl(args) -> int:
     ul = _parse_db_range(args.gamma_ul_db)
     dl = _parse_db_range(args.gamma_dl_db)
     iui = _parse_db_range(args.gamma_iui_db)
+    # the dB ranges give nonnegative linear gammas; check the scalar flags
+    try:
+        UlDlScenario(0.0, 0.0, 0.0, args.gamma_self, args.bandwidth_hz)
+    except InvalidArgumentError as exc:
+        raise UsageError(str(exc)) from None
     lines = ["gamma_ul_db,gamma_dl_db,gamma_iui_db,hd_bps,fd_bps,gain"]
     for u in ul:
         for d in dl:
@@ -330,6 +351,8 @@ def cmd_network_tdma(args) -> int:
         sched = ScheduleSpec(args.schedule, slots, iui)
     except InvalidArgumentError as exc:
         raise UsageError(str(exc)) from None
+    if sched.slots < n:
+        raise UsageError(f"--slots {sched.slots} gives fewer than one slot per user")
     res = tdma_schedule_eval(s, sched)
     hd_total = sum(shannon_rate(g, s.bandwidth_hz) / n for g in s.gammas)
     gain = res["total"] / hd_total if hd_total > 0 else float("nan")

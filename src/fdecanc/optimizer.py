@@ -23,6 +23,7 @@ from __future__ import annotations
 import json
 import math
 import sys
+import time
 from dataclasses import dataclass, field, replace
 
 import numpy as np
@@ -283,11 +284,14 @@ def residual_objective(h_si: ComplexResponse, h_canc: ComplexResponse) -> float:
 STOP_REASONS = ("tol", "max_iters", "no_descent", "non_finite")
 
 # Marquardt damping: start value, factor on a rejected / accepted step, and
-# the value past which the solver stops with "no_descent".
+# the value past which the solver stops with "no_descent".  Each pass tries
+# the damping ladder lam * _RUNGS at once; the factors are powers of two, so
+# every rung is the exact value that many rejected trials would reach.
 _LAMBDA0 = 1e-3
 _LAMBDA_UP = 4.0
 _LAMBDA_DOWN = 3.0
 _LAMBDA_MAX = 1e32
+_RUNGS = _LAMBDA_UP ** np.arange(3)
 # An accepted step that gains this many times its predicted decrease is
 # followed along 2**k times its length, k = 1..7, in one batch.  Gauss-Newton
 # curvature can be far too high (a one-tap fit with its amplitude on the
@@ -296,80 +300,56 @@ _EXTRAPOLATE_RATIO = 1.5
 _EXTRAPOLATE = 2.0 ** np.arange(1, 8)
 
 
-def _reduced_systems(a, g, free):
-    """The normal equations of each start on its free knobs, grouped by free
-    mask: (batch rows, their index into (R, n) arrays, free knobs, stacked A,
-    stacked diag(damp), stacked g).
-
-    Each start solves its own reduced system: a padded one with identity rows
-    for the frozen knobs rounds differently.
-    """
-    groups = {}
-    for i, row in enumerate(free):
-        groups.setdefault(row.tobytes(), []).append(i)
-    systems = []
-    for rows in groups.values():
-        fi = free[rows[0]].nonzero()[0]
-        if len(rows) == len(free) and fi.size == free.shape[1]:
-            # one group holding every start and every knob: nothing to gather
-            sub, mats = np.s_[:, :], a
-        else:
-            r = np.array(rows)[:, None]
-            sub, mats = (r, fi), a[r[:, :, None], fi[:, None], fi]
-        # a knob with zero curvature still gets some damping, so the damped
-        # matrix is positive definite
-        diag = mats.diagonal(axis1=1, axis2=2)
-        damp = np.maximum(diag, 1e-15 * diag.max(axis=1, keepdims=True))
-        dmat = damp[:, :, None] * np.eye(fi.size)
-        systems.append((rows, sub, fi, mats, dmat, g[sub]))
-    return systems
+def _solve_each(mats, rhs):
+    """Solutions x of mats x = rhs over a stack of matrices, in one call; the
+    stack dimensions of rhs broadcast against those of mats.  If a matrix is
+    singular, the stack is solved one matrix at a time and only the singular
+    ones get NaN."""
+    try:
+        return np.linalg.solve(mats, rhs[..., None])[..., 0]
+    except np.linalg.LinAlgError:
+        rhs = np.broadcast_to(rhs, mats.shape[:-1])
+        out = np.full(rhs.shape, np.nan)
+        for i in np.ndindex(rhs.shape[:-1]):
+            try:
+                out[i] = np.linalg.solve(mats[i], rhs[i])
+            except np.linalg.LinAlgError:
+                pass
+        return out
 
 
-def _damped_steps(systems, lam, shape):
-    """Steps d of (A + lam diag(damp)) d = g from `_reduced_systems`, zero on
-    frozen knobs; `lam` holds each start's damping.  A group is solved as one
-    stack; if one of its matrices is singular, its starts are solved one by
-    one and only the singular start gets a NaN step."""
-    step = np.zeros(shape)
-    for rows, sub, fi, mats, dmat, rhs in systems:
-        damped = mats + np.array([lam[i] for i in rows])[:, None, None] * dmat
-        try:
-            step[sub] = np.linalg.solve(damped, rhs[:, :, None])[:, :, 0]
-        except np.linalg.LinAlgError:
-            for i, mat, b in zip(rows, damped, rhs):
-                try:
-                    step[i, fi] = np.linalg.solve(mat, b)
-                except np.linalg.LinAlgError:
-                    step[i] = np.nan
-    return step
-
-
-def _descend(kernel, z0, lows, span, periodic, opts):
+def _descend(kernel, z0, lows, span, periodic, opts, stats=None):
     """Projected Levenberg-Marquardt in box-normalized coordinates z in [0,1],
     with all starts advancing in lockstep.
 
-    z0 is an (R, n) matrix of starts.  Each iteration of a start solves
-    (A + lam diag(A)) d = g on its free knobs, with A = Re(J^H J) and
-    g = Re(J^H r) from the analytic Jacobian J = dH/dz and the residual r.
-    Knobs on a box edge whose descent direction points out of the box are
-    frozen; periodic knobs wrap and are never frozen.  A step is accepted
-    only if it strictly lowers the objective, so the trace is strictly
-    decreasing; lam is divided by 3 on acceptance and multiplied by 4 on
-    rejection.  `opts.max_iters` caps the accepted steps.
+    z0 is an (R, n) matrix of starts.  Each trial of a start solves
+    (A + lam diag(A)) d = g, with A = Re(J^H J) and g = Re(J^H r) from the
+    analytic Jacobian J = dH/dz and the residual r.  Knobs on a box edge
+    whose descent direction points out of the box are frozen: their rows and
+    columns of the damped matrix become identity rows with a zero right-hand
+    side, so their step is zero; periodic knobs wrap and are never frozen.  A
+    step is accepted only if it strictly lowers the objective, so the trace
+    is strictly decreasing; lam is divided by 3 on acceptance and multiplied
+    by 4 on rejection.  `opts.max_iters` caps the accepted steps.
 
-    Each pass gives every running start one trial: one Jacobian call for the
-    starts that moved, one damped solve per group of starts with the same free
-    mask, one `objective_batch` call for all candidates and one for all
-    extrapolations.  A start leaves the batch when it stops, and starts share
-    no state, so each start's result is bitwise the one it gets alone.
+    Each pass gives every running start the trials of its next three damping
+    values lam, 4 lam and 16 lam: one Jacobian call for the starts that
+    moved, one stacked solve, one `objective_batch` call for all candidates
+    and one for all extrapolations.  A start takes its first accepted trial,
+    or stops at its first rejected one that ends the descent; while its point
+    stays put, A and g do not change, so this is the accept/reject sequence
+    of one trial per pass.  A start leaves the batch when it stops, and starts
+    share no state, so each start's result is bitwise the one it gets alone.
 
     Returns one (z_best, objective, trace, stop_reason) per start, in start
     order, with stop_reason one of STOP_REASONS, or None for a start whose
-    objective is not finite.
+    objective is not finite.  A `stats` dict, if given, receives the number
+    of passes and of configs scored.
     """
     n = z0.shape[1]
     m = n // 4
     bounded = ~periodic
+    eye = np.eye(n, dtype=bool)
 
     def denorm(z):
         return lows + z * span
@@ -383,34 +363,33 @@ def _descend(kernel, z0, lows, span, periodic, opts):
     out = [None] * len(z0)
     z = project(z0)
     f0 = f_batch(z)
+    passes, scored = 0, len(z0)
     # the running starts, one batch row each: start index, point, objective,
     # trace, damping, whether the point moved since the normal equations
-    # A, g and the free mask were built, and those
+    # were built, and those as a padded system: undamped matrix, diag(damp)
+    # and right-hand side
     ids = np.flatnonzero(np.isfinite(f0)).tolist()
     z = z[ids]
     fz = f0[ids].tolist()
     traces = [[v] for v in fz]
-    lam = [_LAMBDA0] * len(ids)
+    lam = np.full(len(ids), _LAMBDA0)
     moved = [True] * len(ids)
-    a = np.empty((len(ids), n, n))
-    g = np.empty((len(ids), n))
-    free = np.empty((len(ids), n), dtype=bool)
-    systems = None
+    base = np.empty((len(ids), n, n))
+    dmat = np.empty((len(ids), n, n))
+    rhs = np.empty((len(ids), n))
 
     def retire(stops):
         """Record each start of `stops` (batch row -> stop reason) as done
         and drop it from the batch."""
-        nonlocal ids, z, fz, traces, lam, moved, a, g, free, systems
+        nonlocal ids, z, fz, traces, lam, moved, base, dmat, rhs
         for i, reason in stops.items():
             out[ids[i]] = (z[i].copy(), fz[i], traces[i], reason)
         keep = [i for i in range(len(ids)) if i not in stops]
-        z, a, g, free = z[keep], a[keep], g[keep], free[keep]
-        ids, fz, traces, lam, moved = (
-            [v[i] for i in keep] for v in (ids, fz, traces, lam, moved)
-        )
-        systems = None
+        z, lam, base, dmat, rhs = (v[keep] for v in (z, lam, base, dmat, rhs))
+        ids, fz, traces, moved = ([v[i] for i in keep] for v in (ids, fz, traces, moved))
 
     while ids:
+        passes += 1
         if any(moved):
             rows = [i for i, mv in enumerate(moved) if mv]
             sel = slice(None) if len(rows) == len(ids) else rows
@@ -420,9 +399,21 @@ def _descend(kernel, z0, lows, span, periodic, opts):
             an = np.matmul(jz, jz.transpose(0, 2, 1))
             gn = np.matmul(jz, r.view(np.float64)[:, :, None])[:, :, 0]
             fr = periodic | ~(((zn <= 0.0) & (gn < 0.0)) | ((zn >= 1.0) & (gn > 0.0)))
-            a[sel], g[sel], free[sel] = an, gn, fr
+            # the padded system: frozen rows and columns become identity with
+            # a zero right-hand side, so frozen knobs get a zero step.  The
+            # damping comes from the free diagonal; a knob with zero curvature
+            # still gets some, so the damped matrix is positive definite.
+            diag = an.diagonal(axis1=1, axis2=2)
+            if fr.all():
+                base[sel], rhs[sel] = an, gn
+                damp = np.maximum(diag, 1e-15 * diag.max(axis=1, keepdims=True))
+            else:
+                base[sel] = np.where(fr[:, :, None] & fr[:, None, :], an, eye)
+                rhs[sel] = np.where(fr, gn, 0.0)
+                top = np.where(fr, diag, 0.0).max(axis=1, keepdims=True)
+                damp = np.where(fr, np.maximum(diag, 1e-15 * top), 0.0)
+            dmat[sel] = np.where(eye, damp[:, :, None], 0.0)
             moved = [False] * len(ids)
-            systems = None
             down = (fr & (gn != 0.0)).any(axis=1)
             if not (np.isfinite(an).all() and np.isfinite(gn).all() and down.all()):
                 ok = np.isfinite(an).all(axis=(1, 2)) & np.isfinite(gn).all(axis=1)
@@ -432,27 +423,39 @@ def _descend(kernel, z0, lows, span, periodic, opts):
                 })
                 if not ids:
                     break
-        if systems is None:
-            systems = _reduced_systems(a, g, free)
-        step = _damped_steps(systems, lam, z.shape)
+        # the trials of every rung, (R, rungs, n)
+        lams = lam[:, None] * _RUNGS
+        damped = base[:, None] + lams[:, :, None, None] * dmat[:, None]
+        step = _solve_each(damped, rhs[:, None])
+        zr = z[:, None]
         # clipped step on the box; periodic knobs move unwrapped
-        step = np.where(bounded, np.clip(z + step, 0.0, 1.0) - z, step)
-        cand = project(z + step)
-        fc = f_batch(cand).tolist()
-        accepted = [c < f for c, f in zip(fc, fz)]
-        stops = {}
-        if not all(accepted):
-            same = (cand == z).all(axis=1).tolist()
-            for i, acc in enumerate(accepted):
-                if not acc:
-                    lam[i] *= _LAMBDA_UP
-                    if lam[i] > _LAMBDA_MAX or same[i]:
-                        stops[i] = "no_descent"
+        step = np.where(bounded, np.clip(zr + step, 0.0, 1.0) - zr, step)
+        cand = project(zr + step)
+        fc = f_batch(cand.reshape(-1, n)).reshape(lams.shape)
+        scored += fc.size
+        acc = fc < np.array(fz)[:, None]
+        if acc[:, 0].all():
+            # the common pass: every start accepts its first rung
+            pick, stops = (slice(None), 0), {}
+            lam = lams[:, 0] / _LAMBDA_DOWN
+        else:
+            # a rejected rung ends the descent once lam has run out or the step
+            # no longer moves z; each start takes its first rung that accepts
+            # or ends
+            end = ~acc & ((lams * _LAMBDA_UP > _LAMBDA_MAX) | (cand == zr).all(axis=2))
+            pick = np.arange(len(ids)), (acc | end).argmax(axis=1)
+            stops = {i: "no_descent" for i in np.flatnonzero(end[pick]).tolist()}
+            # with no rung taken, the next pass goes on from the rung after the last
+            lam = np.where(acc[pick], lams[pick] / _LAMBDA_DOWN, lams[:, -1] * _LAMBDA_UP)
+        accepted = acc[pick].tolist()
         if any(accepted):
+            step, cand, fc = step[pick], cand[pick], fc[pick].tolist()
+            # the step is zero on frozen knobs, so the padded system predicts
+            # the decrease that A and g do
             row = step[:, None, :]
             pred = (
-                2.0 * np.matmul(row, g[:, :, None])
-                - np.matmul(np.matmul(row, a), step[:, :, None])
+                2.0 * np.matmul(row, rhs[:, :, None])
+                - np.matmul(np.matmul(row, base), step[:, :, None])
             ).ravel().tolist()
             ext = [
                 i for i, acc in enumerate(accepted)
@@ -462,13 +465,13 @@ def _descend(kernel, z0, lows, span, periodic, opts):
                 far = z[ext][:, None, :] + _EXTRAPOLATE[:, None] * step[ext][:, None, :]
                 far = project(far)
                 ffar = f_batch(far.reshape(-1, n)).reshape(len(ext), -1)
+                scored += ffar.size
                 for e, (i, k) in enumerate(zip(ext, ffar.argmin(axis=1).tolist())):
                     fk = float(ffar[e, k])
                     if fk < fc[i]:
                         cand[i], fc[i] = far[e, k], fk
             for i, acc in enumerate(accepted):
                 if acc:
-                    lam[i] /= _LAMBDA_DOWN
                     gain = fz[i] - fc[i]
                     fz[i] = fc[i]
                     traces[i].append(fc[i])
@@ -480,6 +483,8 @@ def _descend(kernel, z0, lows, span, periodic, opts):
             moved = accepted
         if stops:
             retire(stops)
+    if stats is not None:
+        stats.update(passes=passes, configs=scored)
     return out
 
 
@@ -514,8 +519,9 @@ def solve_continuous(
     (lists of tap configs) after the random ones; the best start by final
     objective wins, with the lowest start index breaking ties.  The report's
     `stop_reason` says why that start stopped.  Each start's outcome (start,
-    iterations, stop_reason, objective, also as record attributes) is logged
-    at DEBUG on the "fdecanc" logger.
+    iterations, stop_reason, objective), then the solve's lockstep passes,
+    configs scored and wall time (starts, passes, configs, wall_s) are logged
+    at DEBUG on the "fdecanc" logger, also as record attributes.
     """
     if num_taps < 1:
         raise InvalidArgumentError("num_taps must be >= 1")
@@ -532,9 +538,12 @@ def solve_continuous(
         x = kernel.tap_model.vector(cfgs).reshape(1, -1)
         starts.append((x - lows) / span)
 
-    outs = _descend(kernel, np.vstack(starts), lows, span, periodic, opts)
     log = _debug_log()
+    stats = {}
+    began = time.perf_counter() if log is not None else 0.0
+    outs = _descend(kernel, np.vstack(starts), lows, span, periodic, opts, stats)
     if log is not None:
+        wall_s = time.perf_counter() - began
         for r, res in enumerate(outs):
             if res is None:
                 log.debug("start %d: objective not finite at the start point", r)
@@ -543,6 +552,9 @@ def solve_continuous(
                     "stop_reason": res[3], "objective": res[1]}
             log.debug("start %(start)d: %(iterations)d iterations, stop "
                       "%(stop_reason)s, objective %(objective).17g", info, extra=info)
+        info = {"starts": len(outs), **stats, "wall_s": wall_s}
+        log.debug("solve: %(starts)d starts, %(passes)d passes, %(configs)d "
+                  "configs scored, %(wall_s).6f s", info, extra=info)
     best = None
     for r, res in enumerate(outs):
         if res is not None and (best is None or res[1] < best[1]):

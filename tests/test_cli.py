@@ -313,6 +313,18 @@ class TestUsageErrors:
             ["network", "tdma", "--schedule", "rro", "--users", "5"],
             ["network", "tdma", "--schedule", "rro", "--users", "0"],
             ["network", "tdma", "--schedule", "rro", "--slots", "0"],
+            ["network", "uldl", "--gamma-ul-db", "0", "--gamma-dl-db", "0",
+             "--gamma-self", "-1"],
+            ["network", "uldl", "--gamma-ul-db", "0", "--gamma-dl-db", "0",
+             "--bandwidth-hz", "-1"],
+            ["network", "tdma", "--schedule", "rro", "--users", "3", "--slots", "2"],
+            ["model", "--kind", "ideal", "--fc", "900e6", "--band", "890e6:910e6:1"],
+            ["model", "--kind", "ideal", "--fc", "900e6", "--band", "1e9:9e8:11"],
+            ["model", "--kind", "pcb", "--band", "0:1e9:11"],
+            ["model", "--kind", "pcb", "--band", "850e6:950e6:-1"],
+            ["fit", "--synth", "--band", "890e6:910e6:1"],
+            ["genchannel", "--band", "890e6:910e6:1"],
+            ["sweep", "--points", "1"],
         ],
     )
     def test_malformed_value_is_one_line_usage_error(

@@ -1,5 +1,6 @@
 import json
 import logging
+import zlib
 from dataclasses import replace
 
 import numpy as np
@@ -29,6 +30,7 @@ from fdecanc import (
     SynthChannelSpec,
 )
 from fdecanc.models import TAP_MODELS, PcbBoardParams, PcbTapConfig
+from fdecanc import optimizer
 from fdecanc.optimizer import (
     STOP_REASONS,
     ModelKernel,
@@ -569,7 +571,7 @@ class TestLevenbergMarquardt:
         assert "stop_reason" not in rep.to_dict()
 
 
-def descend_one(kernel, z0, lows, span, periodic, opts):
+def descend_one(kernel, z0, lows, span, periodic, opts, lam_max=1e32):
     """Projected Levenberg-Marquardt for one start as a plain loop, one trial
     at a time: (z, objective, trace, stop_reason) or None."""
     f = kernel.h_si.grid.points
@@ -600,22 +602,22 @@ def descend_one(kernel, z0, lows, span, periodic, opts):
         free = periodic | ~(((z <= 0.0) & (g < 0.0)) | ((z >= 1.0) & (g > 0.0)))
         if not np.any(g[free]):
             return z, fz, trace, "no_descent"
-        a_free = a[np.ix_(free, free)]
-        diag = np.diag(a_free)
-        damp = np.maximum(diag, 1e-15 * np.max(diag))
+        # frozen rows and columns become identity with a zero right-hand side
+        padded = np.where(np.outer(free, free), a, np.eye(z.size))
+        diag = np.diag(a)
+        damp = np.where(free, np.maximum(diag, 1e-15 * np.max(diag[free])), 0.0)
         while True:
-            step = np.zeros_like(z)
             try:
-                step[free] = np.linalg.solve(a_free + np.diag(lam * damp), g[free])
+                step = np.linalg.solve(padded + np.diag(lam * damp), np.where(free, g, 0.0))
             except np.linalg.LinAlgError:
-                step[:] = np.nan
+                step = np.full_like(z, np.nan)
             step[bounded] = np.clip(z[bounded] + step[bounded], 0.0, 1.0) - z[bounded]
             cand = project(z + step)
             fc = kernel.objective(denorm(cand))
             if fc < fz:
                 break
             lam *= 4.0
-            if lam > 1e32 or np.array_equal(cand, z):
+            if lam > lam_max or np.array_equal(cand, z):
                 return z, fz, trace, "no_descent"
         pred = 2.0 * (step @ g) - step @ a @ step
         if fz - fc > 1.5 * pred:
@@ -671,6 +673,102 @@ class TestLockstep:
             ref = descend_one(kernel, z0[i], lows, span, periodic, opts)
             assert _bits(stacked[i]) == _bits(alone) == _bits(ref), i
 
+    @staticmethod
+    def _descend_both(kernel, z0, lows, span, periodic, opts, lam_max=1e32):
+        """The lockstep result and passes for the starts z0, each start's
+        `descend_one` result, and the objectives of each start's trials."""
+        stats = {}
+        stacked = _descend(kernel, z0, lows, span, periodic, opts, stats)
+        refs, trials = [], []
+        objective = kernel.objective
+        for z in z0:
+            values = []
+            kernel.objective = lambda x: values.append(objective(x)) or values[-1]
+            try:
+                refs.append(descend_one(kernel, z, lows, span, periodic, opts, lam_max))
+            finally:
+                del kernel.objective
+            trials.append(values[1:])
+        return stacked, stats["passes"], refs, trials
+
+    @staticmethod
+    def _ladder(trace, trials):
+        """For a start that stops on a rejected trial: the passes a ladder of
+        three rungs takes for its trials, and the rung of its last trial."""
+        k, run, passes = 0, 0, 0
+        for v in trials:
+            run += 1
+            if v < trace[k]:
+                k, run, passes = k + 1, 0, passes + (run - 1) // 3 + 1
+        return passes + (run - 1) // 3 + 1, (run - 1) % 3
+
+    @pytest.mark.parametrize("rejections", [1, 2, 4, 5])
+    def test_stops_when_lam_runs_out_on_later_rung(self, monkeypatch, rejections):
+        # the first seven trials of this start are rejected; lam_max just
+        # above lam0 * 4**j runs lam out on trial j + 1, rung j % 3 of pass
+        # j // 3 + 1
+        lam_max = optimizer._LAMBDA0 * 4.0**rejections * (1.0 + 1e-9)
+        monkeypatch.setattr(optimizer, "_LAMBDA_MAX", lam_max)
+        grid = FrequencyGrid.linspace(885e6, 915e6, 21)
+        kernel = ModelKernel("ideal", synth_si_channel(SynthChannelSpec(), grid))
+        lows, span, periodic = _box("ideal", 1)
+        z0 = np.random.default_rng(11).uniform(size=(1, 4))
+        [res], passes, [ref], [trials] = self._descend_both(
+            kernel, z0, lows, span, periodic, SolveOptions(max_iters=40), lam_max
+        )
+        assert _bits(res) == _bits(ref)
+        assert (len(res[2]), res[3], len(trials)) == (1, "no_descent", rejections + 1)
+        assert self._ladder(res[2], trials) == (passes, rejections % 3)
+        assert passes == rejections // 3 + 1
+
+    @pytest.mark.parametrize(
+        "z_fit, offset, rung",
+        [([0.6, 0.62, 0.89, 0.12], 1e-11, 1), ([0.73, 0.17, 0.63, 0.22], -1e-15, 2)],
+    )
+    def test_stops_when_step_no_longer_moves_on_later_rung(self, z_fit, offset, rung):
+        # next to an exact fit, the steps shrink below the spacing of z
+        # after a few rejections, with lam far below _LAMBDA_MAX
+        lows, span, periodic = _box("ideal", 1)
+        z_fit = np.array(z_fit)
+        h = ModelKernel("ideal", flat_channel(0.0)).response_values(lows + z_fit * span)
+        kernel = ModelKernel("ideal", ComplexResponse(GRID, h))
+        [res], passes, [ref], [trials] = self._descend_both(
+            kernel, z_fit[None] + offset, lows, span, periodic, FAST
+        )
+        assert _bits(res) == _bits(ref)
+        assert res[3] == "no_descent" and self._ladder(res[2], trials) == (passes, rung)
+
+    def test_singular_rung_gets_nan_step_and_later_rung_is_tried(self, monkeypatch):
+        # LAPACK reports a damped LM matrix singular only at an exact zero
+        # pivot; this stand-in calls a matrix singular by a hash of its bytes,
+        # the same for the stacked and the one-start solver
+        solve = np.linalg.solve
+        stacks = []
+
+        def flaky_solve(mats, rhs):
+            flags = np.array([
+                zlib.crc32(mat.tobytes()) % 5 == 0
+                for mat in np.ascontiguousarray(mats).reshape(-1, *mats.shape[-2:])
+            ]).reshape(mats.shape[:-2])
+            if mats.ndim == 4:
+                stacks.append(flags)
+            if flags.any():
+                raise np.linalg.LinAlgError("Singular matrix")
+            return solve(mats, rhs)
+
+        monkeypatch.setattr(np.linalg, "solve", flaky_solve)
+        grid = FrequencyGrid.linspace(885e6, 915e6, 21)
+        kernel = ModelKernel("ideal", synth_si_channel(SynthChannelSpec(), grid))
+        lows, span, periodic = _box("ideal", 2)
+        z0 = np.random.default_rng(3).uniform(size=(4, lows.size))
+        # the NaN step of a singular matrix scores a NaN objective
+        with np.errstate(invalid="ignore"):
+            stacked, _, refs, _ = self._descend_both(
+                kernel, z0, lows, span, periodic, SolveOptions(max_iters=30)
+            )
+        assert [_bits(r) for r in stacked] == [_bits(r) for r in refs]
+        assert any((f[:, :-1] & ~f[:, 1:]).any() for f in stacks)
+
     def test_logs_each_start_at_debug(self, caplog):
         h = synth_si_channel(SynthChannelSpec(), GRID)
         opts = SolveOptions(restarts=3, max_iters=30, seed=0)
@@ -679,7 +777,7 @@ class TestLockstep:
         with caplog.at_level(logging.DEBUG, logger="fdecanc"):
             again = solve_continuous("ideal", h, opts=opts, num_taps=1)
         assert again.to_dict() == rep.to_dict()
-        records = [r for r in caplog.records if r.name == "fdecanc"]
+        *records, _ = [r for r in caplog.records if r.name == "fdecanc"]
         assert [r.start for r in records] == [0, 1, 2]
         assert all(r.levelno == logging.DEBUG for r in records)
         best = records[rep.restart_index]
@@ -697,9 +795,30 @@ class TestLockstep:
         with np.errstate(over="ignore", invalid="ignore"):
             with caplog.at_level(logging.DEBUG, logger="fdecanc"):
                 solve_continuous("ideal", h, bounds=bounds, opts=opts, num_taps=1)
-        records = [r for r in caplog.records if r.name == "fdecanc"]
+        *records, _ = [r for r in caplog.records if r.name == "fdecanc"]
         assert [r.getMessage().endswith("not finite at the start point")
                 for r in records] == [False, True, False, True]
+
+    def test_logs_each_solve_at_debug(self, caplog):
+        h = synth_si_channel(SynthChannelSpec(), GRID)
+        opts = SolveOptions(restarts=3, max_iters=30, seed=0)
+        rep = solve_continuous("ideal", h, opts=opts, num_taps=2)
+        with caplog.at_level(logging.DEBUG, logger="fdecanc"):
+            again = solve_continuous("ideal", h, opts=opts, num_taps=2)
+        assert again.to_json() == rep.to_json()
+        records = [r for r in caplog.records if r.name == "fdecanc"]
+        assert len(records) == 4 and not hasattr(records[0], "passes")
+        solve = records[-1]
+        # the same starts as the solve's: its seeded draws, in the same box
+        lows, span, periodic = _box("ideal", 2)
+        z0 = np.random.default_rng(0).uniform(size=(3, 8))
+        stats = {}
+        _descend(ModelKernel("ideal", h), z0, lows, span, periodic, opts, stats)
+        assert (solve.starts, solve.passes, solve.configs) == (
+            3, stats["passes"], stats["configs"]
+        )
+        assert solve.passes >= rep.iterations and solve.wall_s > 0
+        assert solve.getMessage().startswith(f"solve: 3 starts, {solve.passes} passes")
 
 
 def local_search_scalar(qconfig, model, h_si, spec, max_rounds=10):

@@ -44,11 +44,3 @@ def rf_sic_db(h_res: ComplexResponse) -> SicSummary:
         avg_power_db = float("inf")
     return SicSummary(per_point, avg_db, avg_power_db, excluded)
 
-
-def write_metrics_csv(path, h: ComplexResponse) -> None:
-    """Emit `freq_hz,isolation_db,sic_db` rows for plot pipelines."""
-    iso = isolation_db(h)
-    with open(path, "w", newline="", encoding="utf-8") as fh:
-        fh.write("freq_hz,isolation_db,sic_db\n")
-        for f, x in zip(h.grid.points, iso):
-            fh.write("%.17g,%.17g,%.17g\n" % (f, x, -x))

@@ -13,9 +13,11 @@ the oracle that the closed form must match pointwise.
 
 `TAP_MODELS` has one entry per model: config class, knob fields in
 knob-vector order, quantization preset, and one vectorized kernel for M taps
-from an (M, 4) knob matrix, with its analytic Jacobian.  The per-config
-functions here, the solvers, the lattice oracle and the CLI all evaluate
-taps through these kernels.
+from an (M, 4) knob matrix, with its analytic Jacobian.  Each kernel is the
+weights A e^{-j phi} combined with a filter term of the two filter knobs, and
+the entry exposes both pieces for searches that cache them per lattice code.
+The per-config functions here, the solvers, the lattice oracle and the CLI
+all evaluate taps through these kernels.
 """
 
 from __future__ import annotations
@@ -133,9 +135,16 @@ def _rlc_admittance(r_ohm, l_h, c_f, w):
     return 1.0 / r_ohm + 1j * w * c_f + 1.0 / (1j * w * l_h)
 
 
+def weight_factors(amp_db, phase_rad):
+    """Attenuator gains 10^(amp_db/20) and phase-shifter turns e^{-j phi} of
+    arrays of knob values; a tap's weight A e^{-j phi} is their product."""
+    return 10.0 ** (amp_db / 20.0), np.exp(-1j * phase_rad)
+
+
 def _weights(x: np.ndarray) -> np.ndarray:
     """Attenuator and phase-shifter weights A e^{-j phi}, shape (M, 1)."""
-    return (10.0 ** (x[:, 0] / 20.0))[:, None] * np.exp(-1j * x[:, 1])[:, None]
+    gain, turn = weight_factors(x[:, 0], x[:, 1])
+    return (gain * turn)[:, None]
 
 
 def _tap_jacobian(t, d_center, d_q):
@@ -145,14 +154,30 @@ def _tap_jacobian(t, d_center, d_q):
     return np.stack((t * (np.log(10.0) / 20.0), -1j * t, d_center, d_q), axis=1)
 
 
+# Each kernel is combine(w, filter term), the term a function of the (center,
+# q) knobs alone.  The lattice searches cache weights and filter terms per
+# code and combine them with the same function, so their tap rows are
+# bitwise the kernel's.
+
+
+def _ideal_filter(center, q, f, board=None):
+    """Filter terms D = 1 - jQ*ratio (M, K) of M ideal taps, with the
+    detuning ratio f_c/f - f/f_c that the Jacobian reuses; T = w/D."""
+    ratio = center[:, None] / f[None, :] - f[None, :] / center[:, None]
+    return 1.0 - 1j * q[:, None] * ratio, ratio
+
+
+def _ideal_combiner(f, board=None):
+    """combine(w, D) = w / D."""
+    return np.divide
+
+
 def _ideal_kernel(x: np.ndarray, f: np.ndarray, board=None):
     """Per-tap responses T (M, K) of M ideal taps, knobs (amp_db, phase_rad,
     f_c, Q), with the detuning ratio f_c/f - f/f_c and the denominator
     D = 1 - jQ*ratio that the Jacobian reuses.  `board` is unused."""
-    fc = x[:, 2]
-    ratio = fc[:, None] / f[None, :] - f[None, :] / fc[:, None]
-    d = 1.0 - 1j * x[:, 3, None] * ratio
-    return _weights(x) / d, ratio, d
+    d, ratio = _ideal_filter(x[:, 2], x[:, 3], f)
+    return _ideal_combiner(f)(_weights(x), d), ratio, d
 
 
 def _ideal_jacobian(x: np.ndarray, f: np.ndarray, board=None):
@@ -168,19 +193,17 @@ def _ideal_jacobian(x: np.ndarray, f: np.ndarray, board=None):
     return t, _tap_jacobian(t, d_fc, 1j * ratio * t_d)
 
 
-def _pcb_kernel(x: np.ndarray, f: np.ndarray, board: PcbBoardParams):
-    """Per-tap responses T (M, K) of M PCB taps, knobs (amp_db, phase_rad,
-    C_F, C_Q) with C in pF, including the global attenuation/delay factor
-    (linear, so the canceller response is the row sum), with the tank
-    admittances Y_F, Y_Q and the cascade's C-entry M_C that the Jacobian
-    reuses.  H_BPF = 1/(R_S M_C) and, with a = cos(beta*l), s2 = sin(2*beta*l):
+def _pcb_filter(center, q, f, board: PcbBoardParams):
+    """Filter terms 1/(R_S M_C) (M, K) of M PCB taps from their C_F and C_Q
+    in pF, with the tank admittances Y_F, Y_Q and the cascade's C-entry M_C
+    that the Jacobian reuses.  With a = cos(beta*l), s2 = sin(2*beta*l):
 
         M_C = j s2 Z0 Y_F Y_Q + a^2 Y_F + 2 cos(2 beta l) Y_Q
               + j s2 / Z0 + j s2 Z0 Y_Q^2 - sin^2(beta l) Z0^2 Y_F Y_Q^2
     """
     w = 2.0 * np.pi * f
-    y_f = _rlc_admittance(board.r_f_ohm, board.l_f_nh * 1e-9, x[:, 2, None] * 1e-12, w)
-    y_q = _rlc_admittance(board.r_q_ohm, board.l_q_nh * 1e-9, x[:, 3, None] * 1e-12, w)
+    y_f = _rlc_admittance(board.r_f_ohm, board.l_f_nh * 1e-9, center[:, None] * 1e-12, w)
+    y_q = _rlc_admittance(board.r_q_ohm, board.l_q_nh * 1e-9, q[:, None] * 1e-12, w)
     bl = board.beta_l_rad
     z0 = board.z0_ohm
     s2 = np.sin(2.0 * bl)
@@ -192,10 +215,24 @@ def _pcb_kernel(x: np.ndarray, f: np.ndarray, board: PcbBoardParams):
         + 1j * s2 * z0 * y_q * y_q
         - np.sin(bl) ** 2 * z0 * z0 * y_f * y_q * y_q
     )
-    weighted = _weights(x) * (1.0 / (board.r_s_ohm * m_c))
-    a0 = 10.0 ** (board.a0_db / 20.0)
-    t = a0 * np.exp(-2j * np.pi * f * board.tau0_s)[None, :] * weighted
-    return t, y_f, y_q, m_c
+    return 1.0 / (board.r_s_ohm * m_c), y_f, y_q, m_c
+
+
+def _pcb_combiner(f, board: PcbBoardParams):
+    """combine(w, B) = E (w B), with the board's global attenuation/delay
+    E = lin(A_0) e^{-j 2 pi f tau_0} computed once."""
+    e = 10.0 ** (board.a0_db / 20.0) * np.exp(-2j * np.pi * f * board.tau0_s)
+    return lambda w, b: e * (w * b)
+
+
+def _pcb_kernel(x: np.ndarray, f: np.ndarray, board: PcbBoardParams):
+    """Per-tap responses T (M, K) of M PCB taps, knobs (amp_db, phase_rad,
+    C_F, C_Q) with C in pF, including the global attenuation/delay factor
+    (linear, so the canceller response is the row sum), with the tank
+    admittances Y_F, Y_Q and the cascade's C-entry M_C that the Jacobian
+    reuses; H_BPF = 1/(R_S M_C) is the filter term of `_pcb_filter`."""
+    b, y_f, y_q, m_c = _pcb_filter(x[:, 2], x[:, 3], f, board)
+    return _pcb_combiner(f, board)(_weights(x), b), y_f, y_q, m_c
 
 
 def _pcb_jacobian(x: np.ndarray, f: np.ndarray, board: PcbBoardParams):
@@ -228,8 +265,10 @@ class TapModel:
 
     `kernel(x, f, board)` returns the per-tap responses T (M, K) of the
     (M, 4) knob matrix x first, then the terms its Jacobian reuses;
-    `jacobian(x, f, board)` returns T and dT/dx (M, 4, K).  Knob rows follow
-    `knobs`, the config fields in knob-vector order.
+    `jacobian(x, f, board)` returns T and dT/dx (M, 4, K).  The kernel is
+    `combiner(f, board)(w, filter(x[:, 2], x[:, 3], f, board)[0])` with the
+    weights w = gain * turn of `weight_factors`, shape (M, 1), bitwise.  Knob
+    rows follow `knobs`, the config fields in knob-vector order.
     """
 
     name: str
@@ -238,6 +277,8 @@ class TapModel:
     preset: str
     kernel: Callable
     jacobian: Callable
+    filter: Callable
+    combiner: Callable
 
     def vector(self, cfgs) -> np.ndarray:
         """The (M, 4) knob matrix of a list of this model's tap configs."""
@@ -259,11 +300,11 @@ class TapModel:
 TAP_MODELS = {
     "ideal": TapModel(
         "ideal", IdealTapConfig, ("amp_db", "phase_rad", "center_hz", "q"), "rfic",
-        _ideal_kernel, _ideal_jacobian,
+        _ideal_kernel, _ideal_jacobian, _ideal_filter, _ideal_combiner,
     ),
     "pcb": TapModel(
         "pcb", PcbTapConfig, ("amp_db", "phase_rad", "cf_pf", "cq_pf"), "pcb",
-        _pcb_kernel, _pcb_jacobian,
+        _pcb_kernel, _pcb_jacobian, _pcb_filter, _pcb_combiner,
     ),
 }
 

@@ -31,7 +31,7 @@ import numpy as np
 from .core import ComplexResponse, FrequencyGrid
 from .errors import InvalidArgumentError, LatticeTooLargeError, SolverFailureError
 from .metrics import rf_sic_db
-from .models import PcbBoardParams, tap_model, tap_model_of
+from .models import PcbBoardParams, tap_model, tap_model_of, weight_factors
 
 LATTICE_CAP = 10**7
 
@@ -66,22 +66,34 @@ class KnobSpec:
         n = int(math.floor((self.max - self.min) / self.step + 1e-9)) + 1
         return self.min + np.arange(n) * self.step
 
-    def snap(self, v: float) -> float:
-        """Nearest grid value; exact midpoints round toward the smaller value."""
+    def codes(self, v) -> np.ndarray:
+        """Indices into values() of the grid values nearest to each of v;
+        periodic knobs wrap into range first.  Raises if a value lies outside
+        the range."""
+        v = np.asarray(v, dtype=float)
         span = self.max - self.min
         if self.periodic:
             v = (v - self.min) % span + self.min
-        if v < self.min - 1e-9 * span or v > self.max + 1e-9 * span:
+        out = (v < self.min - 1e-9 * span) | (v > self.max + 1e-9 * span)
+        if out.any():
             raise InvalidArgumentError(
-                f"value {v!r} outside knob range [{self.min}, {self.max}]"
+                f"value {float(v[out][0])!r} outside knob range [{self.min}, {self.max}]"
             )
-        vals = self.values()
-        v = min(max(v, vals[0]), vals[-1])
-        idx = int(np.searchsorted(vals, v))
-        if idx == 0:
-            return float(vals[0])
-        lo, hi = vals[idx - 1], vals[min(idx, vals.size - 1)]
-        return float(lo) if v - lo <= hi - v else float(hi)
+        return nearest_codes(self.values(), v)
+
+    def snap(self, v: float) -> float:
+        """Nearest grid value; exact midpoints round toward the smaller value."""
+        return float(self.values()[self.codes(v)])
+
+
+def nearest_codes(vals: np.ndarray, v) -> np.ndarray:
+    """Indices into the ascending grid `vals` of the values nearest to each
+    of v, as is: no wrap, and values beyond the grid go to its ends.  Exact
+    midpoints round toward the smaller value."""
+    if vals.size == 1:
+        return np.zeros(np.shape(v), dtype=int)
+    hi = np.clip(np.searchsorted(vals, v), 1, vals.size - 1)
+    return np.where(v - vals[hi - 1] <= vals[hi] - v, hi - 1, hi)
 
 
 @dataclass(frozen=True)
@@ -169,16 +181,14 @@ class ModelKernel:
         return self._kernel(x, self._f, self.board)[0].sum(axis=0)
 
     def objective(self, x: np.ndarray) -> float:
-        d = self._target - self.response_values(x)
-        return float(np.sum(d.real**2 + d.imag**2))
+        x = np.asarray(x, dtype=float).reshape(-1, 4)
+        return float(_objectives(self._target, self._kernel(x, self._f, self.board)[0]))
 
     def objective_batch(self, xs: np.ndarray) -> np.ndarray:
         """Objectives for a batch of configs; xs has shape (P, M, 4)."""
         p, m, _ = xs.shape
         mat = self._kernel(xs.reshape(p * m, 4), self._f, self.board)[0]
-        resp = mat.reshape(p, m, self._f.size).sum(axis=1)
-        d = self._target[None, :] - resp
-        return np.sum(d.real**2 + d.imag**2, axis=1)
+        return _objectives(self._target, mat.reshape(p, m, self._f.size))
 
     def residual_jacobian(self, xs: np.ndarray):
         """Residuals r = h_si - H(x), shape (P, K), and Jacobians dH/dx =
@@ -195,6 +205,13 @@ class ModelKernel:
     def avg_sic_db(self, x: np.ndarray) -> float:
         resid = self._target - self.response_values(x)
         return rf_sic_db(ComplexResponse(self.h_si.grid, resid)).avg_db
+
+
+def _objectives(target: np.ndarray, taps: np.ndarray) -> np.ndarray:
+    """sum_k |target_k - sum_m T_mk|^2 of per-tap responses T, shape (..., M,
+    K): one objective per config, its taps summed in tap order."""
+    d = target - taps.sum(axis=-2)
+    return np.sum(d.real**2 + d.imag**2, axis=-1)
 
 
 def config_vector(cfgs) -> np.ndarray:
@@ -341,6 +358,9 @@ def _descend(kernel, z0, lows, span, periodic, opts, stats=None):
     of one trial per pass.  A start leaves the batch when it stops, and starts
     share no state, so each start's result is bitwise the one it gets alone.
 
+    A trial whose damped matrix is singular gets a NaN step, which is not
+    scored: its objective is NaN, so the trial is rejected.
+
     Returns one (z_best, objective, trace, stop_reason) per start, in start
     order, with stop_reason one of STOP_REASONS, or None for a start whose
     objective is not finite.  A `stats` dict, if given, receives the number
@@ -431,8 +451,15 @@ def _descend(kernel, z0, lows, span, periodic, opts, stats=None):
         # clipped step on the box; periodic knobs move unwrapped
         step = np.where(bounded, np.clip(zr + step, 0.0, 1.0) - zr, step)
         cand = project(zr + step)
-        fc = f_batch(cand.reshape(-1, n)).reshape(lams.shape)
-        scored += fc.size
+        # a singular matrix's NaN step is not scored: its trial is rejected
+        finite = np.isfinite(step).all(axis=2)
+        if finite.all():
+            fc = f_batch(cand.reshape(-1, n)).reshape(lams.shape)
+        else:
+            fc = np.full(lams.shape, np.nan)
+            if finite.any():
+                fc[finite] = f_batch(cand[finite])
+        scored += int(finite.sum())
         acc = fc < np.array(fz)[:, None]
         if acc[:, 0].all():
             # the common pass: every start accepts its first rung
@@ -580,21 +607,13 @@ def solve_continuous(
 
 def quantize_config(config, spec: QuantizationSpec):
     """Snap every knob of every tap to its nearest quantization-grid value."""
-    out = []
-    for c in config:
-        tm = tap_model_of(c)
-        x = tm.vector([c])[0]
-        out.append(tm.config_class(*[k.snap(v) for k, v in zip(spec.knobs(), x)]))
-    return out
-
-
-def _grid_indices(spec: QuantizationSpec, x: np.ndarray) -> np.ndarray:
-    idx = np.empty(x.shape, dtype=int)
-    for j, knob in enumerate(spec.knobs()):
-        vals = knob.values()
-        for i in range(x.shape[0]):
-            idx[i, j] = int(np.argmin(np.abs(vals - x[i, j])))
-    return idx
+    config = list(config)
+    if not config:
+        return []
+    tm = tap_model_of(config[0])
+    x = tm.vector(config)
+    q = [k.values()[k.codes(x[:, j])] for j, k in enumerate(spec.knobs())]
+    return [tm.config_class(*row) for row in np.stack(q, axis=1).tolist()]
 
 
 def local_search(
@@ -605,48 +624,105 @@ def local_search(
     max_rounds: int = 10,
     board: PcbBoardParams | None = None,
 ) -> SolveReport:
-    """Coordinate-wise +/-1-step hill climbing on the quantization lattice."""
-    kernel = ModelKernel(model, h_si, board)
-    idx = _grid_indices(spec, kernel.tap_model.vector(qconfig))
-    knob_vals = [k.values() for k in spec.knobs()]
-    periodic = [k.periodic for k in spec.knobs()]
+    """Coordinate-wise +/-1-step hill climbing on the quantization lattice.
 
-    x = np.stack([knob_vals[j][idx[:, j]] for j in range(4)], axis=1)
+    The start is each knob's nearest lattice code.  A round visits every
+    knob of every tap in order and scores its -1 and +1 codes (periodic knobs
+    wrap) from the current point; the first that strictly lowers the
+    objective is taken.  Once the -1 move is taken, the +1 move from there is
+    the old point, which cannot beat the new objective, so scoring both from
+    the current point takes the same moves as trying them in turn.  The
+    search ends after a round with no move, or after `max_rounds`.
+
+    Tap rows come from cached factors: weights from per-code gain and turn
+    tables, filter terms memoized by (center code, q code), so a move
+    computes only the moved tap's candidate rows, and an amplitude or phase
+    move no filter term.  They are combined as the model's kernel combines
+    them, and candidates are scored as `ModelKernel.objective_batch` scores
+    configs, so every objective is bitwise the kernel's.  Each call logs
+    rounds, accepted moves, candidates scored, filter rows computed and
+    reused and wall time (rounds, accepted, scored, filters_computed,
+    filters_reused, wall_s) at DEBUG on the "fdecanc" logger, also as record
+    attributes.
+    """
+    log = _debug_log()
+    began = time.perf_counter() if log is not None else 0.0
+    kernel = ModelKernel(model, h_si, board)
+    tm, f, target, board = kernel.tap_model, kernel._f, kernel._target, kernel.board
+    knob_vals = [k.values() for k in spec.knobs()]
+    sizes = [v.size for v in knob_vals]
+    periodic = [k.periodic for k in spec.knobs()]
+    x = tm.vector(qconfig)
+    idx = np.stack([nearest_codes(v, x[:, j]) for j, v in enumerate(knob_vals)], axis=1)
+    x = np.stack([v[idx[:, j]] for j, v in enumerate(knob_vals)], axis=1)
+
+    gain, turn = weight_factors(knob_vals[0], knob_vals[1])
+    combine = tm.combiner(f, board)
+    weights = (gain[idx[:, 0]] * turn[idx[:, 1]])[:, None]
+    terms = tm.filter(x[:, 2], x[:, 3], f, board)[0]
+    rows = combine(weights, terms)
     fx = kernel.objective(x)
+    idx = idx.tolist()
+    filters = {(c[2], c[3]): row for c, row in zip(idx, terms)}
     trace = [fx]
-    rounds = 0
+    rounds = scored = 0
+    computed, reused = len(idx), 0
     for _ in range(max_rounds):
         rounds += 1
         improved = False
-        for i in range(idx.shape[0]):
+        for i, code in enumerate(idx):
             for j in range(4):
-                n = knob_vals[j].size
                 moves = []
                 for delta in (-1, 1):
-                    k = idx[i, j] + delta
+                    k = code[j] + delta
                     if periodic[j]:
-                        k %= n
-                    elif k < 0 or k >= n:
+                        k %= sizes[j]
+                    elif k < 0 or k >= sizes[j]:
                         continue
                     moves.append(k)
                 if not moves:
                     continue
-                # Both moves start from the current point.  Once the -1 move
-                # is taken, the +1 move from there is the old point, which
-                # cannot beat the new objective, so only the first
-                # improving move of the pair is ever accepted.
-                cands = np.repeat(x[None], len(moves), axis=0)
-                cands[:, i, j] = knob_vals[j][moves]
-                fcs = kernel.objective_batch(cands)
-                for k, cand, fc in zip(moves, cands, fcs):
+                if j < 2:
+                    a = moves if j == 0 else [code[0]] * len(moves)
+                    p = moves if j == 1 else [code[1]] * len(moves)
+                    w = (gain[a] * turn[p])[:, None]
+                    new = combine(w, filters[code[2], code[3]][None, :])
+                else:
+                    keys = [(k, code[3]) if j == 2 else (code[2], k) for k in moves]
+                    fresh = [key for key in keys if key not in filters]
+                    if fresh:
+                        c, q = np.array(fresh).T
+                        filters.update(zip(
+                            fresh, tm.filter(knob_vals[2][c], knob_vals[3][q], f, board)[0]
+                        ))
+                    computed += len(fresh)
+                    reused += len(keys) - len(fresh)
+                    w = weights[i : i + 1]
+                    new = combine(w, np.stack([filters[key] for key in keys]))
+                cands = np.repeat(rows[None], len(moves), axis=0)
+                cands[:, i] = new
+                scored += len(moves)
+                for m, (k, fc) in enumerate(zip(moves, _objectives(target, cands).tolist())):
                     if fc < fx:
-                        idx[i, j] = k
-                        x, fx = cand, float(fc)
+                        code[j] = k
+                        rows[i] = new[m]
+                        if j < 2:
+                            weights[i] = w[m]
+                        fx = fc
                         trace.append(fx)
                         improved = True
                         break
         if not improved:
             break
+    x = np.stack([v[[c[j] for c in idx]] for j, v in enumerate(knob_vals)], axis=1)
+    if log is not None:
+        info = {"rounds": rounds, "accepted": len(trace) - 1, "scored": scored,
+                "filters_computed": computed, "filters_reused": reused,
+                "wall_s": time.perf_counter() - began}
+        log.debug("local search: %(rounds)d rounds, %(accepted)d moves accepted, "
+                  "%(scored)d candidates scored, filter rows %(filters_computed)d "
+                  "computed and %(filters_reused)d reused, %(wall_s).6f s",
+                  info, extra=info)
     return SolveReport(
         config=kernel.configs_from_vector(x),
         objective=fx,
@@ -795,16 +871,20 @@ def _pair_rows(target: np.ndarray, resp: np.ndarray) -> np.ndarray:
 
         obj(i, j) = |T|^2 + u_i + u_j + 2 R_i.R_j,   u_i = |R_i|^2 - 2 T.R_i,
 
-    so every row minimum m_i = min_j obj(i, j) comes from one real GEMM
-    R[block] @ R.T per block of rows, with no P x P matrix kept.
+    so every row minimum m_i = min_j obj(i, j) comes from real GEMMs, with
+    no P x P matrix kept.  R_i.R_j is symmetric, so only the blocks on or
+    above the diagonal are computed, R[block] @ R[block start:].T: each
+    block updates the minima of its rows (adding u of its columns) and of
+    its columns (adding u of its rows).  The screened value of (i, j) may
+    thus come from the (j, i) product.
 
     Rounding bound.  Let eps be the unit roundoff, tau = |t|, rho = max_i |r_i|
     and S = (tau + 2 rho)^2.  The absolute values of the terms above sum to
     at most S (|T|^2 + |u_i| + |u_j| + 2|R_i.R_j| <= tau^2 + 4 rho tau
-    + 4 rho^2).  A length-n dot product in any summation order is off by at
-    most gamma_n = n eps / (1 - n eps) times the sum of its absolute
-    products, and four additions assemble obj, so the screened value is
-    within about (2K + 4) eps S of the exact obj.  The caller's direct
+    + 4 rho^2).  A length-n dot product in any summation order, whichever
+    operand comes first, is off by at most gamma_n = n eps / (1 - n eps)
+    times the sum of its absolute products, and four additions assemble obj,
+    so the screened value is within about (2K + 4) eps S of the exact obj.  The caller's direct
     evaluation sum_k |(t_k - r_ik) - r_jk|^2 (two subtractions, the squares
     and a K-term sum) is within about (K + 6) eps S of it, since by Minkowski
     sum_c (|T_c| + |R_ic| + |R_jc|)^2 <= S.  So screened and direct values
@@ -820,15 +900,14 @@ def _pair_rows(target: np.ndarray, resp: np.ndarray) -> np.ndarray:
     t = target.view(np.float64)
     norm2 = np.einsum("ij,ij->i", r, r)
     u = norm2 - 2.0 * (r @ t)
-    row_min = np.empty(p)
-    buf = np.empty((_SCREEN_ROWS, p))
+    row_min = np.full(p, np.inf)
     for b0 in range(0, p, _SCREEN_ROWS):
         b1 = min(b0 + _SCREEN_ROWS, p)
-        g = buf[: b1 - b0]
-        np.matmul(r[b0:b1], r.T, out=g)
+        g = r[b0:b1] @ r[b0:].T
         g *= 2.0
-        g += u[None, :]
-        row_min[b0:b1] = g.min(axis=1)
+        np.minimum(row_min[b0:b1], (g + u[b0:]).min(axis=1), out=row_min[b0:b1])
+        g += u[b0:b1, None]
+        np.minimum(row_min[b0:], g.min(axis=0), out=row_min[b0:])
     row_min += u + t @ t
     s = (np.sqrt(t @ t) + 2.0 * np.sqrt(np.max(norm2))) ** 2
     slack = 16.0 * k * np.finfo(float).eps * s
@@ -861,11 +940,19 @@ def grid_search_oracle(
         raise LatticeTooLargeError(total, LATTICE_CAP)
 
     kernel = ModelKernel(model, h_si, board)
+    tm, f = kernel.tap_model, h_si.grid.points
     grids = np.meshgrid(*sub_vals, indexing="ij")
     tap_configs = np.stack([g.ravel() for g in grids], axis=1)  # (per_tap, 4)
 
-    # single-tap response of every lattice point: (per_tap, K)
-    resp = kernel.tap_model.kernel(tap_configs, h_si.grid.points, kernel.board)[0]
+    # single-tap response of every lattice point, (per_tap, K), as the
+    # kernel's: its first rows hold every (center, q) pair once, and their
+    # filter terms repeat for each (amp, phase)
+    n_cq = sub_vals[2].size * sub_vals[3].size
+    terms = tm.filter(tap_configs[:n_cq, 2], tap_configs[:n_cq, 3], f, kernel.board)[0]
+    gain, turn = weight_factors(tap_configs[:, 0], tap_configs[:, 1])
+    resp = tm.combiner(f, kernel.board)(
+        (gain * turn)[:, None], np.tile(terms, (per_tap // n_cq, 1))
+    )
     target = h_si.values
 
     if num_taps == 1:

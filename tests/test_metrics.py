@@ -9,7 +9,6 @@ from fdecanc import (
     isolation_db,
     rf_sic_db,
 )
-from fdecanc.metrics import write_metrics_csv
 
 
 def resp(values):
@@ -54,14 +53,3 @@ class TestRfSic:
         assert s.per_point_db[0] == np.inf
         assert s.avg_db == pytest.approx(20.0, abs=1e-12)
 
-
-def test_csv_emission(tmp_path):
-    r = resp([0.1, 0.2, 0.5])
-    p = tmp_path / "m.csv"
-    write_metrics_csv(p, r)
-    lines = p.read_text().strip().split("\n")
-    assert lines[0] == "freq_hz,isolation_db,sic_db"
-    assert len(lines) == 4
-    cols = lines[1].split(",")
-    assert float(cols[1]) == pytest.approx(-20.0)
-    assert float(cols[2]) == pytest.approx(20.0)

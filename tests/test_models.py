@@ -26,6 +26,7 @@ from fdecanc import (
     synth_si_channel,
     tline_matrix,
 )
+from fdecanc.models import TAP_MODELS, weight_factors
 from fdecanc.optimizer import ModelKernel
 
 GRID = FrequencyGrid.linspace(850e6, 950e6, 101)
@@ -373,3 +374,39 @@ class TestKernelOracles:
         grid = FrequencyGrid.linspace(880e6, 920e6, 31)
         kernel = ModelKernel(model, synth_si_channel(SynthChannelSpec(), grid))
         assert kernel.objective_batch(xs).tolist() == [kernel.objective(x) for x in xs]
+
+
+class TestKernelFactors:
+    @settings(max_examples=60, deadline=None)
+    @given(
+        model=st.sampled_from(["ideal", "pcb"]),
+        taps=st.integers(1, 5),
+        seed=st.integers(0, 2**32 - 1),
+        board=BOARDS,
+    )
+    def test_kernel_is_weights_combined_with_filter_terms(self, model, taps, seed, board):
+        # bitwise, also when the weights come from per-code tables and the
+        # filter terms from other batches, as the lattice searches build them
+        tm = TAP_MODELS[model]
+        vals = [k.values() for k in quantization_preset(tm.preset).knobs()]
+        rng = np.random.default_rng(seed)
+        codes = np.array([[rng.integers(v.size) for v in vals] for _ in range(taps)])
+        x = np.array([[v[c] for v, c in zip(vals, row)] for row in codes])
+        f = np.linspace(880e6, 920e6, 31)
+        t = tm.kernel(x, f, board)[0]
+        gain, turn = weight_factors(vals[0], vals[1])
+        w = (gain[codes[:, 0]] * turn[codes[:, 1]])[:, None]
+        combine = tm.combiner(f, board)
+        terms = tm.filter(x[:, 2], x[:, 3], f, board)[0]
+        assert combine(w, terms).tobytes() == t.tobytes()
+        for i in range(taps):
+            # every tap's weight on this tap's filter term: an amplitude or
+            # phase move
+            term = tm.filter(x[i : i + 1, 2], x[i : i + 1, 3], f, board)[0]
+            moved = np.column_stack([x[:, :2], np.repeat(x[i : i + 1, 2:], taps, 0)])
+            assert combine(w, term).tobytes() == tm.kernel(moved, f, board)[0].tobytes()
+            # this tap's weight on every tap's filter term, in reverse order:
+            # a filter move
+            rev = tm.filter(x[::-1, 2], x[::-1, 3], f, board)[0]
+            moved = np.column_stack([np.repeat(x[i : i + 1, :2], taps, 0), x[::-1, 2:]])
+            assert combine(w[i : i + 1], rev).tobytes() == tm.kernel(moved, f, board)[0].tobytes()

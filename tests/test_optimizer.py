@@ -1,5 +1,6 @@
 import json
 import logging
+import warnings
 import zlib
 from dataclasses import replace
 
@@ -35,10 +36,11 @@ from fdecanc.optimizer import (
     STOP_REASONS,
     ModelKernel,
     _descend,
-    _grid_indices,
+    _pair_rows,
     config_vector,
     default_bounds,
     fit_pipeline,
+    nearest_codes,
 )
 
 GRID = FrequencyGrid.linspace(890e6, 910e6, 101)
@@ -82,6 +84,40 @@ class TestKnobSpec:
     def test_periodic_snap_wraps(self):
         k = KnobSpec(-np.pi, np.pi, bits=8, periodic=True)
         assert k.snap(np.pi + 0.1) == pytest.approx(k.snap(-np.pi + 0.1))
+
+    def test_single_value_grid(self):
+        k = KnobSpec(0.0, 1.0, step=2.0)
+        assert k.values().tolist() == [0.0]
+        assert k.snap(0.7) == 0.0 and k.codes([0.2, 1.0]).tolist() == [0, 0]
+
+    def test_codes_of_an_array(self):
+        k = KnobSpec(-np.pi, np.pi, bits=8, periodic=True)
+        v = np.array([[np.pi + 0.1, -np.pi + 0.1], [0.0, np.pi]])
+        assert k.codes(v).tolist() == [[k.codes(x).item() for x in row] for row in v]
+        assert k.codes(np.pi).item() == 0  # pi wraps to -pi, code 0
+        with pytest.raises(InvalidArgumentError, match="value -5.0 outside"):
+            KnobSpec(-40.0, -10.0, step=0.25).codes([-12.0, -5.0])
+
+    @settings(max_examples=60, deadline=None)
+    @given(
+        preset=st.sampled_from(["rfic", "pcb"]),
+        knob=st.integers(0, 3),
+        seed=st.integers(0, 2**32 - 1),
+    )
+    def test_nearest_codes_match_argmin(self, preset, knob, seed):
+        # the first index of the smallest |vals - v| rounds midpoints toward
+        # the smaller value; values beyond the grid go to its ends
+        vals = quantization_preset(preset).knobs()[knob].values()
+        rng = np.random.default_rng(seed)
+        k = rng.integers(vals.size - 1, size=8)
+        span = vals[-1] - vals[0]
+        v = np.concatenate([
+            rng.uniform(vals[0] - 0.01 * span, vals[-1] + 0.01 * span, size=8),
+            (vals[k] + vals[k + 1]) / 2.0,
+            vals[k],
+        ])
+        ref = [int(np.argmin(np.abs(vals - x))) for x in v]
+        assert nearest_codes(vals, v).tolist() == ref
 
     def test_validation(self):
         with pytest.raises(InvalidArgumentError):
@@ -459,6 +495,59 @@ class TestOraclePairSearch:
         assert config_vector(rep.config).tolist() == rows[[0, 0]].tolist()
 
 
+def pair_rows_full(target, resp, block=64):
+    """The rows `_pair_rows` keeps, screened over the full square: every row
+    minimum from R[block] @ R.T, with the same slack."""
+    p, k = resp.shape
+    r = resp.view(np.float64)
+    t = target.view(np.float64)
+    norm2 = np.einsum("ij,ij->i", r, r)
+    u = norm2 - 2.0 * (r @ t)
+    row_min = np.empty(p)
+    for b0 in range(0, p, block):
+        g = 2.0 * (r[b0 : b0 + block] @ r.T) + u[None, :]
+        row_min[b0 : b0 + block] = g.min(axis=1)
+    row_min += u + t @ t
+    s = (np.sqrt(t @ t) + 2.0 * np.sqrt(np.max(norm2))) ** 2
+    slack = 16.0 * k * np.finfo(float).eps * s
+    return np.flatnonzero(~(row_min > np.min(row_min) + 2.0 * slack))
+
+
+class TestPairRowsHalfScreen:
+    @settings(max_examples=60, deadline=None)
+    @given(
+        rows=st.integers(1, 200),
+        k=st.integers(1, 12),
+        seed=st.integers(0, 2**32 - 1),
+        planted=st.booleans(),
+        repeats=st.booleans(),
+    )
+    def test_keeps_the_rows_of_the_full_screen(self, rows, k, seed, planted, repeats):
+        rng = np.random.default_rng(seed)
+        resp = rng.normal(size=(rows, k)) + 1j * rng.normal(size=(rows, k))
+        if repeats:
+            # equal rows: many pairs tie
+            resp = resp[rng.integers(max(1, rows // 4), size=rows)]
+        if planted:
+            a, b = rng.integers(rows, size=2)
+            target = resp[a] + resp[b]
+        else:
+            target = rng.normal(size=k) + 1j * rng.normal(size=k)
+        full = pair_rows_full(target, resp)
+        half = _pair_rows(target, resp)
+        assert set(full.tolist()) <= set(half.tolist())
+        assert half.tolist() == full.tolist()
+
+    @pytest.mark.parametrize("model", ["ideal", "pcb"])
+    def test_same_rows_on_the_oracle_sublattice(self, model):
+        spec = quantization_preset("rfic" if model == "ideal" else "pcb")
+        grid = FrequencyGrid.linspace(880e6, 920e6, 41)
+        resp = _tap_rows(model, _sublattice(spec, 6), grid)
+        target = synth_si_channel(SynthChannelSpec(), grid).values
+        for t in (target, 0.3 * target, resp[5] + resp[1000]):
+            assert _pair_rows(t, resp).tolist() == pair_rows_full(t, resp).tolist()
+
+
 def _box(model, taps):
     bounds = quantization_preset("rfic" if model == "ideal" else "pcb").bounds()
     lows = np.tile(bounds.lows(), taps)
@@ -613,7 +702,7 @@ def descend_one(kernel, z0, lows, span, periodic, opts, lam_max=1e32):
                 step = np.full_like(z, np.nan)
             step[bounded] = np.clip(z[bounded] + step[bounded], 0.0, 1.0) - z[bounded]
             cand = project(z + step)
-            fc = kernel.objective(denorm(cand))
+            fc = kernel.objective(denorm(cand)) if np.isfinite(step).all() else np.nan
             if fc < fz:
                 break
             lam *= 4.0
@@ -761,8 +850,10 @@ class TestLockstep:
         kernel = ModelKernel("ideal", synth_si_channel(SynthChannelSpec(), grid))
         lows, span, periodic = _box("ideal", 2)
         z0 = np.random.default_rng(3).uniform(size=(4, lows.size))
-        # the NaN step of a singular matrix scores a NaN objective
-        with np.errstate(invalid="ignore"):
+        # the NaN step of a singular matrix is rejected without being scored,
+        # so no kernel sees a NaN knob
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
             stacked, _, refs, _ = self._descend_both(
                 kernel, z0, lows, span, periodic, SolveOptions(max_iters=30)
             )
@@ -825,8 +916,12 @@ def local_search_scalar(qconfig, model, h_si, spec, max_rounds=10):
     """Coordinate search with one scalar objective call per move:
     (trace, final knob matrix, rounds)."""
     kernel = ModelKernel(model, h_si)
-    idx = _grid_indices(spec, config_vector(qconfig))
     knob_vals = [k.values() for k in spec.knobs()]
+    x0 = config_vector(qconfig)
+    # each knob's nearest code, the first on a tie
+    idx = np.array(
+        [[int(np.argmin(np.abs(v - x))) for v, x in zip(knob_vals, row)] for row in x0]
+    )
 
     def vec(ix):
         return np.array(
@@ -861,22 +956,28 @@ def local_search_scalar(qconfig, model, h_si, spec, max_rounds=10):
 
 
 class TestLocalSearchReference:
-    @settings(max_examples=20, deadline=None)
+    @settings(max_examples=30, deadline=None)
     @given(
         model=st.sampled_from(["ideal", "pcb"]),
-        taps=st.integers(1, 3),
+        taps=st.integers(1, 4),
         seed=st.integers(0, 2**32 - 1),
         max_rounds=st.integers(1, 12),
+        edges=st.booleans(),
     )
-    def test_accepts_same_sequence(self, model, taps, seed, max_rounds):
+    def test_accepts_same_sequence(self, model, taps, seed, max_rounds, edges):
         spec = quantization_preset("rfic" if model == "ideal" else "pcb")
         grid = FrequencyGrid.linspace(880e6, 920e6, 31)
         h = synth_si_channel(SynthChannelSpec(), grid)
         rng = np.random.default_rng(seed)
         knob_vals = [k.values() for k in spec.knobs()]
-        x = np.array(
-            [[v[rng.integers(v.size)] for v in knob_vals] for _ in range(taps)]
-        )
+        codes = np.array([[rng.integers(v.size) for v in knob_vals] for _ in range(taps)])
+        if edges:
+            # first or last codes: the phase wraps there, the others sit on
+            # the box edge with one move
+            last = np.array([v.size - 1 for v in knob_vals])
+            edge = rng.uniform(size=codes.shape) < 0.5
+            codes[edge] = (rng.integers(0, 2, size=codes.shape) * last)[edge]
+        x = np.array([[v[c] for v, c in zip(knob_vals, row)] for row in codes])
         start = ModelKernel(model, h).configs_from_vector(x)
         rep = local_search(start, model, h, spec, max_rounds=max_rounds)
         trace, x_ref, rounds = local_search_scalar(start, model, h, spec, max_rounds)
@@ -884,3 +985,27 @@ class TestLocalSearchReference:
         assert rep.objective == trace[-1]
         assert rep.iterations == rounds
         assert config_vector(rep.config).tolist() == x_ref.tolist()
+
+    def test_logs_each_search_at_debug(self, caplog):
+        spec = quantization_preset("pcb")
+        grid = FrequencyGrid.linspace(880e6, 920e6, 31)
+        h = synth_si_channel(SynthChannelSpec(), grid)
+        start = quantize_config(
+            [PcbTapConfig(-6.0, 0.5, 1.2, 5.0), PcbTapConfig(-9.0, -2.0, 1.8, 9.0)], spec
+        )
+        rep = local_search(start, "pcb", h, spec, max_rounds=20)
+        assert not [r for r in caplog.records if r.name == "fdecanc"]
+        with caplog.at_level(logging.DEBUG, logger="fdecanc"):
+            again = local_search(start, "pcb", h, spec, max_rounds=20)
+        assert again.to_json() == rep.to_json()
+        [rec] = [r for r in caplog.records if r.name == "fdecanc"]
+        assert rec.levelno == logging.DEBUG
+        assert (rec.rounds, rec.accepted) == (rep.iterations, len(rep.trace) - 1)
+        # each round scores one or two codes of each of the 8 knobs; the
+        # filter rows of the two start taps are computed, and every filter
+        # candidate's row is computed or reused
+        assert 8 * rec.rounds <= rec.scored <= 16 * rec.rounds
+        assert rec.filters_computed >= 2 and rec.filters_reused > 0
+        assert rec.filters_computed - 2 + rec.filters_reused <= rec.scored
+        assert rec.wall_s > 0
+        assert rec.getMessage().startswith(f"local search: {rec.rounds} rounds")

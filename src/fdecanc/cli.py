@@ -12,11 +12,13 @@ may also be one value), and `tdma` values that the scenario rejects, such as
 `sweep --points` that gives no valid frequency grid (fewer than 2 points, not
 increasing) and a `model --band` with a frequency that is not positive; a
 --channel file that cannot be read; and an output path (--out, --out-report,
---out-csv) whose directory does not exist or that names a directory.  All are checked before any computation starts.
-All frequency flags accept `start:stop:count` grid syntax; outputs are
-written atomically (temp file + rename) and are deterministic given --seed.
-A `start:stop:count` value that begins with '-' must be attached to its flag
-with '=' (`--gamma-iui-db=-5:5:3`), or argparse reads it as an option.
+--out-csv) whose directory does not exist or that names a directory.  All are
+checked before any computation starts.  Frequency and `uldl` dB flags accept
+`start:stop:count` syntax, count >= 1.  Outputs are deterministic given
+--seed and written atomically (temp file + rename), with the mode the umask
+gives a new file.  A `start:stop:count` value that begins with '-' must be
+attached to its flag with '=' (`--gamma-iui-db=-5:5:3`), or argparse reads
+it as an option.
 """
 
 from __future__ import annotations
@@ -25,13 +27,11 @@ import argparse
 import json
 import os
 import sys
-import tempfile
 
 import numpy as np
 
 from .core import ComplexResponse, FrequencyGrid, amplitude_db, group_delay, unwrapped_phase
 from .errors import FdecancError, InvalidArgumentError
-from .metrics import rf_sic_db
 from .models import (
     TAP_MODELS,
     IdealTapConfig,
@@ -39,6 +39,7 @@ from .models import (
     PcbTapConfig,
     ideal_tap_response,
     pcb_bpf_response_closed_form,
+    weight_factors,
 )
 from .network import (
     MultiUserScenario,
@@ -52,12 +53,13 @@ from .optimizer import (
     ModelKernel,
     SolveOptions,
     config_vector,
-    default_bounds,
     fit_pipeline,
     greedy_extend,
     quantization_preset,
 )
-from .sichannel import SynthChannelSpec, format_si_channel, load_si_channel, synth_si_channel
+from .sichannel import (
+    SynthChannelSpec, atomic_write, load_si_channel, save_si_channel, synth_si_channel,
+)
 
 
 class UsageError(Exception):
@@ -77,27 +79,28 @@ def _grid(start: float, stop: float, count: int, what: str) -> FrequencyGrid:
         raise UsageError(f"{what}: {exc}") from None
 
 
-def _parse_band(text: str) -> FrequencyGrid:
+def _parse_span(text: str, what: str) -> tuple:
+    """A `start:stop:count` value as (start, stop, count), count >= 1."""
     parts = text.split(":")
     if len(parts) != 3:
-        raise UsageError(f"band must be start:stop:count, got {text!r}")
+        raise UsageError(f"{what} must be start:stop:count, got {text!r}")
     try:
         start, stop, count = float(parts[0]), float(parts[1]), int(parts[2])
     except ValueError:
-        raise UsageError(f"malformed band spec {text!r}") from None
-    return _grid(start, stop, count, f"--band {text!r}")
+        raise UsageError(f"malformed {what} spec {text!r}") from None
+    if count < 1:
+        raise UsageError(f"{what} {text!r}: count must be >= 1")
+    return start, stop, count
+
+
+def _parse_band(text: str) -> FrequencyGrid:
+    return _grid(*_parse_span(text, "band"), f"--band {text!r}")
 
 
 def _parse_db_range(text: str) -> np.ndarray:
     """A single dB value or a start:stop:count sweep."""
     if ":" in text:
-        parts = text.split(":")
-        if len(parts) != 3:
-            raise UsageError(f"range must be start:stop:count, got {text!r}")
-        try:
-            return np.linspace(float(parts[0]), float(parts[1]), int(parts[2]))
-        except ValueError:
-            raise UsageError(f"malformed range spec {text!r}") from None
+        return np.linspace(*_parse_span(text, "range"))
     try:
         return np.array([float(text)])
     except ValueError:
@@ -131,17 +134,19 @@ def _check_at_least_one(args, *flags) -> None:
             raise UsageError(f"--{flag.replace('_', '-')} must be >= 1")
 
 
-def _quantization_spec(args):
-    """The `--quantize` preset, which must be the `--model`'s own."""
+def _solver_setup(args) -> tuple:
+    """(SolveOptions, `--quantize` spec or None); the preset must be `--model`'s."""
+    _check_at_least_one(args, "restarts", "max_iters")
+    opts = SolveOptions(restarts=args.restarts, max_iters=args.max_iters, seed=args.seed)
     if args.quantize is None:
-        return None
+        return opts, None
     own = TAP_MODELS[args.model].preset
     if args.quantize != own:
         raise UsageError(
             f"--quantize {args.quantize} is not a preset of --model {args.model} "
             f"(use --quantize {own})"
         )
-    return quantization_preset(args.quantize)
+    return opts, quantization_preset(args.quantize)
 
 
 def _check_out_paths(args) -> None:
@@ -157,19 +162,6 @@ def _check_out_paths(args) -> None:
 
 def _snr_linear(db: float) -> float:
     return 10.0 ** (db / 10.0)
-
-
-def _atomic_write(path: str, content: str) -> None:
-    d = os.path.dirname(os.path.abspath(path))
-    fd, tmp = tempfile.mkstemp(dir=d, prefix=".tmp-", suffix=".part")
-    try:
-        with os.fdopen(fd, "w", encoding="utf-8", newline="") as fh:
-            fh.write(content)
-        os.replace(tmp, path)
-    except BaseException:
-        if os.path.exists(tmp):
-            os.unlink(tmp)
-        raise
 
 
 # ---------------------------------------------------------------------------
@@ -188,15 +180,15 @@ def cmd_model(args) -> int:
     else:
         cfg = PcbTapConfig(args.amp_db, args.phase, args.cf_pf, args.cq_pf)
         bare = pcb_bpf_response_closed_form(cfg, PcbBoardParams(), grid)
-        weight = 10.0 ** (args.amp_db / 20.0) * np.exp(-1j * args.phase)
-        r = ComplexResponse(grid, weight * bare.values)
+        gain, turn = weight_factors(args.amp_db, args.phase)
+        r = ComplexResponse(grid, gain * turn * bare.values)
     amp = amplitude_db(r)
     ph = unwrapped_phase(r)
     gd = group_delay(r)
     lines = ["freq_hz,amp_db,phase_rad,gd_s"]
     for f, a, p, g in zip(grid.points, amp, ph, gd):
         lines.append("%.17g,%.17g,%.17g,%.17g" % (f, a, p, g))
-    _atomic_write(args.out, "\n".join(lines) + "\n")
+    atomic_write(args.out, "\n".join(lines) + "\n")
     return 0
 
 
@@ -217,10 +209,9 @@ def _load_or_synth(args):
 
 
 def cmd_fit(args) -> int:
-    _check_at_least_one(args, "taps", "restarts", "max_iters")
-    spec = _quantization_spec(args)
+    _check_at_least_one(args, "taps")
+    opts, spec = _solver_setup(args)
     h_si = _load_or_synth(args)
-    opts = SolveOptions(restarts=args.restarts, max_iters=args.max_iters, seed=args.seed)
     cont, quant = fit_pipeline(args.model, h_si, args.taps, opts, spec)
     rep = quant if quant is not None else cont
     report = rep.to_dict()
@@ -229,15 +220,13 @@ def cmd_fit(args) -> int:
     if quant is not None:
         report["continuous_objective"] = cont.objective
         report["continuous_avg_sic_db"] = cont.avg_sic_db
-    _atomic_write(args.out_report, json.dumps(report, indent=2, sort_keys=True) + "\n")
+    atomic_write(args.out_report, json.dumps(report, indent=2, sort_keys=True) + "\n")
     if args.out_csv:
-        kernel = ModelKernel(args.model, h_si)
-        resid = h_si.values - kernel.response_values(config_vector(rep.config))
-        sic = rf_sic_db(ComplexResponse(h_si.grid, resid)).per_point_db
+        sic = ModelKernel(args.model, h_si).sic(config_vector(rep.config)).per_point_db
         lines = ["freq_hz,sic_db"]
         for f, sdb in zip(h_si.grid.points, sic):
             lines.append("%.17g,%.17g" % (f, sdb))
-        _atomic_write(args.out_csv, "\n".join(lines) + "\n")
+        atomic_write(args.out_csv, "\n".join(lines) + "\n")
     if rep.avg_sic_db < args.min_sic_db:
         print(
             f"average SIC {rep.avg_sic_db:.3f} dB below threshold {args.min_sic_db} dB",
@@ -252,11 +241,8 @@ def cmd_sweep(args) -> int:
     bw_list = _parse_list(args.bandwidths_mhz, float, "--bandwidths-mhz")
     if min(taps_list) < 1 or not all(bw > 0 for bw in bw_list):
         raise UsageError("--taps values must be >= 1 and --bandwidths-mhz values > 0")
-    _check_at_least_one(args, "restarts", "max_iters")
-    spec = _quantization_spec(args)
+    opts, spec = _solver_setup(args)
     center = args.center_mhz * 1e6
-    opts = SolveOptions(restarts=args.restarts, max_iters=args.max_iters, seed=args.seed)
-    bounds = spec.bounds() if spec is not None else default_bounds(args.model)
     bws = [bw_mhz * 1e6 for bw_mhz in bw_list]
     grids = [
         _grid(center - bw / 2, center + bw / 2, args.points, f"--points {args.points}")
@@ -273,11 +259,7 @@ def cmd_sweep(args) -> int:
         for m in taps_list:
             inits = None
             if prev is not None and m > prev[0]:
-                inits = [
-                    greedy_extend(
-                        args.model, h_si, prev[1], m, bounds, seed=args.seed
-                    )
-                ]
+                inits = [greedy_extend(args.model, h_si, prev[1], m, seed=args.seed)]
             cont, quant = fit_pipeline(
                 args.model, h_si, m, opts, spec, init_configs=inits
             )
@@ -291,7 +273,7 @@ def cmd_sweep(args) -> int:
                     "%d,%.17g,quantized,%.17g,%.17g"
                     % (m, bw, quant.avg_sic_db, pow_db(quant, args.points))
                 )
-    _atomic_write(args.out, "\n".join(lines) + "\n")
+    atomic_write(args.out, "\n".join(lines) + "\n")
     return 0
 
 
@@ -319,7 +301,7 @@ def cmd_network_uldl(args) -> int:
                 lines.append(
                     "%.17g,%.17g,%.17g,%.17g,%.17g,%.17g" % (u, d, q, hd, fd, gain)
                 )
-    _atomic_write(args.out, "\n".join(lines) + "\n")
+    atomic_write(args.out, "\n".join(lines) + "\n")
     return 0
 
 
@@ -360,7 +342,7 @@ def cmd_network_tdma(args) -> int:
     lines.append("0,%s,%.17g,%.17g,%.17g" % (args.schedule, res["total"], res["jfi"], gain))
     for i, r in enumerate(res["per_user"]):
         lines.append("0,user%d,%.17g,," % (i, r))
-    _atomic_write(args.out, "\n".join(lines) + "\n")
+    atomic_write(args.out, "\n".join(lines) + "\n")
     return 0
 
 
@@ -377,7 +359,7 @@ def cmd_genchannel(args) -> int:
         base_delay_s=args.base_delay_ns * 1e-9,
         reflections=refl,
     )
-    _atomic_write(args.out, format_si_channel(synth_si_channel(spec, grid)))
+    save_si_channel(args.out, synth_si_channel(spec, grid))
     return 0
 
 
@@ -394,9 +376,18 @@ _RANGE_HELP = (
 def build_parser() -> _Parser:
     p = _Parser(prog="fdecanc", description=__doc__)
     sub = p.add_subparsers(dest="command", required=True)
+    solver_flags = argparse.ArgumentParser(add_help=False)  # of `fit` and `sweep`
+    solver_flags.add_argument("--model", choices=list(TAP_MODELS), default="ideal")
+    solver_flags.add_argument("--seed", type=int, default=0)
+    solver_flags.add_argument("--restarts", type=int, default=16)
+    solver_flags.add_argument("--max-iters", type=int, default=500)
+    presets = {tm.preset: tm.name for tm in TAP_MODELS.values()}
+    owners = " or ".join(f"{preset} ({model})" for preset, model in presets.items())
+    solver_flags.add_argument("--quantize", choices=list(presets),
+                              help=f"lattice preset of --model: {owners}")
 
     pm = sub.add_parser("model", help="evaluate one tap's transfer function")
-    pm.add_argument("--kind", choices=["ideal", "pcb"], required=True)
+    pm.add_argument("--kind", choices=list(TAP_MODELS), required=True)
     pm.add_argument("--amp-db", type=float, default=0.0)
     pm.add_argument("--phase", type=float, default=0.0)
     pm.add_argument("--fc", type=float, default=None)
@@ -407,33 +398,25 @@ def build_parser() -> _Parser:
     pm.add_argument("--out", default="model.csv")
     pm.set_defaults(func=cmd_model)
 
-    pf = sub.add_parser("fit", help="optimize a canceller against an SI channel")
+    pf = sub.add_parser(
+        "fit", parents=[solver_flags], help="optimize a canceller against an SI channel"
+    )
     pf.add_argument("--channel", default=None)
     pf.add_argument("--synth", action="store_true")
     pf.add_argument("--band", default=None)
-    pf.add_argument("--model", choices=list(TAP_MODELS), default="ideal")
     pf.add_argument("--taps", type=int, default=2)
-    pf.add_argument("--seed", type=int, default=0)
-    pf.add_argument("--restarts", type=int, default=16)
-    pf.add_argument("--max-iters", type=int, default=500)
-    pf.add_argument("--quantize", choices=["rfic", "pcb"], default=None,
-                    help="lattice preset of --model: rfic (ideal) or pcb (pcb)")
     pf.add_argument("--min-sic-db", type=float, default=0.0)
     pf.add_argument("--out-report", default="report.json")
     pf.add_argument("--out-csv", default=None)
     pf.set_defaults(func=cmd_fit)
 
-    ps = sub.add_parser("sweep", help="avg SIC over (taps, bandwidth) grid")
+    ps = sub.add_parser(
+        "sweep", parents=[solver_flags], help="avg SIC over (taps, bandwidth) grid"
+    )
     ps.add_argument("--taps", default="1,2,3,4")
     ps.add_argument("--bandwidths-mhz", default="20,40,80")
     ps.add_argument("--center-mhz", type=float, default=900.0)
     ps.add_argument("--points", type=int, default=101)
-    ps.add_argument("--model", choices=list(TAP_MODELS), default="ideal")
-    ps.add_argument("--quantize", choices=["rfic", "pcb"], default=None,
-                    help="lattice preset of --model: rfic (ideal) or pcb (pcb)")
-    ps.add_argument("--seed", type=int, default=0)
-    ps.add_argument("--restarts", type=int, default=16)
-    ps.add_argument("--max-iters", type=int, default=500)
     ps.add_argument("--out", default="sweep.csv")
     ps.set_defaults(func=cmd_sweep)
 

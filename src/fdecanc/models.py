@@ -386,7 +386,8 @@ def shunt_admittance(r_ohm: float, l_h: float, c_f: float, f_hz: float) -> compl
 
 def _tank_admittances(cfg: PcbTapConfig, params: PcbBoardParams, f: np.ndarray):
     """Y_F and Y_Q of one PCB tap's tanks on the frequencies f."""
-    _, y_f, y_q, _ = _pcb_kernel(TAP_MODELS["pcb"].vector([cfg]), f, params)
+    x = TAP_MODELS["pcb"].vector([cfg])
+    _, y_f, y_q, _ = _pcb_filter(x[:, 2], x[:, 3], f, params)
     return y_f[0], y_q[0]
 
 
@@ -416,9 +417,10 @@ def pcb_bpf_response_closed_form(
     attenuation/delay.  Algebraically identical to `pcb_bpf_response_abcd`.
     """
     f = _positive_points(grid, "PCB BPF")
-    m_c = _pcb_kernel(TAP_MODELS["pcb"].vector([cfg]), f, params)[3][0]
+    x = TAP_MODELS["pcb"].vector([cfg])
+    bare, _, _, m_c = _pcb_filter(x[:, 2], x[:, 3], f, params)
     _check_nonsingular(m_c, f)
-    return ComplexResponse(grid, 1.0 / (params.r_s_ohm * m_c))
+    return ComplexResponse(grid, bare[0])
 
 
 def pcb_canceller_response(

@@ -30,7 +30,7 @@ import numpy as np
 
 from .core import ComplexResponse, FrequencyGrid
 from .errors import InvalidArgumentError, LatticeTooLargeError, SolverFailureError
-from .metrics import rf_sic_db
+from .metrics import SicSummary, rf_sic_db
 from .models import PcbBoardParams, tap_model, tap_model_of, weight_factors
 
 LATTICE_CAP = 10**7
@@ -199,12 +199,12 @@ class ModelKernel:
         k = self._f.size
         return self._target - taps.reshape(p, m, k).sum(axis=1), jac.reshape(p, 4 * m, k)
 
-    def configs_from_vector(self, x: np.ndarray):
-        return self.tap_model.configs(x)
+    def sic(self, x: np.ndarray) -> SicSummary:
+        """RF SIC of the residual h_si - H(x)."""
+        return rf_sic_db(ComplexResponse(self.h_si.grid, self._target - self.response_values(x)))
 
     def avg_sic_db(self, x: np.ndarray) -> float:
-        resid = self._target - self.response_values(x)
-        return rf_sic_db(ComplexResponse(self.h_si.grid, resid)).avg_db
+        return self.sic(x).avg_db
 
 
 def _objectives(target: np.ndarray, taps: np.ndarray) -> np.ndarray:
@@ -294,8 +294,7 @@ def residual_objective(h_si: ComplexResponse, h_canc: ComplexResponse) -> float:
     """sum_k |H_SI(f_k) - H(f_k)|^2."""
     if h_canc.grid != h_si.grid:
         raise InvalidArgumentError("responses must share a grid")
-    d = h_si.values - h_canc.values
-    return float(np.sum(d.real**2 + d.imag**2))
+    return float(_objectives(h_si.values, h_canc.values[None, :]))
 
 
 STOP_REASONS = ("tol", "max_iters", "no_descent", "non_finite")
@@ -591,7 +590,7 @@ def solve_continuous(
     z, fz, trace, reason, r = best
     x = lows + z * span
     return SolveReport(
-        config=kernel.configs_from_vector(x),
+        config=kernel.tap_model.configs(x),
         objective=fz,
         avg_sic_db=kernel.avg_sic_db(x),
         iterations=len(trace) - 1,
@@ -724,7 +723,7 @@ def local_search(
                   "computed and %(filters_reused)d reused, %(wall_s).6f s",
                   info, extra=info)
     return SolveReport(
-        config=kernel.configs_from_vector(x),
+        config=kernel.tap_model.configs(x),
         objective=fx,
         avg_sic_db=kernel.avg_sic_db(x),
         iterations=rounds,
@@ -956,8 +955,7 @@ def grid_search_oracle(
     target = h_si.values
 
     if num_taps == 1:
-        d = target[None, :] - resp
-        obj = np.sum(d.real**2 + d.imag**2, axis=1)
+        obj = _objectives(target, resp[:, None, :])
         best = int(np.argmin(obj))
         x = tap_configs[best : best + 1]
         fbest = float(obj[best])
@@ -974,7 +972,7 @@ def grid_search_oracle(
         x = tap_configs[list(best_pair)]
 
     return SolveReport(
-        config=kernel.configs_from_vector(x),
+        config=kernel.tap_model.configs(x),
         objective=fbest,
         avg_sic_db=kernel.avg_sic_db(x),
         iterations=total,

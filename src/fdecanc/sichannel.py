@@ -8,6 +8,7 @@ frequency-selective stand-in with a prescribed mean isolation and bulk delay.
 from __future__ import annotations
 
 import csv
+import os
 from dataclasses import dataclass
 
 import numpy as np
@@ -59,10 +60,25 @@ def format_si_channel(r: ComplexResponse) -> str:
     return "".join(rows)
 
 
+def atomic_write(path, text: str) -> None:
+    """Write `text` to `path` via a temp file beside it and a rename; the file
+    gets the mode `open(path, "w")` gives a new file, 0o666 less the umask."""
+    tmp = os.path.join(
+        os.path.dirname(os.path.abspath(path)), f".tmp-{os.urandom(6).hex()}.part"
+    )
+    fh = open(tmp, "x", encoding="utf-8", newline="")
+    try:
+        with fh:
+            fh.write(text)
+        os.replace(tmp, path)
+    except BaseException:
+        os.unlink(tmp)
+        raise
+
+
 def save_si_channel(path, r: ComplexResponse) -> None:
-    """Write the canonical CSV of :func:`format_si_channel`."""
-    with open(path, "w", newline="", encoding="utf-8") as fh:
-        fh.write(format_si_channel(r))
+    """Write the canonical CSV of :func:`format_si_channel` atomically."""
+    atomic_write(path, format_si_channel(r))
 
 
 def load_si_channel(path) -> ComplexResponse:

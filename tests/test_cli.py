@@ -1,4 +1,5 @@
 import json
+import os
 
 import numpy as np
 import pytest
@@ -13,7 +14,7 @@ from fdecanc import (
     save_si_channel,
     synth_si_channel,
 )
-from fdecanc.cli import main
+from fdecanc.cli import build_parser, main
 from fdecanc.core import FrequencyGrid
 
 
@@ -101,17 +102,25 @@ class TestFitCommand:
         assert rep["model"] == "ideal"
         assert rep["objective"] >= rep["continuous_objective"]
 
-    def test_out_csv_rows(self, tmp_path):
+    @pytest.mark.parametrize(
+        "model,preset", [("ideal", None), ("ideal", "rfic"), ("pcb", "pcb")]
+    )
+    def test_out_csv_rows(self, tmp_path, model, preset):
         out = tmp_path / "r.json"
         csv = tmp_path / "sic.csv"
+        quantize = ["--quantize", preset] if preset else []
         rc = main(
             ["fit", "--synth", "--band", "890e6:910e6:21", "--taps", "1",
-             *FIT_FAST, "--out-report", str(out), "--out-csv", str(csv)]
+             "--model", model, *quantize, *FIT_FAST,
+             "--out-report", str(out), "--out-csv", str(csv)]
         )
         assert rc == 0
         header, rows = read_rows(csv)
         assert header == ["freq_hz", "sic_db"]
         assert len(rows) == 21
+        # the per-point SIC is the residual the report's average is taken of
+        sic = np.array([float(r[1]) for r in rows])
+        assert np.mean(sic) == json.loads(out.read_text())["avg_sic_db"]
 
     def test_malformed_channel_exit_2(self, tmp_path):
         ch = tmp_path / "ch.csv"
@@ -240,6 +249,25 @@ class TestNetworkTdma:
         assert float(rows[0][4]) == pytest.approx(1.0, abs=1e-12)
 
 
+class TestOutputFiles:
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["network", "uldl", "--gamma-ul-db", "0:20:3", "--gamma-dl-db", "10"],
+            ["genchannel", "--band", "850e6:950e6:11"],
+        ],
+    )
+    def test_mode_follows_umask(self, tmp_path, argv):
+        out = tmp_path / "o.csv"
+        old = os.umask(0o027)
+        try:
+            assert main([*argv, "--out", str(out)]) == 0
+        finally:
+            os.umask(old)
+        assert out.stat().st_mode & 0o777 == 0o640
+        assert os.listdir(tmp_path) == ["o.csv"]
+
+
 class TestGenchannel:
     def test_round_trip(self, tmp_path):
         out = tmp_path / "ch.csv"
@@ -325,6 +353,9 @@ class TestUsageErrors:
             ["fit", "--synth", "--band", "890e6:910e6:1"],
             ["genchannel", "--band", "890e6:910e6:1"],
             ["sweep", "--points", "1"],
+            ["network", "uldl", "--gamma-ul-db", "0:30:0", "--gamma-dl-db", "10"],
+            ["network", "uldl", "--gamma-ul-db", "0", "--gamma-dl-db", "0",
+             "--gamma-iui-db=0:5:0"],
         ],
     )
     def test_malformed_value_is_one_line_usage_error(
@@ -377,3 +408,23 @@ class TestUsageErrors:
         err = capsys.readouterr().err
         assert err.startswith("usage error: ") and err.count("\n") == 1
         assert list(tmp_path.iterdir()) == []
+
+
+class TestParser:
+    def test_solver_flags_parse_as_before(self):
+        # `fit` and `sweep` share their solver flags; every dest and default
+        # stays as when each command declared its own
+        solver = {"model": "ideal", "seed": 0, "restarts": 16, "max_iters": 500,
+                  "quantize": None}
+        expect = {
+            "fit": {"command": "fit", "channel": None, "synth": False, "band": None,
+                    "taps": 2, "min_sic_db": 0.0, "out_report": "report.json",
+                    "out_csv": None, **solver},
+            "sweep": {"command": "sweep", "taps": "1,2,3,4",
+                      "bandwidths_mhz": "20,40,80", "center_mhz": 900.0,
+                      "points": 101, "out": "sweep.csv", **solver},
+        }
+        for command, want in expect.items():
+            got = vars(build_parser().parse_args([command]))
+            got.pop("func")
+            assert got == want

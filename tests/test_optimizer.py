@@ -978,7 +978,7 @@ class TestLocalSearchReference:
             edge = rng.uniform(size=codes.shape) < 0.5
             codes[edge] = (rng.integers(0, 2, size=codes.shape) * last)[edge]
         x = np.array([[v[c] for v, c in zip(knob_vals, row)] for row in codes])
-        start = ModelKernel(model, h).configs_from_vector(x)
+        start = TAP_MODELS[model].configs(x)
         rep = local_search(start, model, h, spec, max_rounds=max_rounds)
         trace, x_ref, rounds = local_search_scalar(start, model, h, spec, max_rounds)
         assert rep.trace == trace

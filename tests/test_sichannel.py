@@ -1,6 +1,9 @@
+import os
+
 import numpy as np
 import pytest
 
+from fdecanc import sichannel
 from fdecanc import (
     ChannelFormatError,
     ComplexResponse,
@@ -53,6 +56,35 @@ class TestLoadSave:
         r2 = load_si_channel(p)
         assert np.array_equal(r.grid.points, r2.grid.points)
         assert np.array_equal(r.values, r2.values)
+
+    def test_save_mode_follows_umask(self, tmp_path):
+        grid = FrequencyGrid.linspace(850e6, 950e6, 11)
+        p = tmp_path / "ch.csv"
+        old = os.umask(0o027)
+        try:
+            save_si_channel(p, synth_si_channel(SynthChannelSpec(), grid))
+        finally:
+            os.umask(old)
+        assert p.stat().st_mode & 0o777 == 0o640
+
+    @pytest.mark.parametrize("fail", ["write", "rename"])
+    def test_failed_save_keeps_target(self, tmp_path, monkeypatch, fail):
+        p = tmp_path / "ch.csv"
+        p.write_bytes(b"freq_hz,re,im\n1,2,3\n")
+
+        def boom(*args):
+            raise OSError("injected")
+
+        if fail == "write":
+            # a lone surrogate cannot be encoded, so the write itself raises
+            monkeypatch.setattr(sichannel, "format_si_channel", lambda r: "\ud800")
+        else:
+            monkeypatch.setattr(os, "replace", boom)
+        grid = FrequencyGrid.linspace(850e6, 950e6, 11)
+        with pytest.raises((OSError, UnicodeEncodeError)):
+            save_si_channel(p, synth_si_channel(SynthChannelSpec(), grid))
+        assert p.read_bytes() == b"freq_hz,re,im\n1,2,3\n"
+        assert os.listdir(tmp_path) == ["ch.csv"]
 
 
 class TestSynth:

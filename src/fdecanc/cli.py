@@ -10,8 +10,9 @@ may also be one value), and `tdma` values that the scenario rejects, such as
 `--users` other than 2 or 3 or fewer `--slots` than `--users`; a negative
 `uldl --gamma-self` or a `--bandwidth-hz` that is not positive; a `--band` or
 `sweep --points` that gives no valid frequency grid (fewer than 2 points, not
-increasing) and a `model --band` with a frequency that is not positive; a
---channel file that cannot be read; and an output path (--out, --out-report,
+increasing); a frequency that is not positive in any `--band`, in a `sweep`
+band from `--center-mhz` and `--bandwidths-mhz` or in a `fit --channel` file;
+a --channel file that cannot be read; and an output path (--out, --out-report,
 --out-csv) whose directory does not exist or that names a directory.  All are
 checked before any computation starts.  Frequency and `uldl` dB flags accept
 `start:stop:count` syntax, count >= 1.  Outputs are deterministic given
@@ -71,12 +72,20 @@ class _Parser(argparse.ArgumentParser):
         raise UsageError(message)
 
 
+def _check_positive(grid: FrequencyGrid, what: str) -> None:
+    if grid.points[0] <= 0:
+        raise UsageError(f"{what}: tap models need positive frequencies")
+
+
 def _grid(start: float, stop: float, count: int, what: str) -> FrequencyGrid:
-    """`FrequencyGrid.linspace`, with a grid it rejects as a usage error."""
+    """`FrequencyGrid.linspace`, with a grid it rejects or a frequency that is
+    not positive as a usage error."""
     try:
-        return FrequencyGrid.linspace(start, stop, count)
+        grid = FrequencyGrid.linspace(start, stop, count)
     except (InvalidArgumentError, ValueError) as exc:
         raise UsageError(f"{what}: {exc}") from None
+    _check_positive(grid, what)
+    return grid
 
 
 def _parse_span(text: str, what: str) -> tuple:
@@ -170,8 +179,6 @@ def _snr_linear(db: float) -> float:
 
 def cmd_model(args) -> int:
     grid = _parse_band(args.band)
-    if grid.points[0] <= 0:
-        raise UsageError(f"--band {args.band!r}: tap models need positive frequencies")
     if args.kind == "ideal":
         if args.fc is None:
             raise UsageError("--fc is required for --kind ideal")
@@ -195,11 +202,13 @@ def cmd_model(args) -> int:
 def _load_or_synth(args):
     if args.channel is not None:
         try:
-            return load_si_channel(args.channel)
+            h_si = load_si_channel(args.channel)
         except OSError as exc:
             raise UsageError(
                 f"cannot read --channel {args.channel!r}: {exc.strerror or exc}"
             ) from None
+        _check_positive(h_si.grid, f"--channel {args.channel!r}")
+        return h_si
     if not args.synth:
         raise UsageError("provide --channel FILE or --synth")
     if args.band is None:
@@ -245,7 +254,9 @@ def cmd_sweep(args) -> int:
     center = args.center_mhz * 1e6
     bws = [bw_mhz * 1e6 for bw_mhz in bw_list]
     grids = [
-        _grid(center - bw / 2, center + bw / 2, args.points, f"--points {args.points}")
+        _grid(center - bw / 2, center + bw / 2, args.points,
+              f"--center-mhz {args.center_mhz:g} with bandwidth {bw / 1e6:g} MHz "
+              f"and --points {args.points}")
         for bw in bws
     ]
     lines = ["taps,bandwidth_hz,mode,avg_sic_db,avg_sic_pow_db"]

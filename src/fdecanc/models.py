@@ -12,12 +12,12 @@ five-matrix ABCD cascade; the cascade (`pcb_bpf_response_abcd`) is kept as
 the oracle that the closed form must match pointwise.
 
 `TAP_MODELS` has one entry per model: config class, knob fields in
-knob-vector order, quantization preset, and one vectorized kernel for M taps
-from an (M, 4) knob matrix, with its analytic Jacobian.  Each kernel is the
-weights A e^{-j phi} combined with a filter term of the two filter knobs, and
-the entry exposes both pieces for searches that cache them per lattice code.
-The per-config functions here, the solvers, the lattice oracle and the CLI
-all evaluate taps through these kernels.
+knob-vector order, quantization preset, filter, combiner and analytic
+Jacobian.  A tap's response is its weight A e^{-j phi} combined with a filter
+term of the two filter knobs; `TapModel.kernel` builds it for M taps from an
+(M, 4) knob matrix, and searches that cache both pieces per lattice code
+combine them the same way.  The per-config functions here, the solvers, the
+lattice oracle and the CLI all evaluate taps from these two pieces.
 """
 
 from __future__ import annotations
@@ -154,10 +154,10 @@ def _tap_jacobian(t, d_center, d_q):
     return np.stack((t * (np.log(10.0) / 20.0), -1j * t, d_center, d_q), axis=1)
 
 
-# Each kernel is combine(w, filter term), the term a function of the (center,
-# q) knobs alone.  The lattice searches cache weights and filter terms per
-# code and combine them with the same function, so their tap rows are
-# bitwise the kernel's.
+# A model's kernel is combine(w, filter term), the term a function of the
+# (center, q) knobs alone.  The Jacobians and the lattice searches build their
+# tap rows from the same two functions, so every tap row is bitwise the
+# kernel's.
 
 
 def _ideal_filter(center, q, f, board=None):
@@ -172,21 +172,14 @@ def _ideal_combiner(f, board=None):
     return np.divide
 
 
-def _ideal_kernel(x: np.ndarray, f: np.ndarray, board=None):
-    """Per-tap responses T (M, K) of M ideal taps, knobs (amp_db, phase_rad,
-    f_c, Q), with the detuning ratio f_c/f - f/f_c and the denominator
-    D = 1 - jQ*ratio that the Jacobian reuses.  `board` is unused."""
-    d, ratio = _ideal_filter(x[:, 2], x[:, 3], f)
-    return _ideal_combiner(f)(_weights(x), d), ratio, d
-
-
 def _ideal_jacobian(x: np.ndarray, f: np.ndarray, board=None):
     """T (M, K) and dT/dx (M, 4, K) of M ideal taps by (amp_db, phase_rad,
     f_c, Q):
 
         T ln10/20,   -jT,   jQ (1/f + f/f_c^2) T/D,   j ratio T/D.
     """
-    t, ratio, d = _ideal_kernel(x, f)
+    d, ratio = _ideal_filter(x[:, 2], x[:, 3], f)
+    t = _ideal_combiner(f)(_weights(x), d)
     fc = x[:, 2, None]
     t_d = t / d
     d_fc = 1j * x[:, 3, None] * (1.0 / f[None, :] + f[None, :] / (fc * fc)) * t_d
@@ -220,26 +213,18 @@ def _pcb_filter(center, q, f, board: PcbBoardParams):
 
 def _pcb_combiner(f, board: PcbBoardParams):
     """combine(w, B) = E (w B), with the board's global attenuation/delay
-    E = lin(A_0) e^{-j 2 pi f tau_0} computed once."""
+    E = lin(A_0) e^{-j 2 pi f tau_0} computed once; E is linear, so a PCB
+    canceller's response is the sum of its tap rows."""
     e = 10.0 ** (board.a0_db / 20.0) * np.exp(-2j * np.pi * f * board.tau0_s)
     return lambda w, b: e * (w * b)
-
-
-def _pcb_kernel(x: np.ndarray, f: np.ndarray, board: PcbBoardParams):
-    """Per-tap responses T (M, K) of M PCB taps, knobs (amp_db, phase_rad,
-    C_F, C_Q) with C in pF, including the global attenuation/delay factor
-    (linear, so the canceller response is the row sum), with the tank
-    admittances Y_F, Y_Q and the cascade's C-entry M_C that the Jacobian
-    reuses; H_BPF = 1/(R_S M_C) is the filter term of `_pcb_filter`."""
-    b, y_f, y_q, m_c = _pcb_filter(x[:, 2], x[:, 3], f, board)
-    return _pcb_combiner(f, board)(_weights(x), b), y_f, y_q, m_c
 
 
 def _pcb_jacobian(x: np.ndarray, f: np.ndarray, board: PcbBoardParams):
     """T (M, K) and dT/dx (M, 4, K) of M PCB taps by (amp_db, phase_rad,
     C_F, C_Q); by the chain rule through Y = ... + jwC*1e-12,
     dT/dC = -T/M_C * dM_C/dY * jw*1e-12."""
-    t, y_f, y_q, m_c = _pcb_kernel(x, f, board)
+    b, y_f, y_q, m_c = _pcb_filter(x[:, 2], x[:, 3], f, board)
+    t = _pcb_combiner(f, board)(_weights(x), b)
     bl = board.beta_l_rad
     z0 = board.z0_ohm
     s2 = np.sin(2.0 * bl)
@@ -263,22 +248,28 @@ def _pcb_jacobian(x: np.ndarray, f: np.ndarray, board: PcbBoardParams):
 class TapModel:
     """One tap model of `TAP_MODELS`.
 
-    `kernel(x, f, board)` returns the per-tap responses T (M, K) of the
-    (M, 4) knob matrix x first, then the terms its Jacobian reuses;
-    `jacobian(x, f, board)` returns T and dT/dx (M, 4, K).  The kernel is
-    `combiner(f, board)(w, filter(x[:, 2], x[:, 3], f, board)[0])` with the
-    weights w = gain * turn of `weight_factors`, shape (M, 1), bitwise.  Knob
-    rows follow `knobs`, the config fields in knob-vector order.
+    `filter(center, q, f, board)` returns the filter terms (M, K) of the
+    two filter knobs first, then the terms the Jacobian reuses;
+    `combiner(f, board)` returns the function that combines weights with
+    filter terms into per-tap responses T; `jacobian(x, f, board)` returns T
+    and dT/dx (M, 4, K).  Knob rows follow `knobs`, the config fields in
+    knob-vector order.
     """
 
     name: str
     config_class: type
     knobs: tuple
     preset: str
-    kernel: Callable
     jacobian: Callable
     filter: Callable
     combiner: Callable
+
+    def kernel(self, x: np.ndarray, f: np.ndarray, board=None) -> np.ndarray:
+        """Per-tap responses T (M, K) of the (M, 4) knob matrix x: the weights
+        w = gain * turn of `weight_factors`, shape (M, 1), combined with the
+        filter terms."""
+        terms = self.filter(x[:, 2], x[:, 3], f, board)[0]
+        return self.combiner(f, board)(_weights(x), terms)
 
     def vector(self, cfgs) -> np.ndarray:
         """The (M, 4) knob matrix of a list of this model's tap configs."""
@@ -300,11 +291,11 @@ class TapModel:
 TAP_MODELS = {
     "ideal": TapModel(
         "ideal", IdealTapConfig, ("amp_db", "phase_rad", "center_hz", "q"), "rfic",
-        _ideal_kernel, _ideal_jacobian, _ideal_filter, _ideal_combiner,
+        _ideal_jacobian, _ideal_filter, _ideal_combiner,
     ),
     "pcb": TapModel(
         "pcb", PcbTapConfig, ("amp_db", "phase_rad", "cf_pf", "cq_pf"), "pcb",
-        _pcb_kernel, _pcb_jacobian, _pcb_filter, _pcb_combiner,
+        _pcb_jacobian, _pcb_filter, _pcb_combiner,
     ),
 }
 
@@ -348,8 +339,8 @@ def ideal_tap_response(cfg: IdealTapConfig, grid: FrequencyGrid) -> ComplexRespo
     linear(amp_db) * e^{-j phase_rad}.
     """
     f = _positive_points(grid, "ideal tap")
-    taps = _ideal_kernel(TAP_MODELS["ideal"].vector([cfg]), f)[0]
-    return ComplexResponse(grid, taps[0])
+    tm = TAP_MODELS["ideal"]
+    return ComplexResponse(grid, tm.kernel(tm.vector([cfg]), f)[0])
 
 
 def multi_tap_response(cfgs, grid: FrequencyGrid) -> ComplexResponse:
@@ -357,8 +348,8 @@ def multi_tap_response(cfgs, grid: FrequencyGrid) -> ComplexResponse:
     if not cfgs:
         raise InvalidArgumentError("need at least one tap")
     f = _positive_points(grid, "ideal tap")
-    taps = _ideal_kernel(TAP_MODELS["ideal"].vector(cfgs), f)[0]
-    return ComplexResponse(grid, taps.sum(axis=0))
+    tm = TAP_MODELS["ideal"]
+    return ComplexResponse(grid, tm.kernel(tm.vector(cfgs), f).sum(axis=0))
 
 
 def tline_matrix(beta_l_rad: float, z0_ohm: float) -> TwoPortMatrix:
@@ -433,6 +424,8 @@ def pcb_canceller_response(
     if not cfgs:
         raise InvalidArgumentError("need at least one tap")
     f = _positive_points(grid, "PCB BPF")
-    taps, _, _, m_c = _pcb_kernel(TAP_MODELS["pcb"].vector(cfgs), f, params)
+    x = TAP_MODELS["pcb"].vector(cfgs)
+    bare, _, _, m_c = _pcb_filter(x[:, 2], x[:, 3], f, params)
     _check_nonsingular(m_c, f)
+    taps = _pcb_combiner(f, params)(_weights(x), bare)
     return ComplexResponse(grid, taps.sum(axis=0))

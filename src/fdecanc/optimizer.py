@@ -7,7 +7,8 @@ canceller.  This module provides:
 * multi-start projected Levenberg-Marquardt on the continuous box, with
   the analytic Jacobian of each tap model and all starts in lockstep,
 * rounding onto quantization grids plus coordinate-wise local search,
-* the per-tap iterative fitting heuristic,
+* one routine that fits taps one at a time to the residual, for the
+  per-tap iterative heuristic and for warm starts of larger solves,
 * an exhaustive lattice oracle for testing.
 
 Every solver takes a model name and evaluates taps through that model's one
@@ -122,9 +123,9 @@ class BoxBounds:
     """Continuous box constraints per knob; phase is treated as periodic."""
 
     amp_db: tuple
-    phase_rad: tuple = (-np.pi, np.pi)
-    center: tuple = (875e6, 925e6)
-    q: tuple = (1.0, 50.0)
+    phase_rad: tuple
+    center: tuple
+    q: tuple
 
     def lows(self) -> np.ndarray:
         return np.array(
@@ -178,16 +179,16 @@ class ModelKernel:
 
     def response_values(self, x: np.ndarray) -> np.ndarray:
         x = np.asarray(x, dtype=float).reshape(-1, 4)
-        return self._kernel(x, self._f, self.board)[0].sum(axis=0)
+        return self._kernel(x, self._f, self.board).sum(axis=0)
 
     def objective(self, x: np.ndarray) -> float:
         x = np.asarray(x, dtype=float).reshape(-1, 4)
-        return float(_objectives(self._target, self._kernel(x, self._f, self.board)[0]))
+        return float(_objectives(self._target, self._kernel(x, self._f, self.board)))
 
     def objective_batch(self, xs: np.ndarray) -> np.ndarray:
         """Objectives for a batch of configs; xs has shape (P, M, 4)."""
         p, m, _ = xs.shape
-        mat = self._kernel(xs.reshape(p * m, 4), self._f, self.board)[0]
+        mat = self._kernel(xs.reshape(p * m, 4), self._f, self.board)
         return _objectives(self._target, mat.reshape(p, m, self._f.size))
 
     def residual_jacobian(self, xs: np.ndarray):
@@ -228,14 +229,11 @@ def config_vector(cfgs) -> np.ndarray:
 class SolveOptions:
     restarts: int = 16
     max_iters: int = 500
-    tol: float = 1e-10
     seed: int = 0
 
     def __post_init__(self):
         if self.restarts < 1 or self.max_iters < 1:
             raise InvalidArgumentError("restarts and max_iters must be >= 1")
-        if self.tol < 0:
-            raise InvalidArgumentError("tol must be >= 0")
 
 
 @dataclass(frozen=True)
@@ -299,6 +297,9 @@ def residual_objective(h_si: ComplexResponse, h_canc: ComplexResponse) -> float:
 
 STOP_REASONS = ("tol", "max_iters", "no_descent", "non_finite")
 
+# A start stops with "tol" once an accepted step gains at most _TOL times the
+# new objective.
+_TOL = 1e-10
 # Marquardt damping: start value, factor on a rejected / accepted step, and
 # the value past which the solver stops with "no_descent".  Each pass tries
 # the damping ladder lam * _RUNGS at once; the factors are powers of two, so
@@ -501,7 +502,7 @@ def _descend(kernel, z0, lows, span, periodic, opts, stats=None):
                     gain = fz[i] - fc[i]
                     fz[i] = fc[i]
                     traces[i].append(fc[i])
-                    if gain <= opts.tol * max(fz[i], 1e-300):
+                    if gain <= _TOL * max(fz[i], 1e-300):
                         stops[i] = "tol"
                     elif len(traces[i]) > opts.max_iters:
                         stops[i] = "max_iters"
@@ -734,62 +735,55 @@ def local_search(
 
 
 # ---------------------------------------------------------------------------
-# iterative per-tap heuristic
+# taps fit one at a time to the residual
 
 
-def iterative_heuristic(
-    model: str,
-    h_si: ComplexResponse,
-    canc_freqs,
-    bounds: BoxBounds | None = None,
-    spec: QuantizationSpec | None = None,
-    opts: SolveOptions | None = None,
-    board: PcbBoardParams | None = None,
-) -> SolveReport:
+def _fit_taps(kernel: ModelKernel, taps, windows, bounds: BoxBounds, seed: int) -> list:
+    """`taps` extended by one tap per grid window (a slice of the grid).
+
+    Each new tap is the best of 8 restarts of `solve_continuous` (150
+    iterations, seed + its tap index) on the residual h_si - H(all taps so
+    far), restricted to its window.
+    """
+    taps = list(taps)
+    f = kernel.h_si.grid.points
+    for w in windows:
+        resid = kernel.h_si.values - kernel.response_values(kernel.tap_model.vector(taps))
+        sub = ComplexResponse(FrequencyGrid(f[w]), resid[w])
+        opts = SolveOptions(restarts=8, max_iters=150, seed=seed + len(taps))
+        rep = solve_continuous(kernel.tap_model.name, sub, bounds, opts, 1, kernel.board)
+        taps.append(rep.config[0])
+    return taps
+
+
+def iterative_heuristic(model: str, h_si: ComplexResponse, canc_freqs) -> SolveReport:
     """Fit taps one at a time to the running residual around given frequencies.
 
-    Each tap is fit by the same descent kernel restricted to a 3-point window
-    centered on its cancellation frequency, then subtracted from the residual.
+    Each tap is fit on a 3-point window of the grid centered on its
+    cancellation frequency; every frequency is checked before any tap is fit.
     """
-    bounds = bounds or default_bounds(model)
-    opts = opts or SolveOptions(restarts=8, max_iters=200)
-    grid = h_si.grid
-    f = grid.points
-    kernel_full = ModelKernel(model, h_si, board)
-    residual = h_si.values.copy()
-    configs = []
-    for tap_i, fc in enumerate(canc_freqs):
+    f = h_si.grid.points
+    windows = []
+    for fc in canc_freqs:
         if not (f[0] <= fc <= f[-1]):
             raise InvalidArgumentError(
                 f"cancellation frequency {fc:.6g} Hz outside grid span"
             )
         j = int(np.argmin(np.abs(f - fc)))
-        j = min(max(j, 1), grid.count - 2)
-        window = FrequencyGrid(f[j - 1 : j + 2])
-        sub = ComplexResponse(window, residual[j - 1 : j + 2])
-        sub_opts = replace(opts, seed=opts.seed + tap_i)
-        rep = solve_continuous(model, sub, bounds, sub_opts, num_taps=1, board=board)
-        cfg = rep.config[0]
-        if spec is not None:
-            cfg = quantize_config([cfg], spec)[0]
-        configs.append(cfg)
-        tap_vals = kernel_full.response_values(kernel_full.tap_model.vector([cfg]))
-        residual = residual - tap_vals
-    x = kernel_full.tap_model.vector(configs)
-    obj = kernel_full.objective(x)
+        j = min(max(j, 1), f.size - 2)
+        windows.append(slice(j - 1, j + 2))
+    kernel = ModelKernel(model, h_si)
+    configs = _fit_taps(kernel, [], windows, default_bounds(model), 0)
+    x = kernel.tap_model.vector(configs)
+    obj = kernel.objective(x)
     return SolveReport(
         config=configs,
         objective=obj,
-        avg_sic_db=kernel_full.avg_sic_db(x),
+        avg_sic_db=kernel.avg_sic_db(x),
         iterations=len(configs),
         restart_index=0,
         trace=[obj],
-        quantized=spec is not None,
     )
-
-
-# ---------------------------------------------------------------------------
-# continuous -> quantize -> local-search pipeline
 
 
 def greedy_extend(
@@ -802,18 +796,16 @@ def greedy_extend(
     seed: int = 0,
 ):
     """Extend a tap list to `num_taps` by repeatedly fitting one tap to the
-    running residual; used to warm-start a larger joint solve from a smaller
-    one's solution."""
-    bounds = bounds or default_bounds(model)
+    running residual on the whole grid; used to warm-start a larger joint
+    solve from a smaller one's solution."""
     cfg = list(config)[:num_taps]
     kernel = ModelKernel(model, h_si, board)
-    while len(cfg) < num_taps:
-        resid = h_si.values - kernel.response_values(kernel.tap_model.vector(cfg))
-        sub = ComplexResponse(h_si.grid, resid)
-        opts = SolveOptions(restarts=8, max_iters=150, seed=seed + len(cfg))
-        rep = solve_continuous(model, sub, bounds, opts, 1, board)
-        cfg.append(rep.config[0])
-    return cfg
+    windows = [slice(None)] * (num_taps - len(cfg))
+    return _fit_taps(kernel, cfg, windows, bounds or default_bounds(model), seed)
+
+
+# ---------------------------------------------------------------------------
+# continuous -> quantize -> local-search pipeline
 
 
 def fit_pipeline(

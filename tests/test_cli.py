@@ -15,7 +15,7 @@ from fdecanc import (
     synth_si_channel,
 )
 from fdecanc.cli import build_parser, main
-from fdecanc.core import FrequencyGrid
+from fdecanc.core import ComplexResponse, FrequencyGrid
 
 
 def read_rows(path):
@@ -143,6 +143,27 @@ class TestFitCommand:
         monkeypatch.setattr(cli, "fit_pipeline", no_compute)
         rc = main(
             ["fit", "--channel", str(tmp_path / name), *FIT_FAST,
+             "--out-report", str(tmp_path / "r.json")]
+        )
+        assert rc == 1
+        err = capsys.readouterr().err
+        assert err.startswith("usage error: ") and err.count("\n") == 1
+        assert not (tmp_path / "r.json").exists()
+
+    def test_channel_with_nonpositive_frequency_is_usage_error(
+        self, tmp_path, capsys, monkeypatch
+    ):
+        import fdecanc.cli as cli
+
+        def no_compute(*args, **kwargs):
+            raise AssertionError("computation started")
+
+        monkeypatch.setattr(cli, "fit_pipeline", no_compute)
+        ch = tmp_path / "ch.csv"
+        grid = FrequencyGrid.linspace(-10e6, 10e6, 11)
+        save_si_channel(ch, ComplexResponse(grid, np.ones(grid.count, dtype=complex)))
+        rc = main(
+            ["fit", "--channel", str(ch), *FIT_FAST,
              "--out-report", str(tmp_path / "r.json")]
         )
         assert rc == 1
@@ -353,6 +374,9 @@ class TestUsageErrors:
             ["fit", "--synth", "--band", "890e6:910e6:1"],
             ["genchannel", "--band", "890e6:910e6:1"],
             ["sweep", "--points", "1"],
+            ["fit", "--synth", "--band=-10e6:10e6:11"],
+            ["sweep", "--center-mhz", "5", "--bandwidths-mhz", "20"],
+            ["genchannel", "--band", "0:1e9:11"],
             ["network", "uldl", "--gamma-ul-db", "0:30:0", "--gamma-dl-db", "10"],
             ["network", "uldl", "--gamma-ul-db", "0", "--gamma-dl-db", "0",
              "--gamma-iui-db=0:5:0"],

@@ -393,7 +393,7 @@ class TestKernelFactors:
         codes = np.array([[rng.integers(v.size) for v in vals] for _ in range(taps)])
         x = np.array([[v[c] for v, c in zip(vals, row)] for row in codes])
         f = np.linspace(880e6, 920e6, 31)
-        t = tm.kernel(x, f, board)[0]
+        t = tm.kernel(x, f, board)
         gain, turn = weight_factors(vals[0], vals[1])
         w = (gain[codes[:, 0]] * turn[codes[:, 1]])[:, None]
         combine = tm.combiner(f, board)
@@ -404,9 +404,9 @@ class TestKernelFactors:
             # phase move
             term = tm.filter(x[i : i + 1, 2], x[i : i + 1, 3], f, board)[0]
             moved = np.column_stack([x[:, :2], np.repeat(x[i : i + 1, 2:], taps, 0)])
-            assert combine(w, term).tobytes() == tm.kernel(moved, f, board)[0].tobytes()
+            assert combine(w, term).tobytes() == tm.kernel(moved, f, board).tobytes()
             # this tap's weight on every tap's filter term, in reverse order:
             # a filter move
             rev = tm.filter(x[::-1, 2], x[::-1, 3], f, board)[0]
             moved = np.column_stack([np.repeat(x[i : i + 1, :2], taps, 0), x[::-1, 2:]])
-            assert combine(w[i : i + 1], rev).tobytes() == tm.kernel(moved, f, board)[0].tobytes()
+            assert combine(w[i : i + 1], rev).tobytes() == tm.kernel(moved, f, board).tobytes()

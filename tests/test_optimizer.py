@@ -34,12 +34,14 @@ from fdecanc.models import TAP_MODELS, PcbBoardParams, PcbTapConfig
 from fdecanc import optimizer
 from fdecanc.optimizer import (
     STOP_REASONS,
+    _TOL,
     ModelKernel,
     _descend,
     _pair_rows,
     config_vector,
     default_bounds,
     fit_pipeline,
+    greedy_extend,
     nearest_codes,
 )
 
@@ -354,10 +356,16 @@ class TestIterativeHeuristic:
         assert np.sum(window) <= 1e-6
         assert np.sum(window) <= 1e-4 * channel_power
 
-    def test_outside_grid_rejected(self):
+    def test_outside_grid_rejected(self, monkeypatch):
+        # every frequency is checked before the first tap is fit
+        def no_fit(*args, **kwargs):
+            raise AssertionError("a tap was fit")
+
+        monkeypatch.setattr(optimizer, "solve_continuous", no_fit)
         h = synth_si_channel(SynthChannelSpec(), GRID)
-        with pytest.raises(InvalidArgumentError):
-            iterative_heuristic("ideal", h, [1.2e9])
+        for freqs in ([1.2e9], [900e6, 1.2e9]):
+            with pytest.raises(InvalidArgumentError):
+                iterative_heuristic("ideal", h, freqs)
 
     def test_joint_beats_heuristic(self):
         h = synth_si_channel(SynthChannelSpec(), GRID)
@@ -366,6 +374,36 @@ class TestIterativeHeuristic:
         )
         heur = iterative_heuristic("ideal", h, [895e6, 905e6])
         assert joint.objective <= heur.objective
+
+
+class TestPerTapFit:
+    """`greedy_extend` and `iterative_heuristic` fit each tap alike: 8
+    restarts of 150 iterations, seed + tap index, on the residual of the
+    taps so far."""
+
+    @staticmethod
+    def _one_tap(model, grid, resid, seed):
+        opts = SolveOptions(restarts=8, max_iters=150, seed=seed)
+        rep = solve_continuous(
+            model, ComplexResponse(grid, resid), default_bounds(model), opts, 1
+        )
+        return rep.config[0]
+
+    @pytest.mark.parametrize("model", ["ideal", "pcb"])
+    def test_greedy_extend(self, model):
+        h = synth_si_channel(SynthChannelSpec(), GRID)
+        first = solve_continuous(model, h, opts=FAST).config
+        got = greedy_extend(model, h, first, 2, seed=7)
+        resid = h.values - ModelKernel(model, h).response_values(config_vector(first))
+        assert got[0] == first[0]
+        assert got[1] == self._one_tap(model, GRID, resid, 7 + 1)
+
+    def test_iterative_heuristic(self):
+        h = synth_si_channel(SynthChannelSpec(), GRID)
+        k = int(np.argmin(np.abs(GRID.points - 903e6)))
+        window = FrequencyGrid(GRID.points[k - 1 : k + 2])
+        got = iterative_heuristic("ideal", h, [903e6]).config
+        assert got == [self._one_tap("ideal", window, h.values[k - 1 : k + 2], 0)]
 
 
 class TestPipelineAndReports:
@@ -438,7 +476,7 @@ def _sublattice(spec, points):
 
 
 def _tap_rows(model, rows, grid):
-    return TAP_MODELS[model].kernel(rows, grid.points, PcbBoardParams())[0]
+    return TAP_MODELS[model].kernel(rows, grid.points, PcbBoardParams())
 
 
 def brute_force_pair(target, resp):
@@ -719,7 +757,7 @@ def descend_one(kernel, z0, lows, span, periodic, opts, lam_max=1e32):
         gain = fz - fc
         z, fz = cand, fc
         trace.append(fz)
-        if gain <= opts.tol * max(fz, 1e-300):
+        if gain <= _TOL * max(fz, 1e-300):
             return z, fz, trace, "tol"
     return z, fz, trace, "max_iters"
 

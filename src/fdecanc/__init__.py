@@ -43,6 +43,7 @@ from .network import (
     shannon_rate,
     tdma_schedule_eval,
     three_node_throughputs,
+    uldl_surface,
     uldl_throughputs,
 )
 from .optimizer import (

@@ -7,14 +7,16 @@ include malformed flag values; values out of range (`fit --taps`, `sweep
 that are not positive); a `--quantize` preset of the other tap model; `tdma
 --fd` and `--gammas-db` lists whose length is not `--users` (`--gammas-db`
 may also be one value), and `tdma` values that the scenario rejects, such as
-`--users` other than 2 or 3 or fewer `--slots` than `--users`; a negative
-`uldl --gamma-self` or a `--bandwidth-hz` that is not positive; a `--band` or
-`sweep --points` that gives no valid frequency grid (fewer than 2 points, not
-increasing); a frequency that is not positive in any `--band`, in a `sweep`
-band from `--center-mhz` and `--bandwidths-mhz` or in a `fit --channel` file;
-a --channel file that cannot be read; and an output path (--out, --out-report,
---out-csv) whose directory does not exist or that names a directory.  All are
-checked before any computation starts.  Frequency and `uldl` dB flags accept
+`--users` other than 2 or 3 or fewer `--slots` than `--users`; a negative or
+NaN `--gamma-self` or a `--bandwidth-hz` that is not positive; a dB value of
+`uldl` or `tdma` that is NaN or whose linear value overflows (`-inf` dB is a
+gamma of 0); a `--band` or `sweep --points` that gives no valid frequency grid
+(fewer than 2 points, not increasing); a `start:stop:count` whose start or
+stop is not finite; a frequency that is not positive in any `--band`, in a
+`sweep` band from `--center-mhz` and `--bandwidths-mhz` or in a `fit
+--channel` file; a --channel file that cannot be read; and an output path
+(--out, --out-report, --out-csv) whose directory does not exist or that names
+a directory.  All are checked before any computation starts.  Frequency and `uldl` dB flags accept
 `start:stop:count` syntax, count >= 1.  Outputs are deterministic given
 --seed and written atomically (temp file + rename), with the mode the umask
 gives a new file.  A `start:stop:count` value that begins with '-' must be
@@ -26,6 +28,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import math
 import os
 import sys
 
@@ -48,7 +51,7 @@ from .network import (
     UlDlScenario,
     shannon_rate,
     tdma_schedule_eval,
-    uldl_throughputs,
+    uldl_surface,
 )
 from .optimizer import (
     ModelKernel,
@@ -89,7 +92,8 @@ def _grid(start: float, stop: float, count: int, what: str) -> FrequencyGrid:
 
 
 def _parse_span(text: str, what: str) -> tuple:
-    """A `start:stop:count` value as (start, stop, count), count >= 1."""
+    """A `start:stop:count` value as (start, stop, count), count >= 1 and
+    start, stop finite."""
     parts = text.split(":")
     if len(parts) != 3:
         raise UsageError(f"{what} must be start:stop:count, got {text!r}")
@@ -99,6 +103,8 @@ def _parse_span(text: str, what: str) -> tuple:
         raise UsageError(f"malformed {what} spec {text!r}") from None
     if count < 1:
         raise UsageError(f"{what} {text!r}: count must be >= 1")
+    if not (math.isfinite(start) and math.isfinite(stop)):
+        raise UsageError(f"{what} {text!r}: start and stop must be finite")
     return start, stop, count
 
 
@@ -106,12 +112,12 @@ def _parse_band(text: str) -> FrequencyGrid:
     return _grid(*_parse_span(text, "band"), f"--band {text!r}")
 
 
-def _parse_db_range(text: str) -> np.ndarray:
-    """A single dB value or a start:stop:count sweep."""
+def _parse_db_range(text: str) -> list:
+    """A single dB value or a start:stop:count sweep, as Python floats."""
     if ":" in text:
-        return np.linspace(*_parse_span(text, "range"))
+        return np.linspace(*_parse_span(text, "range")).tolist()
     try:
-        return np.array([float(text)])
+        return [float(text)]
     except ValueError:
         raise UsageError(f"malformed value {text!r}") from None
 
@@ -169,8 +175,16 @@ def _check_out_paths(args) -> None:
             raise UsageError(f"directory of output path {path!r} does not exist")
 
 
-def _snr_linear(db: float) -> float:
-    return 10.0 ** (db / 10.0)
+def _db_linear(db: float, flag: str) -> float:
+    """10^(db/10) of a Python float; -inf dB gives 0.  A NaN value, or one
+    whose linear value is not finite, is a usage error."""
+    try:
+        lin = 10.0 ** (db / 10.0)
+    except OverflowError:
+        lin = math.inf
+    if not math.isfinite(lin):
+        raise UsageError(f"{flag} value {db!r} dB has no finite linear value")
+    return lin
 
 
 # ---------------------------------------------------------------------------
@@ -193,8 +207,8 @@ def cmd_model(args) -> int:
     ph = unwrapped_phase(r)
     gd = group_delay(r)
     lines = ["freq_hz,amp_db,phase_rad,gd_s"]
-    for f, a, p, g in zip(grid.points, amp, ph, gd):
-        lines.append("%.17g,%.17g,%.17g,%.17g" % (f, a, p, g))
+    for row in zip(grid.points.tolist(), amp.tolist(), ph.tolist(), gd.tolist()):
+        lines.append("%.17g,%.17g,%.17g,%.17g" % row)
     atomic_write(args.out, "\n".join(lines) + "\n")
     return 0
 
@@ -233,8 +247,8 @@ def cmd_fit(args) -> int:
     if args.out_csv:
         sic = ModelKernel(args.model, h_si).sic(config_vector(rep.config)).per_point_db
         lines = ["freq_hz,sic_db"]
-        for f, sdb in zip(h_si.grid.points, sic):
-            lines.append("%.17g,%.17g" % (f, sdb))
+        for row in zip(h_si.grid.points.tolist(), sic.tolist()):
+            lines.append("%.17g,%.17g" % row)
         atomic_write(args.out_csv, "\n".join(lines) + "\n")
     if rep.avg_sic_db < args.min_sic_db:
         print(
@@ -289,29 +303,23 @@ def cmd_sweep(args) -> int:
 
 
 def cmd_network_uldl(args) -> int:
-    ul = _parse_db_range(args.gamma_ul_db)
-    dl = _parse_db_range(args.gamma_dl_db)
-    iui = _parse_db_range(args.gamma_iui_db)
+    axes = []  # (dB values, linear gammas) of ul, dl, iui
+    for flag in ("gamma_ul_db", "gamma_dl_db", "gamma_iui_db"):
+        db = _parse_db_range(getattr(args, flag))
+        axes.append((db, [_db_linear(x, "--" + flag.replace("_", "-")) for x in db]))
     # the dB ranges give nonnegative linear gammas; check the scalar flags
     try:
         UlDlScenario(0.0, 0.0, 0.0, args.gamma_self, args.bandwidth_hz)
     except InvalidArgumentError as exc:
         raise UsageError(str(exc)) from None
+    hd, fd, gain = uldl_surface(*(lin for _, lin in axes), args.gamma_self, args.bandwidth_hz)
+    ul, dl, iui = (["%.17g" % x for x in db] for db, _ in axes)
     lines = ["gamma_ul_db,gamma_dl_db,gamma_iui_db,hd_bps,fd_bps,gain"]
-    for u in ul:
-        for d in dl:
-            for q in iui:
-                s = UlDlScenario(
-                    gamma_ul=_snr_linear(u),
-                    gamma_dl=_snr_linear(d),
-                    gamma_iui=_snr_linear(q),
-                    gamma_self=args.gamma_self,
-                    bandwidth_hz=args.bandwidth_hz,
-                )
-                hd, fd, gain = uldl_throughputs(s)
-                lines.append(
-                    "%.17g,%.17g,%.17g,%.17g,%.17g,%.17g" % (u, d, q, hd, fd, gain)
-                )
+    for u, hd_u, fd_u, gain_u in zip(ul, hd, fd, gain):
+        for d, h, fd_ud, gain_ud in zip(dl, hd_u, fd_u, gain_u):
+            pair, hd_text = "%s,%s," % (u, d), ",%.17g," % h
+            for q, f, g in zip(iui, fd_ud, gain_ud):
+                lines.append("%s%s%s%.17g,%.17g" % (pair, q, hd_text, f, g))
     atomic_write(args.out, "\n".join(lines) + "\n")
     return 0
 
@@ -319,7 +327,8 @@ def cmd_network_uldl(args) -> int:
 def cmd_network_tdma(args) -> int:
     _check_at_least_one(args, "users")
     n = args.users
-    gammas = [_snr_linear(g) for g in _parse_list(args.gammas_db, float, "--gammas-db")]
+    gammas = [_db_linear(g, "--gammas-db")
+              for g in _parse_list(args.gammas_db, float, "--gammas-db")]
     if len(gammas) == 1:
         gammas = gammas * n
     if args.fd is None:
@@ -329,7 +338,7 @@ def cmd_network_tdma(args) -> int:
     for flag, values in (("--gammas-db", gammas), ("--fd", fd)):
         if len(values) != n:
             raise UsageError(f"{flag} has {len(values)} values for --users {n}")
-    iui_lin = _snr_linear(args.iui_db)
+    iui_lin = _db_linear(args.iui_db, "--iui-db")
     iui = tuple(
         tuple(0.0 if i == j else iui_lin for j in range(n)) for i in range(n)
     )
@@ -471,10 +480,15 @@ def build_parser() -> _Parser:
     return p
 
 
+_parser = None  # built on the first `main` call; parsing does not change it
+
+
 def main(argv=None) -> int:
-    parser = build_parser()
+    global _parser
+    if _parser is None:
+        _parser = build_parser()
     try:
-        args = parser.parse_args(argv)
+        args = _parser.parse_args(argv)
         _check_out_paths(args)
         return args.func(args)
     except UsageError as exc:

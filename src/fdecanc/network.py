@@ -18,11 +18,23 @@ from .errors import InvalidArgumentError, UndefinedGainError
 
 def shannon_rate(gamma: float, b_hz: float) -> float:
     """r = B * log2(1 + gamma), bits per second."""
-    if gamma < 0:
+    if not (gamma >= 0):
         raise InvalidArgumentError("gamma must be nonnegative")
     if not (b_hz > 0):
         raise InvalidArgumentError("bandwidth must be positive")
     return b_hz * math.log2(1.0 + gamma)
+
+
+def _check_nonnegative(name: str, values) -> None:
+    """Reject a negative or NaN gamma."""
+    for x in values:
+        if not (x >= 0):
+            raise InvalidArgumentError(f"{name} must be nonnegative")
+
+
+def _check_bandwidth(b_hz: float) -> None:
+    if not (b_hz > 0):
+        raise InvalidArgumentError("bandwidth_hz must be positive")
 
 
 @dataclass(frozen=True)
@@ -37,26 +49,50 @@ class UlDlScenario:
 
     def __post_init__(self):
         for name in ("gamma_ul", "gamma_dl", "gamma_iui", "gamma_self"):
-            if getattr(self, name) < 0:
-                raise InvalidArgumentError(f"{name} must be nonnegative")
-        if not (self.bandwidth_hz > 0):
-            raise InvalidArgumentError("bandwidth_hz must be positive")
+            _check_nonnegative(name, (getattr(self, name),))
+        _check_bandwidth(self.bandwidth_hz)
 
 
-def uldl_throughputs(s: UlDlScenario):
-    """HD TDMA rate, FD simultaneous rate, and their ratio.
+def uldl_surface(gammas_ul, gammas_dl, gammas_iui, gamma_self=1.0, bandwidth_hz=1.0):
+    """HD TDMA rate, FD simultaneous rate and their ratio over a UL x DL x IUI
+    grid of linear gammas: (hd, fd, gain) with hd[i][j] of (gammas_ul[i],
+    gammas_dl[j]) and fd[i][j][k], gain[i][j][k] of that pair and
+    gammas_iui[k].
 
     hd = (B/2) log2(1+g_ul) + (B/2) log2(1+g_dl)
     fd = B log2(1 + g_ul/(1+g_self)) + B log2(1 + g_dl/(1+g_iui))
+
+    Each rate term depends on one axis, or on (dl, iui), and is computed once;
+    a cell adds the same terms in the same order as a one-cell grid.  A zero
+    hd anywhere raises UndefinedGainError.
     """
-    b = s.bandwidth_hz
-    hd = 0.5 * shannon_rate(s.gamma_ul, b) + 0.5 * shannon_rate(s.gamma_dl, b)
-    fd = shannon_rate(s.gamma_ul / (1.0 + s.gamma_self), b) + shannon_rate(
-        s.gamma_dl / (1.0 + s.gamma_iui), b
-    )
-    if hd == 0:
+    for name, values in (("gamma_ul", gammas_ul), ("gamma_dl", gammas_dl),
+                         ("gamma_iui", gammas_iui), ("gamma_self", (gamma_self,))):
+        _check_nonnegative(name, values)
+    _check_bandwidth(bandwidth_hz)
+    b = bandwidth_hz
+    r_ul = [shannon_rate(g, b) for g in gammas_ul]
+    r_dl = [shannon_rate(g, b) for g in gammas_dl]
+    hd = [[0.5 * ru + 0.5 * rd for rd in r_dl] for ru in r_ul]
+    if any(h == 0 for row in hd for h in row):
         raise UndefinedGainError("half-duplex baseline rate is zero")
-    return hd, fd, fd / hd
+    r_ul_fd = [shannon_rate(g / (1.0 + gamma_self), b) for g in gammas_ul]
+    r_dl_fd = [[shannon_rate(g / (1.0 + q), b) for q in gammas_iui] for g in gammas_dl]
+    fd = [[[ru + rd for rd in row] for row in r_dl_fd] for ru in r_ul_fd]
+    gain = [
+        [[f / h for f in fd_ij] for fd_ij, h in zip(fd_i, hd_i)]
+        for fd_i, hd_i in zip(fd, hd)
+    ]
+    return hd, fd, gain
+
+
+def uldl_throughputs(s: UlDlScenario):
+    """HD TDMA rate, FD simultaneous rate, and their ratio: the one-cell
+    :func:`uldl_surface`."""
+    hd, fd, gain = uldl_surface(
+        (s.gamma_ul,), (s.gamma_dl,), (s.gamma_iui,), s.gamma_self, s.bandwidth_hz
+    )
+    return hd[0][0], fd[0][0][0], gain[0][0][0]
 
 
 @dataclass(frozen=True)
@@ -75,12 +111,9 @@ class MultiUserScenario:
             raise InvalidArgumentError("scenario supports 2 or 3 users")
         if len(c) != len(g):
             raise InvalidArgumentError("fd_capable length must match gammas")
-        if any(x < 0 for x in g):
-            raise InvalidArgumentError("gammas must be nonnegative")
-        if self.gamma_self < 0:
-            raise InvalidArgumentError("gamma_self must be nonnegative")
-        if not (self.bandwidth_hz > 0):
-            raise InvalidArgumentError("bandwidth_hz must be positive")
+        _check_nonnegative("gammas", g)
+        _check_nonnegative("gamma_self", (self.gamma_self,))
+        _check_bandwidth(self.bandwidth_hz)
         object.__setattr__(self, "gammas", g)
         object.__setattr__(self, "fd_capable", c)
 
@@ -210,19 +243,24 @@ def tdma_schedule_eval(s: MultiUserScenario, sched: ScheduleSpec) -> dict:
         raise InvalidArgumentError("iui_matrix size must match user count")
     n = s.n_users
     b = s.bandwidth_hz
-    per_user = [0.0] * n
-    for t in range(sched.slots):
-        u = t % n
+    # what a slot with primary u adds, as (user, rate) in the order added
+    adds = []
+    for u, g in enumerate(s.gammas):
         if s.fd_capable[u]:
-            per_user[u] += 2.0 * shannon_rate(_fd_snr(s.gammas[u], s.gamma_self), b)
+            adds.append(((u, 2.0 * shannon_rate(_fd_snr(g, s.gamma_self), b)),))
         elif sched.kind == "rro":
             v = (u + 1) % n
-            per_user[u] += shannon_rate(_fd_snr(s.gammas[u], s.gamma_self), b)
-            per_user[v] += shannon_rate(
-                s.gammas[v] / (1.0 + sched.iui(u, v)), b
-            )
+            adds.append((
+                (u, shannon_rate(_fd_snr(g, s.gamma_self), b)),
+                (v, shannon_rate(s.gammas[v] / (1.0 + sched.iui(u, v)), b)),
+            ))
         else:
-            per_user[u] += shannon_rate(s.gammas[u], b)
+            adds.append(((u, shannon_rate(g, b)),))
+    # repeated addition is not k * rate: add slot by slot
+    per_user = [0.0] * n
+    for t in range(sched.slots):
+        for w, rate in adds[t % n]:
+            per_user[w] += rate
     per_user = [r / sched.slots for r in per_user]
     total = sum(per_user)
     return {

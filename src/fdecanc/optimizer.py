@@ -32,7 +32,9 @@ import numpy as np
 from .core import ComplexResponse, FrequencyGrid
 from .errors import InvalidArgumentError, LatticeTooLargeError, SolverFailureError
 from .metrics import SicSummary, rf_sic_db
-from .models import PcbBoardParams, tap_model, tap_model_of, weight_factors
+from .models import (
+    PcbBoardParams, _positive_points, tap_model, tap_model_of, weight_factors,
+)
 
 LATTICE_CAP = 10**7
 
@@ -166,13 +168,14 @@ def default_bounds(model: str) -> BoxBounds:
 
 
 class ModelKernel:
-    """Evaluates objective(x) = sum_k |h_si_k - H(f_k; x)|^2 for one model."""
+    """Evaluates objective(x) = sum_k |h_si_k - H(f_k; x)|^2 for one model;
+    every frequency of `h_si` must be positive."""
 
     def __init__(self, model: str, h_si: ComplexResponse, board=None):
         self.tap_model = tap_model(model)
         self.h_si = h_si
         self.board = board if board is not None else PcbBoardParams()
-        self._f = h_si.grid.points
+        self._f = _positive_points(h_si.grid, f"{model} tap model")
         self._target = h_si.values
         self._kernel = self.tap_model.kernel
         self._jacobian = self.tap_model.jacobian
@@ -529,6 +532,11 @@ def _debug_log():
     return log if log.isEnabledFor(logging.DEBUG) else None
 
 
+def _no_clock() -> float:
+    """The clock of a call that logs nothing: no time is read."""
+    return 0.0
+
+
 def solve_continuous(
     model: str,
     h_si: ComplexResponse,
@@ -825,24 +833,42 @@ def fit_pipeline(
     polish step guarantees continuous objective <= quantized objective, so
     quantization can only degrade the reported figures.
 
+    Each call logs the wall time of each phase (continuous_s, quantize_s,
+    local_search_s, polish_s; 0 for a phase that did not run) at DEBUG on the
+    "fdecanc" logger, also as record attributes.
+
     Returns (continuous_report, quantized_report_or_None).
     """
+    log = _debug_log()
+    clock = time.perf_counter if log is not None else _no_clock
+    phases = dict.fromkeys(("continuous_s", "quantize_s", "local_search_s", "polish_s"), 0.0)
     opts = opts or SolveOptions()
     bounds = spec.bounds() if spec is not None else default_bounds(model)
+    t0 = clock()
     cont = solve_continuous(
         model, h_si, bounds, opts, num_taps, board, init_configs=init_configs
     )
-    if spec is None:
-        return cont, None
-    qcfg = quantize_config(cont.config, spec)
-    qrep = local_search(qcfg, model, h_si, spec, board=board)
-    if qrep.objective < cont.objective:
-        polished = solve_continuous(
-            model, h_si, bounds, replace(opts, restarts=1), num_taps, board,
-            init_configs=[qrep.config],
-        )
-        if polished.objective < cont.objective:
-            cont = polished
+    t1 = clock()
+    phases["continuous_s"] = t1 - t0
+    qrep = None
+    if spec is not None:
+        qcfg = quantize_config(cont.config, spec)
+        t2 = clock()
+        qrep = local_search(qcfg, model, h_si, spec, board=board)
+        t3 = clock()
+        phases["quantize_s"], phases["local_search_s"] = t2 - t1, t3 - t2
+        if qrep.objective < cont.objective:
+            polished = solve_continuous(
+                model, h_si, bounds, replace(opts, restarts=1), num_taps, board,
+                init_configs=[qrep.config],
+            )
+            phases["polish_s"] = clock() - t3
+            if polished.objective < cont.objective:
+                cont = polished
+    if log is not None:
+        log.debug("fit pipeline: continuous %(continuous_s).6f s, quantize "
+                  "%(quantize_s).6f s, local search %(local_search_s).6f s, "
+                  "polish %(polish_s).6f s", phases, extra=phases)
     return cont, qrep
 
 

@@ -8,6 +8,7 @@ frequency-selective stand-in with a prescribed mean isolation and bulk delay.
 from __future__ import annotations
 
 import csv
+import math
 import os
 from dataclasses import dataclass
 
@@ -55,8 +56,8 @@ def synth_si_channel(spec: SynthChannelSpec, grid: FrequencyGrid) -> ComplexResp
 def format_si_channel(r: ComplexResponse) -> str:
     """The canonical CSV text; values at 17 significant digits round-trip."""
     rows = ["freq_hz,re,im\n"]
-    for f, v in zip(r.grid.points, r.values):
-        rows.append("%.17g,%.17g,%.17g\n" % (f, v.real, v.imag))
+    for row in zip(r.grid.points.tolist(), r.values.real.tolist(), r.values.imag.tolist()):
+        rows.append("%.17g,%.17g,%.17g\n" % row)
     return "".join(rows)
 
 
@@ -104,7 +105,7 @@ def load_si_channel(path) -> ComplexResponse:
                 im = float(row[2])
             except ValueError:
                 raise ChannelFormatError("non-numeric field", line=lineno) from None
-            if not (np.isfinite(f) and np.isfinite(re) and np.isfinite(im)):
+            if not (math.isfinite(f) and math.isfinite(re) and math.isfinite(im)):
                 raise ChannelFormatError("non-finite field", line=lineno)
             if freqs and f <= freqs[-1]:
                 raise ChannelFormatError(

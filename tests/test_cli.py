@@ -1,8 +1,13 @@
 import json
+import math
 import os
+import subprocess
+import sys
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from fdecanc import (
     PcbBoardParams,
@@ -14,7 +19,8 @@ from fdecanc import (
     save_si_channel,
     synth_si_channel,
 )
-from fdecanc.cli import build_parser, main
+from fdecanc import UndefinedGainError, uldl_surface
+from fdecanc.cli import UsageError, _db_linear, build_parser, main
 from fdecanc.core import ComplexResponse, FrequencyGrid
 
 
@@ -237,6 +243,95 @@ class TestNetworkUldl:
             assert float(r[5]) == pytest.approx(2.0, abs=1e-9)
 
 
+def _uldl_cell_reference(u, d, q, gamma_self, b):
+    """(hd, fd, gain) of one cell as `network uldl` computed it before each
+    rate was computed once: dB values are float64 scalars, and each cell
+    converts them and makes its own four rate calls."""
+    def rate(g):
+        return b * math.log2(1.0 + g)
+
+    g_ul, g_dl, g_iui = (10.0 ** (x / 10.0) for x in (u, d, q))
+    hd = 0.5 * rate(g_ul) + 0.5 * rate(g_dl)
+    fd = rate(g_ul / (1.0 + gamma_self)) + rate(g_dl / (1.0 + g_iui))
+    return hd, fd, (fd / hd if hd != 0 else None)
+
+
+def _db_axis(text):
+    if ":" in text:
+        start, stop, count = text.split(":")
+        return np.linspace(float(start), float(stop), int(count))
+    return np.array([float(text)])
+
+
+db_value = st.one_of(st.floats(-300.0, 300.0), st.sampled_from([-math.inf, -300.0, 300.0]))
+db_axis = st.lists(db_value, min_size=1, max_size=4)
+
+
+class TestUldlSurfaceCells:
+    @settings(max_examples=150, deadline=None)
+    @given(db_axis, db_axis, db_axis, st.floats(0.0, 1e3), st.floats(1e-3, 1e9))
+    def test_bitwise_the_per_cell_loop(self, ul, dl, iui, gamma_self, b):
+        axes = [np.array(a) for a in (ul, dl, iui)]
+        ref = [[[_uldl_cell_reference(u, d, q, gamma_self, b) for q in axes[2]]
+                for d in axes[1]] for u in axes[0]]
+        lin = [[_db_linear(x, "--gamma-db") for x in a.tolist()] for a in axes]
+        if any(c[0] == 0 for row in ref for cells in row for c in cells):
+            with pytest.raises(UndefinedGainError):
+                uldl_surface(*lin, gamma_self, b)
+            return
+        hd, fd, gain = uldl_surface(*lin, gamma_self, b)
+        for i, row in enumerate(ref):
+            for j, cells in enumerate(row):
+                for k, cell in enumerate(cells):
+                    got = (hd[i][j], fd[i][j][k], gain[i][j][k])
+                    assert [x.hex() for x in got] == [x.hex() for x in cell]
+
+
+class TestUldlBytes:
+    @pytest.mark.parametrize(
+        "ul, dl, iui, gamma_self, bw",
+        [
+            ("-300:300:13", "-100:300:9", "-300:300:4", "0.5", "1"),
+            ("-inf", "-5:30:8", "-inf", "0", "1"),
+            ("0:30:31", "3.3:24.1:7", "-5.5:12.2:5", "1.3", "2e7"),
+            ("-3000:3080:5", "0:3080:3", "-3000:3080:3", "1", "1"),
+            ("7.25", "-400", "1e-9", "1e6", "3.5e9"),
+            # enough values that an array power's last bits would show
+            ("-300:300:4001", "10", "-7:7:3", "1", "1"),
+        ],
+    )
+    def test_csv_is_the_per_cell_loop(self, tmp_path, ul, dl, iui, gamma_self, bw):
+        out = tmp_path / "u.csv"
+        rc = main(["network", "uldl", f"--gamma-ul-db={ul}", f"--gamma-dl-db={dl}",
+                   f"--gamma-iui-db={iui}", "--gamma-self", gamma_self,
+                   "--bandwidth-hz", bw, "--out", str(out)])
+        assert rc == 0
+        lines = ["gamma_ul_db,gamma_dl_db,gamma_iui_db,hd_bps,fd_bps,gain"]
+        for u in _db_axis(ul):
+            for d in _db_axis(dl):
+                for q in _db_axis(iui):
+                    cell = _uldl_cell_reference(u, d, q, float(gamma_self), float(bw))
+                    lines.append("%.17g,%.17g,%.17g,%.17g,%.17g,%.17g" % (u, d, q, *cell))
+        assert out.read_text() == "\n".join(lines) + "\n"
+
+    def test_minus_inf_db_is_gamma_zero(self, tmp_path):
+        out = tmp_path / "u.csv"
+        rc = main(["network", "uldl", "--gamma-ul-db=-inf", "--gamma-dl-db", "10",
+                   "--out", str(out)])
+        assert rc == 0
+        _, rows = read_rows(out)
+        assert rows[0][:3] == ["-inf", "10", "0"]
+        assert float(rows[0][3]) == 0.5 * math.log2(11.0)
+
+    def test_zero_baseline_writes_nothing(self, tmp_path, capsys):
+        out = tmp_path / "u.csv"
+        rc = main(["network", "uldl", "--gamma-ul-db=-inf", "--gamma-dl-db=-inf",
+                   "--out", str(out)])
+        assert rc == 2
+        assert capsys.readouterr().err == "error: half-duplex baseline rate is zero\n"
+        assert list(tmp_path.iterdir()) == []
+
+
 class TestNetworkTdma:
     def run(self, tmp_path, schedule, extra=()):
         out = tmp_path / f"{schedule}.csv"
@@ -270,6 +365,36 @@ class TestNetworkTdma:
         assert float(rows[0][4]) == pytest.approx(1.0, abs=1e-12)
 
 
+class TestParserPerProcess:
+    def test_outputs_same_across_calls(self, tmp_path, capsys):
+        import fdecanc.cli as cli
+
+        out = tmp_path / "u.csv"
+        uldl = ["network", "uldl", "--gamma-ul-db", "0:30:7", "--gamma-dl-db=-3:9:3",
+                "--gamma-iui-db=-2:4:2", "--out", str(out)]
+        assert main(uldl) == 0
+        first = out.read_bytes()
+        parser = cli._parser
+        assert main(["model", "--kind", "pcb", "--band", "850e6:950e6:11",
+                     "--out", str(tmp_path / "m.csv")]) == 0
+        assert main(["network", "uldl", "--gamma-ul-db", "x", "--gamma-dl-db", "0",
+                     "--out", str(tmp_path / "bad.csv")]) == 1
+        assert main(["network", "tdma", "--schedule", "rro", "--users", "2",
+                     "--out", str(tmp_path / "t.csv")]) == 0
+        out.unlink()
+        assert main(uldl) == 0
+        assert out.read_bytes() == first
+        assert cli._parser is parser
+        assert capsys.readouterr().err.count("\n") == 1
+
+    def test_not_built_at_import(self):
+        code = "import fdecanc.cli as cli; print(cli._parser is None)"
+        env = {**os.environ, "PYTHONPATH": os.pathsep.join(sys.path)}
+        run = subprocess.run([sys.executable, "-c", code], capture_output=True,
+                             text=True, env=env, check=True)
+        assert run.stdout == "True\n"
+
+
 class TestOutputFiles:
     @pytest.mark.parametrize(
         "argv",
@@ -287,6 +412,25 @@ class TestOutputFiles:
             os.umask(old)
         assert out.stat().st_mode & 0o777 == 0o640
         assert os.listdir(tmp_path) == ["o.csv"]
+
+
+class TestDbFlags:
+    def test_tdma_minus_inf_db(self, tmp_path):
+        out = tmp_path / "t.csv"
+        rc = main(["network", "tdma", "--schedule", "iuif", "--gammas-db=-inf,10,10",
+                   "--iui-db=-inf", "--out", str(out)])
+        assert rc == 0
+        _, rows = read_rows(out)
+        assert rows[1] == ["0", "user0", "0", "", ""]
+
+    @pytest.mark.parametrize("db", [math.nan, math.inf, 4000.0, 3090.0])
+    def test_no_finite_linear_value(self, db):
+        with pytest.raises(UsageError, match="has no finite linear value"):
+            _db_linear(db, "--gamma-ul-db")
+
+    @pytest.mark.parametrize("db", [-math.inf, -4000.0, -300.0, 0.0, 300.0, 3080.0])
+    def test_finite_linear_value(self, db):
+        assert _db_linear(db, "--gamma-ul-db") == 10.0 ** (np.float64(db) / 10.0)
 
 
 class TestGenchannel:
@@ -380,6 +524,23 @@ class TestUsageErrors:
             ["network", "uldl", "--gamma-ul-db", "0:30:0", "--gamma-dl-db", "10"],
             ["network", "uldl", "--gamma-ul-db", "0", "--gamma-dl-db", "0",
              "--gamma-iui-db=0:5:0"],
+            ["network", "tdma", "--schedule", "rro", "--users", "3", "--iui-db", "5000"],
+            ["network", "tdma", "--schedule", "rro", "--users", "3", "--iui-db", "nan"],
+            ["network", "tdma", "--schedule", "rro", "--users", "3", "--gammas-db", "5000"],
+            ["network", "tdma", "--schedule", "rro", "--gammas-db", "nan"],
+            ["network", "tdma", "--schedule", "iuif", "--gammas-db", "10,inf,10"],
+            ["network", "uldl", "--gamma-ul-db", "4000", "--gamma-dl-db", "0"],
+            ["network", "uldl", "--gamma-ul-db", "nan", "--gamma-dl-db", "0"],
+            ["network", "uldl", "--gamma-ul-db", "0", "--gamma-dl-db", "inf"],
+            ["network", "uldl", "--gamma-ul-db", "0", "--gamma-dl-db", "0",
+             "--gamma-iui-db=0:5000:3"],
+            ["network", "uldl", "--gamma-ul-db", "0", "--gamma-dl-db", "0",
+             "--gamma-self", "nan"],
+            ["network", "tdma", "--schedule", "rro", "--gamma-self", "nan"],
+            ["network", "uldl", "--gamma-ul-db=-inf:0:3", "--gamma-dl-db", "0"],
+            ["network", "uldl", "--gamma-ul-db", "0", "--gamma-dl-db=0:nan:2"],
+            ["genchannel", "--band=-inf:1e9:11"],
+            ["model", "--kind", "pcb", "--band", "8e8:inf:11"],
         ],
     )
     def test_malformed_value_is_one_line_usage_error(
@@ -390,7 +551,8 @@ class TestUsageErrors:
         def no_compute(*args, **kwargs):
             raise AssertionError("computation started")
 
-        for name in ("fit_pipeline", "synth_si_channel", "tdma_schedule_eval"):
+        for name in ("fit_pipeline", "synth_si_channel", "tdma_schedule_eval",
+                     "uldl_surface"):
             monkeypatch.setattr(cli, name, no_compute)
         # `fit` has no --out; a bare --out would be an ambiguous option
         out_flag = "--out-report" if argv[0] == "fit" else "--out"
@@ -422,7 +584,7 @@ class TestUsageErrors:
         def no_compute(*args, **kwargs):
             raise AssertionError("computation started")
 
-        for name in ("fit_pipeline", "synth_si_channel", "uldl_throughputs",
+        for name in ("fit_pipeline", "synth_si_channel", "uldl_surface",
                      "tdma_schedule_eval", "pcb_bpf_response_closed_form"):
             monkeypatch.setattr(cli, name, no_compute)
         paths = {"bad": str(tmp_path / "missing" / "o.csv"),

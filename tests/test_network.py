@@ -1,7 +1,7 @@
 import math
 
 import pytest
-from hypothesis import given
+from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from fdecanc import (
@@ -15,6 +15,7 @@ from fdecanc import (
     shannon_rate,
     tdma_schedule_eval,
     three_node_throughputs,
+    uldl_surface,
     uldl_throughputs,
 )
 
@@ -31,6 +32,10 @@ class TestShannon:
             shannon_rate(-0.1, 1.0)
         with pytest.raises(InvalidArgumentError):
             shannon_rate(1.0, 0.0)
+
+    def test_nan_gamma_rejected(self):
+        with pytest.raises(InvalidArgumentError):
+            shannon_rate(math.nan, 1.0)
 
     def test_bandwidth_scaling(self):
         assert shannon_rate(7.0, 20e6) == pytest.approx(
@@ -71,6 +76,87 @@ class TestUlDl:
             for gs in (0.0, 0.5, 1.0, 2.0, 4.0)
         ]
         assert all(a >= b for a, b in zip(gains, gains[1:]))
+
+
+class TestUlDlSurface:
+    def test_one_cell_is_uldl_throughputs(self):
+        s = UlDlScenario(7.0, 3.0, 2.0, gamma_self=0.5, bandwidth_hz=20e6)
+        hd, fd, gain = uldl_surface([7.0], [3.0], [2.0], 0.5, 20e6)
+        assert (hd[0][0], fd[0][0][0], gain[0][0][0]) == uldl_throughputs(s)
+
+    def test_shape(self):
+        hd, fd, gain = uldl_surface([1.0, 2.0], [3.0, 4.0, 5.0], [0.0, 1.0, 2.0, 3.0])
+        assert [len(row) for row in hd] == [3, 3]
+        assert [[len(c) for c in row] for row in fd] == [[4] * 3] * 2
+        assert [[len(c) for c in row] for row in gain] == [[4] * 3] * 2
+
+    @pytest.mark.parametrize("bad", [
+        dict(gammas_ul=[1.0, -1.0]), dict(gammas_dl=[math.nan]),
+        dict(gammas_iui=[0.0, math.nan]), dict(gamma_self=math.nan),
+        dict(bandwidth_hz=math.nan), dict(bandwidth_hz=0.0),
+    ])
+    def test_validation(self, bad):
+        args = dict(gammas_ul=[1.0], gammas_dl=[1.0], gammas_iui=[0.0]) | bad
+        with pytest.raises(InvalidArgumentError):
+            uldl_surface(**args)
+
+    def test_zero_baseline_anywhere_rejected(self):
+        with pytest.raises(UndefinedGainError):
+            uldl_surface([1.0, 0.0], [2.0, 0.0], [0.0])
+
+
+def _tdma_per_user_reference(s, sched):
+    """The slot loop `tdma_schedule_eval` had before it computed each user's
+    rates once: every slot recomputes the rates it adds."""
+    n = s.n_users
+    b = s.bandwidth_hz
+    per_user = [0.0] * n
+    for t in range(sched.slots):
+        u = t % n
+        if s.fd_capable[u]:
+            per_user[u] += 2.0 * shannon_rate(s.gammas[u] / (1.0 + s.gamma_self), b)
+        elif sched.kind == "rro":
+            v = (u + 1) % n
+            per_user[u] += shannon_rate(s.gammas[u] / (1.0 + s.gamma_self), b)
+            per_user[v] += shannon_rate(s.gammas[v] / (1.0 + sched.iui(u, v)), b)
+        else:
+            per_user[u] += shannon_rate(s.gammas[u], b)
+    return [r / sched.slots for r in per_user]
+
+
+@st.composite
+def tdma_cases(draw):
+    n = draw(st.sampled_from([2, 3]))
+    gammas = draw(st.lists(st.floats(0.0, 1e6), min_size=n, max_size=n))
+    fd = draw(st.lists(st.booleans(), min_size=n, max_size=n))
+    gamma_self = draw(st.floats(0.0, 10.0))
+    b = draw(st.floats(1e-3, 1e8))
+    iui = draw(st.one_of(
+        st.just(()),
+        st.lists(st.floats(0.0, 1e3), min_size=n * n, max_size=n * n).map(
+            lambda v: tuple(tuple(0.0 if i == j else v[i * n + j] for j in range(n))
+                            for i in range(n))
+        ),
+    ))
+    # a slot count that is not a multiple of the user count
+    slots = n * draw(st.integers(1, 1200)) + draw(st.integers(1, n - 1))
+    kind = draw(st.sampled_from(["rro", "iuif"]))
+    return MultiUserScenario(gammas, fd, gamma_self, b), ScheduleSpec(kind, slots, iui)
+
+
+class TestTdmaPerUserRates:
+    @settings(max_examples=60, deadline=None)
+    @given(tdma_cases())
+    def test_bitwise_the_per_slot_loop(self, case):
+        s, sched = case
+        got = tdma_schedule_eval(s, sched)
+        expect = _tdma_per_user_reference(s, sched)
+        assert got["per_user"] == expect
+        assert got["total"] == sum(expect)
+        if sum(expect) > 0:
+            assert got["jfi"] == jain_fairness(expect)
+        else:
+            assert math.isnan(got["jfi"])
 
 
 class TestThreeNode:
@@ -122,6 +208,15 @@ class TestScenarioValidation:
     def test_capability_length(self):
         with pytest.raises(InvalidArgumentError):
             MultiUserScenario((1.0, 1.0), (True,))
+
+    def test_nan_gamma(self):
+        with pytest.raises(InvalidArgumentError):
+            MultiUserScenario((1.0, math.nan), (True, False))
+        with pytest.raises(InvalidArgumentError):
+            MultiUserScenario((1.0, 1.0), (True, False), gamma_self=math.nan)
+        for name in ("gamma_ul", "gamma_dl", "gamma_iui", "gamma_self"):
+            with pytest.raises(InvalidArgumentError):
+                UlDlScenario(**{"gamma_ul": 1.0, "gamma_dl": 1.0, name: math.nan})
 
     def test_negative_gamma(self):
         with pytest.raises(InvalidArgumentError):

@@ -439,6 +439,66 @@ class TestPipelineAndReports:
             report_from_dict(d)
 
 
+class TestPipelinePhaseLog:
+    def _records(self, caplog):
+        return [r for r in caplog.records if r.name == "fdecanc"]
+
+    def test_logs_phase_times_at_debug(self, caplog):
+        spec = quantization_preset("rfic")
+        h = synth_si_channel(SynthChannelSpec(), GRID)
+        cont, quant = fit_pipeline("ideal", h, 2, FAST, spec)
+        assert not self._records(caplog)
+        with caplog.at_level(logging.DEBUG, logger="fdecanc"):
+            again = fit_pipeline("ideal", h, 2, FAST, spec)
+        assert [r.to_json() for r in again] == [cont.to_json(), quant.to_json()]
+        records = self._records(caplog)
+        phase = records[-1]
+        assert phase.getMessage().startswith("fit pipeline: continuous ")
+        assert min(phase.continuous_s, phase.quantize_s, phase.local_search_s) > 0
+        # a polish ran iff a second solve was logged
+        solves = [r for r in records if r.getMessage().startswith("solve:")]
+        assert (phase.polish_s > 0) == (len(solves) == 2)
+
+    def test_continuous_only_phases_are_zero(self, caplog):
+        h = synth_si_channel(SynthChannelSpec(), GRID)
+        with caplog.at_level(logging.DEBUG, logger="fdecanc"):
+            fit_pipeline("ideal", h, 1, FAST)
+        phase = self._records(caplog)[-1]
+        assert phase.continuous_s > 0
+        assert phase.quantize_s == phase.local_search_s == phase.polish_s == 0.0
+
+    def test_no_clock_read_without_a_debug_logger(self, monkeypatch):
+        def no_clock():
+            raise AssertionError("clock read")
+
+        monkeypatch.setattr(optimizer, "time", type("T", (), {"perf_counter": no_clock}))
+        h = synth_si_channel(SynthChannelSpec(), GRID)
+        fit_pipeline("ideal", h, 1, FAST, quantization_preset("rfic"))
+
+
+class TestNonPositiveFrequencies:
+    """A grid with a frequency <= 0 is rejected before any tap is evaluated."""
+
+    TAPS = {"ideal": IdealTapConfig(-20.0, 0.0, 900e6, 10.0),
+            "pcb": PcbTapConfig(-5.0, 0.0, 1.2, 6.0)}
+
+    @pytest.mark.parametrize("model", ["ideal", "pcb"])
+    @pytest.mark.parametrize("start", [-10e6, 0.0])
+    def test_every_solver_rejects(self, model, start):
+        grid = FrequencyGrid.linspace(start, 10e6, 11)
+        h = ComplexResponse(grid, np.full(11, 0.1 + 0j))
+        spec = quantization_preset(TAP_MODELS[model].preset)
+        calls = [
+            lambda: ModelKernel(model, h),
+            lambda: solve_continuous(model, h, opts=FAST),
+            lambda: local_search([self.TAPS[model]], model, h, spec),
+            lambda: grid_search_oracle(model, h, spec, 2),
+        ]
+        for call in calls:
+            with pytest.raises(InvalidArgumentError, match="strictly positive"):
+                call()
+
+
 class TestConfigOfOtherModel:
     """A config of one tap model is never read as a config of the other."""
 

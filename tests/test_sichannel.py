@@ -42,6 +42,24 @@ class TestLoadSave:
             load_si_channel(p)
         assert e.value.line == 3
 
+    @pytest.mark.parametrize("row", ["910e6,inf,0", "910e6,0.1,nan", "inf,0.1,0",
+                                     "910e6,0.1,-inf"])
+    def test_non_finite_row_names_its_line(self, tmp_path, row):
+        p = tmp_path / "ch.csv"
+        p.write_text(f"freq_hz,re,im\n900e6,0.1,0\n\n{row}\n920e6,0.1,0\n")
+        with pytest.raises(ChannelFormatError, match="non-finite") as e:
+            load_si_channel(p)
+        assert e.value.line == 4
+
+    def test_format_matches_numpy_scalars(self):
+        # the text of each row is that of the float64 scalars it holds
+        grid = FrequencyGrid.linspace(850e6, 950e6, 41)
+        r = synth_si_channel(SynthChannelSpec(), grid)
+        rows = ["freq_hz,re,im"] + [
+            "%.17g,%.17g,%.17g" % (f, v.real, v.imag) for f, v in zip(grid.points, r.values)
+        ]
+        assert sichannel.format_si_channel(r) == "\n".join(rows) + "\n"
+
     def test_bad_header(self, tmp_path):
         p = tmp_path / "ch.csv"
         p.write_text("frequency,r,i\n900e6,0.1,0\n")

@@ -1,27 +1,32 @@
 """Command-line frontend emitting CSV/JSON plot data.
 
 Commands: model, fit, sweep, network (uldl | tdma), genchannel.
-Exit codes: 0 success, 1 usage error, 2 computation failure.  Usage errors
+Exit codes: 0 success, 1 usage error, 2 computation failure. Usage errors
 include malformed flag values; values out of range (`fit --taps`, `sweep
 --taps`, `--restarts` and `--max-iters` below 1, `--bandwidths-mhz` values
-that are not positive); a `--quantize` preset of the other tap model; `tdma
---fd` and `--gammas-db` lists whose length is not `--users` (`--gammas-db`
-may also be one value), and `tdma` values that the scenario rejects, such as
-`--users` other than 2 or 3 or fewer `--slots` than `--users`; a negative or
-NaN `--gamma-self` or a `--bandwidth-hz` that is not positive; a dB value of
-`uldl` or `tdma` that is NaN or whose linear value overflows (`-inf` dB is a
-gamma of 0); a `--band` or `sweep --points` that gives no valid frequency grid
-(fewer than 2 points, not increasing); a `start:stop:count` whose start or
-stop is not finite; a frequency that is not positive in any `--band`, in a
-`sweep` band from `--center-mhz` and `--bandwidths-mhz` or in a `fit
---channel` file; a --channel file that cannot be read; and an output path
-(--out, --out-report, --out-csv) whose directory does not exist or that names
-a directory.  All are checked before any computation starts.  Frequency and `uldl` dB flags accept
-`start:stop:count` syntax, count >= 1.  Outputs are deterministic given
---seed and written atomically (temp file + rename), with the mode the umask
-gives a new file.  A `start:stop:count` value that begins with '-' must be
-attached to its flag with '=' (`--gamma-iui-db=-5:5:3`), or argparse reads
-it as an option.
+that are not positive); every value that the object a flag builds rejects: the
+tap config of `model` (a NaN or infinite value, `--q` or `--fc` not positive,
+`--phase` outside [-pi, pi]), the channel spec of `genchannel`
+(`--isolation-db` or an echo amplitude not negative and finite, a negative or
+infinite delay), the solver options of `fit` and `sweep` (a negative `--seed`)
+and the scenario and schedule of `network` (a negative or NaN `--gamma-self`,
+a `--bandwidth-hz` that is not positive and finite, `tdma --users` other than
+2 or 3, fewer `--slots` than `--users`); a `--quantize` preset of the other
+tap model; `tdma --fd` and `--gammas-db` lists whose length is not `--users`
+(`--gammas-db` may also be one value); a dB value of `uldl` or `tdma` that is
+NaN or whose linear value overflows (`-inf` dB is a gamma of 0); a `--band` or
+`sweep --points` that gives no valid frequency grid (fewer than 2 points, not
+increasing); a `start:stop:count` whose start or stop is not finite; a
+frequency that is not finite and positive in any `--band`, in a `sweep` band
+from `--center-mhz` and `--bandwidths-mhz` or in a `fit --channel` file; a
+--channel file that cannot be read; and an output path (--out, --out-report,
+--out-csv) whose directory does not exist or that names a directory. All are
+checked before any computation starts. Frequency and `uldl` dB flags accept
+`start:stop:count` syntax, count >= 1. Outputs are deterministic given --seed
+and written atomically (temp file + rename), with the mode the umask gives a
+new file. A `start:stop:count` value that begins with '-' must be attached to
+its flag with '=' (`--gamma-iui-db=-5:5:3`), or argparse reads it as an
+option.
 """
 
 from __future__ import annotations
@@ -49,7 +54,6 @@ from .network import (
     MultiUserScenario,
     ScheduleSpec,
     UlDlScenario,
-    shannon_rate,
     tdma_schedule_eval,
     uldl_surface,
 )
@@ -143,6 +147,15 @@ def _reflection(tok: str) -> tuple:
     return float(a), float(d) * 1e-9
 
 
+def _from_flags(cls, *args, **kwargs):
+    """`cls(*args, **kwargs)` of a value object built from flag values; a
+    value that the object rejects is a usage error."""
+    try:
+        return cls(*args, **kwargs)
+    except InvalidArgumentError as exc:
+        raise UsageError(str(exc)) from None
+
+
 def _check_at_least_one(args, *flags) -> None:
     for flag in flags:
         if getattr(args, flag) < 1:
@@ -151,8 +164,7 @@ def _check_at_least_one(args, *flags) -> None:
 
 def _solver_setup(args) -> tuple:
     """(SolveOptions, `--quantize` spec or None); the preset must be `--model`'s."""
-    _check_at_least_one(args, "restarts", "max_iters")
-    opts = SolveOptions(restarts=args.restarts, max_iters=args.max_iters, seed=args.seed)
+    opts = _from_flags(SolveOptions, args.restarts, args.max_iters, args.seed)
     if args.quantize is None:
         return opts, None
     own = TAP_MODELS[args.model].preset
@@ -196,10 +208,10 @@ def cmd_model(args) -> int:
     if args.kind == "ideal":
         if args.fc is None:
             raise UsageError("--fc is required for --kind ideal")
-        cfg = IdealTapConfig(args.amp_db, args.phase, args.fc, args.q)
+        cfg = _from_flags(IdealTapConfig, args.amp_db, args.phase, args.fc, args.q)
         r = ideal_tap_response(cfg, grid)
     else:
-        cfg = PcbTapConfig(args.amp_db, args.phase, args.cf_pf, args.cq_pf)
+        cfg = _from_flags(PcbTapConfig, args.amp_db, args.phase, args.cf_pf, args.cq_pf)
         bare = pcb_bpf_response_closed_form(cfg, PcbBoardParams(), grid)
         gain, turn = weight_factors(args.amp_db, args.phase)
         r = ComplexResponse(grid, gain * turn * bare.values)
@@ -308,10 +320,7 @@ def cmd_network_uldl(args) -> int:
         db = _parse_db_range(getattr(args, flag))
         axes.append((db, [_db_linear(x, "--" + flag.replace("_", "-")) for x in db]))
     # the dB ranges give nonnegative linear gammas; check the scalar flags
-    try:
-        UlDlScenario(0.0, 0.0, 0.0, args.gamma_self, args.bandwidth_hz)
-    except InvalidArgumentError as exc:
-        raise UsageError(str(exc)) from None
+    _from_flags(UlDlScenario, 0.0, 0.0, 0.0, args.gamma_self, args.bandwidth_hz)
     hd, fd, gain = uldl_surface(*(lin for _, lin in axes), args.gamma_self, args.bandwidth_hz)
     ul, dl, iui = (["%.17g" % x for x in db] for db, _ in axes)
     lines = ["gamma_ul_db,gamma_dl_db,gamma_iui_db,hd_bps,fd_bps,gain"]
@@ -343,23 +352,15 @@ def cmd_network_tdma(args) -> int:
         tuple(0.0 if i == j else iui_lin for j in range(n)) for i in range(n)
     )
     slots = args.slots if args.slots is not None else n
-    try:
-        s = MultiUserScenario(
-            gammas=tuple(gammas),
-            fd_capable=tuple(fd),
-            gamma_self=args.gamma_self,
-            bandwidth_hz=args.bandwidth_hz,
-        )
-        sched = ScheduleSpec(args.schedule, slots, iui)
-    except InvalidArgumentError as exc:
-        raise UsageError(str(exc)) from None
+    s = _from_flags(MultiUserScenario, tuple(gammas), tuple(fd), args.gamma_self,
+                    args.bandwidth_hz)
+    sched = _from_flags(ScheduleSpec, args.schedule, slots, iui)
     if sched.slots < n:
         raise UsageError(f"--slots {sched.slots} gives fewer than one slot per user")
     res = tdma_schedule_eval(s, sched)
-    hd_total = sum(shannon_rate(g, s.bandwidth_hz) / n for g in s.gammas)
-    gain = res["total"] / hd_total if hd_total > 0 else float("nan")
     lines = ["scenario_id,case,total_bps,jfi,gain"]
-    lines.append("0,%s,%.17g,%.17g,%.17g" % (args.schedule, res["total"], res["jfi"], gain))
+    lines.append("0,%s,%.17g,%.17g,%.17g"
+                 % (args.schedule, res["total"], res["jfi"], res["gain"]))
     for i, r in enumerate(res["per_user"]):
         lines.append("0,user%d,%.17g,," % (i, r))
     atomic_write(args.out, "\n".join(lines) + "\n")
@@ -374,11 +375,7 @@ def cmd_genchannel(args) -> int:
         refl = tuple(_parse_list(args.reflections, _reflection, "--reflections"))
     else:
         refl = SynthChannelSpec().reflections
-    spec = SynthChannelSpec(
-        isolation_db=args.isolation_db,
-        base_delay_s=args.base_delay_ns * 1e-9,
-        reflections=refl,
-    )
+    spec = _from_flags(SynthChannelSpec, args.isolation_db, args.base_delay_ns * 1e-9, refl)
     save_si_channel(args.out, synth_si_channel(spec, grid))
     return 0
 

@@ -42,6 +42,9 @@ class FrequencyGrid:
 
     @classmethod
     def linspace(cls, start_hz: float, stop_hz: float, count: int) -> "FrequencyGrid":
+        # checked before np.linspace, which warns on a non-finite end
+        if not (np.isfinite(start_hz) and np.isfinite(stop_hz)):
+            raise InvalidArgumentError("grid contains non-finite frequencies")
         return cls(np.linspace(start_hz, stop_hz, int(count)))
 
     @property

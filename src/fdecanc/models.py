@@ -41,10 +41,10 @@ class IdealTapConfig:
     q: float
 
     def __post_init__(self):
-        if not (self.q > 0):
-            raise InvalidArgumentError("q must be positive")
-        if not (self.center_hz > 0):
-            raise InvalidArgumentError("center_hz must be positive")
+        if not (0 < self.q < np.inf):
+            raise InvalidArgumentError("q must be positive and finite")
+        if not (0 < self.center_hz < np.inf):
+            raise InvalidArgumentError("center_hz must be positive and finite")
         if not (-np.pi <= self.phase_rad <= np.pi):
             raise InvalidArgumentError("phase_rad must lie in [-pi, pi]")
         if not np.isfinite(self.amp_db):
@@ -61,10 +61,10 @@ class PcbTapConfig:
     cq_pf: float
 
     def __post_init__(self):
-        if not (self.cf_pf > 0):
-            raise InvalidArgumentError("cf_pf must be positive")
-        if not (self.cq_pf > 0):
-            raise InvalidArgumentError("cq_pf must be positive")
+        if not (0 < self.cf_pf < np.inf):
+            raise InvalidArgumentError("cf_pf must be positive and finite")
+        if not (0 < self.cq_pf < np.inf):
+            raise InvalidArgumentError("cq_pf must be positive and finite")
         if not (-np.pi <= self.phase_rad <= np.pi):
             raise InvalidArgumentError("phase_rad must lie in [-pi, pi]")
         if not np.isfinite(self.amp_db):

@@ -9,7 +9,7 @@ loss).
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 import numpy as np
 
@@ -20,8 +20,7 @@ def shannon_rate(gamma: float, b_hz: float) -> float:
     """r = B * log2(1 + gamma), bits per second."""
     if not (gamma >= 0):
         raise InvalidArgumentError("gamma must be nonnegative")
-    if not (b_hz > 0):
-        raise InvalidArgumentError("bandwidth must be positive")
+    _check_bandwidth(b_hz)
     return b_hz * math.log2(1.0 + gamma)
 
 
@@ -33,8 +32,8 @@ def _check_nonnegative(name: str, values) -> None:
 
 
 def _check_bandwidth(b_hz: float) -> None:
-    if not (b_hz > 0):
-        raise InvalidArgumentError("bandwidth_hz must be positive")
+    if not (0 < b_hz < math.inf):
+        raise InvalidArgumentError("bandwidth_hz must be positive and finite")
 
 
 @dataclass(frozen=True)
@@ -126,62 +125,6 @@ def _fd_snr(gamma, gamma_self):
     return gamma / (1.0 + gamma_self)
 
 
-def three_node_throughputs(s: MultiUserScenario) -> dict:
-    """Rates and gains for a 2-user cell by FD-capability case.
-
-    Cases: "hd" (no FD), "fd1"/"fd2" (only that user FD), "fd" (both FD).
-    An HD user gets half the slots at full SNR; an FD user gets its full
-    share in duplex at gamma/(1+gamma_self).  Gains are relative to "hd".
-    """
-    if s.n_users != 2:
-        raise InvalidArgumentError("three_node_throughputs requires 2 users")
-    b = s.bandwidth_hz
-    g1, g2 = s.gammas
-    gs = s.gamma_self
-
-    def hd_rate(g):
-        return 0.5 * shannon_rate(g, b)
-
-    def fd_rate(g):
-        return shannon_rate(_fd_snr(g, gs), b)
-
-    rates = {
-        "hd": hd_rate(g1) + hd_rate(g2),
-        "fd1": fd_rate(g1) + hd_rate(g2),
-        "fd2": hd_rate(g1) + fd_rate(g2),
-        "fd": fd_rate(g1) + fd_rate(g2),
-    }
-    if rates["hd"] == 0:
-        raise UndefinedGainError("half-duplex baseline rate is zero")
-    gains = {k: v / rates["hd"] for k, v in rates.items()}
-    return {"rates": rates, "gains": gains}
-
-
-def multi_user_throughputs(s: MultiUserScenario) -> dict:
-    """n-user generalization: each user gets a 1/n time share; an FD user
-    transmits and receives throughout its share at gamma/(1+gamma_self),
-    doubling its per-share rate."""
-    b = s.bandwidth_hz
-    n = s.n_users
-    per_user = []
-    for g, cap in zip(s.gammas, s.fd_capable):
-        if cap:
-            per_user.append(2.0 * shannon_rate(_fd_snr(g, s.gamma_self), b) / n)
-        else:
-            per_user.append(shannon_rate(g, b) / n)
-    baseline = [shannon_rate(g, b) / n for g in s.gammas]
-    total = sum(per_user)
-    total_hd = sum(baseline)
-    if total_hd == 0:
-        raise UndefinedGainError("half-duplex baseline rate is zero")
-    return {
-        "per_user": per_user,
-        "total": total,
-        "gain": total / total_hd,
-        "jfi": jain_fairness(per_user),
-    }
-
-
 def jain_fairness(throughputs) -> float:
     """(sum x)^2 / (n * sum x^2); 1 at perfect equity, 1/n at worst."""
     x = np.asarray(list(throughputs), dtype=float)
@@ -236,6 +179,13 @@ def tdma_schedule_eval(s: MultiUserScenario, sched: ScheduleSpec) -> dict:
     IUI-F: concurrency only when it is IUI-free, i.e. the duplex slot of an
     FD primary.  An HD primary gets a solo slot at full SNR (UL and DL
     alternate across its slots; rates are identical under symmetric SNR).
+
+    Returns per-user rates, their total, the gain of that total over the
+    half-duplex baseline sum_u shannon_rate(gamma_u, B)/n (NaN when the
+    baseline is zero) and Jain's index of the per-user rates (NaN when the
+    total is zero).  This is the one evaluator of per-user rates:
+    :func:`multi_user_throughputs` and :func:`three_node_throughputs` build
+    on it.
     """
     if sched.slots < s.n_users:
         raise InvalidArgumentError("need at least one slot per user")
@@ -243,6 +193,7 @@ def tdma_schedule_eval(s: MultiUserScenario, sched: ScheduleSpec) -> dict:
         raise InvalidArgumentError("iui_matrix size must match user count")
     n = s.n_users
     b = s.bandwidth_hz
+    alone = [shannon_rate(g, b) for g in s.gammas]  # each user alone at full SNR
     # what a slot with primary u adds, as (user, rate) in the order added
     adds = []
     for u, g in enumerate(s.gammas):
@@ -255,7 +206,7 @@ def tdma_schedule_eval(s: MultiUserScenario, sched: ScheduleSpec) -> dict:
                 (v, shannon_rate(s.gammas[v] / (1.0 + sched.iui(u, v)), b)),
             ))
         else:
-            adds.append(((u, shannon_rate(g, b)),))
+            adds.append(((u, alone[u]),))
     # repeated addition is not k * rate: add slot by slot
     per_user = [0.0] * n
     for t in range(sched.slots):
@@ -263,8 +214,43 @@ def tdma_schedule_eval(s: MultiUserScenario, sched: ScheduleSpec) -> dict:
             per_user[w] += rate
     per_user = [r / sched.slots for r in per_user]
     total = sum(per_user)
+    baseline = sum(r / n for r in alone)
     return {
         "per_user": per_user,
         "total": total,
-        "jfi": jain_fairness(per_user) if total > 0 else float("nan"),
+        "gain": total / baseline if baseline > 0 else math.nan,
+        "jfi": jain_fairness(per_user) if total > 0 else math.nan,
     }
+
+
+def multi_user_throughputs(s: MultiUserScenario) -> dict:
+    """n-user generalization: the IUI-F schedule with one slot per user.
+
+    Each user gets a 1/n time share; an FD user transmits and receives
+    throughout its share at gamma/(1+gamma_self), doubling its per-share
+    rate.  A zero half-duplex baseline raises UndefinedGainError.
+    """
+    res = tdma_schedule_eval(s, ScheduleSpec("iuif", s.n_users))
+    if math.isnan(res["gain"]):
+        raise UndefinedGainError("half-duplex baseline rate is zero")
+    return res
+
+
+_THREE_NODE_CASES = {
+    "hd": (False, False), "fd1": (True, False), "fd2": (False, True), "fd": (True, True),
+}
+
+
+def three_node_throughputs(s: MultiUserScenario) -> dict:
+    """Rates and gains for a 2-user cell by FD-capability case.
+
+    Cases: "hd" (no FD), "fd1"/"fd2" (only that user FD), "fd" (both FD).
+    Each case's rate is the :func:`multi_user_throughputs` total of `s` with
+    that capability, and its gain is relative to "hd".
+    """
+    if s.n_users != 2:
+        raise InvalidArgumentError("three_node_throughputs requires 2 users")
+    res = {case: multi_user_throughputs(replace(s, fd_capable=caps))
+           for case, caps in _THREE_NODE_CASES.items()}
+    return {"rates": {case: r["total"] for case, r in res.items()},
+            "gains": {case: r["gain"] for case, r in res.items()}}

@@ -237,6 +237,8 @@ class SolveOptions:
     def __post_init__(self):
         if self.restarts < 1 or self.max_iters < 1:
             raise InvalidArgumentError("restarts and max_iters must be >= 1")
+        if self.seed < 0:
+            raise InvalidArgumentError("seed must be nonnegative")
 
 
 @dataclass(frozen=True)
@@ -518,23 +520,34 @@ def _descend(kernel, z0, lows, span, periodic, opts, stats=None):
     return out
 
 
-def _debug_log():
-    """The "fdecanc" logger if it handles DEBUG records, else None.
+class _RunRecord:
+    """The DEBUG records of one solver call on the "fdecanc" logger, and the
+    clock that times them.
 
-    A program that never imported `logging` has configured no handler, so
+    Falsy, and reads no clock, when that logger does not handle DEBUG.  A
+    program that never imported `logging` has configured no handler, so
     nothing could receive the records; importing it here would only add its
     half megabyte to every process that uses this package.
     """
-    logging = sys.modules.get("logging")
-    if logging is None:
-        return None
-    log = logging.getLogger("fdecanc")
-    return log if log.isEnabledFor(logging.DEBUG) else None
 
+    def __init__(self):
+        logging = sys.modules.get("logging")
+        log = logging and logging.getLogger("fdecanc")
+        self._log = log if log and log.isEnabledFor(logging.DEBUG) else None
+        self._last = time.perf_counter() if self else 0.0
 
-def _no_clock() -> float:
-    """The clock of a call that logs nothing: no time is read."""
-    return 0.0
+    def __bool__(self) -> bool:
+        return self._log is not None
+
+    def lap(self) -> float:
+        """Seconds since the previous lap, or since the record was made; 0 if falsy."""
+        last, self._last = self._last, time.perf_counter() if self else 0.0
+        return self._last - last
+
+    def emit(self, message: str, **fields) -> None:
+        """Log `message % fields` at DEBUG, the fields also as record attributes."""
+        if self:
+            self._log.debug(message, fields, extra=fields)
 
 
 def solve_continuous(
@@ -573,23 +586,20 @@ def solve_continuous(
         x = kernel.tap_model.vector(cfgs).reshape(1, -1)
         starts.append((x - lows) / span)
 
-    log = _debug_log()
+    run = _RunRecord()
     stats = {}
-    began = time.perf_counter() if log is not None else 0.0
     outs = _descend(kernel, np.vstack(starts), lows, span, periodic, opts, stats)
-    if log is not None:
-        wall_s = time.perf_counter() - began
+    if run:
+        wall_s = run.lap()
         for r, res in enumerate(outs):
             if res is None:
-                log.debug("start %d: objective not finite at the start point", r)
+                run.emit("start %(start)d: objective not finite at the start point", start=r)
                 continue
-            info = {"start": r, "iterations": len(res[2]) - 1,
-                    "stop_reason": res[3], "objective": res[1]}
-            log.debug("start %(start)d: %(iterations)d iterations, stop "
-                      "%(stop_reason)s, objective %(objective).17g", info, extra=info)
-        info = {"starts": len(outs), **stats, "wall_s": wall_s}
-        log.debug("solve: %(starts)d starts, %(passes)d passes, %(configs)d "
-                  "configs scored, %(wall_s).6f s", info, extra=info)
+            run.emit("start %(start)d: %(iterations)d iterations, stop %(stop_reason)s, "
+                     "objective %(objective).17g", start=r, iterations=len(res[2]) - 1,
+                     stop_reason=res[3], objective=res[1])
+        run.emit("solve: %(starts)d starts, %(passes)d passes, %(configs)d configs "
+                 "scored, %(wall_s).6f s", starts=len(outs), **stats, wall_s=wall_s)
     best = None
     for r, res in enumerate(outs):
         if res is not None and (best is None or res[1] < best[1]):
@@ -653,8 +663,7 @@ def local_search(
     filters_reused, wall_s) at DEBUG on the "fdecanc" logger, also as record
     attributes.
     """
-    log = _debug_log()
-    began = time.perf_counter() if log is not None else 0.0
+    run = _RunRecord()
     kernel = ModelKernel(model, h_si, board)
     tm, f, target, board = kernel.tap_model, kernel._f, kernel._target, kernel.board
     knob_vals = [k.values() for k in spec.knobs()]
@@ -723,14 +732,11 @@ def local_search(
         if not improved:
             break
     x = np.stack([v[[c[j] for c in idx]] for j, v in enumerate(knob_vals)], axis=1)
-    if log is not None:
-        info = {"rounds": rounds, "accepted": len(trace) - 1, "scored": scored,
-                "filters_computed": computed, "filters_reused": reused,
-                "wall_s": time.perf_counter() - began}
-        log.debug("local search: %(rounds)d rounds, %(accepted)d moves accepted, "
-                  "%(scored)d candidates scored, filter rows %(filters_computed)d "
-                  "computed and %(filters_reused)d reused, %(wall_s).6f s",
-                  info, extra=info)
+    run.emit("local search: %(rounds)d rounds, %(accepted)d moves accepted, "
+             "%(scored)d candidates scored, filter rows %(filters_computed)d "
+             "computed and %(filters_reused)d reused, %(wall_s).6f s",
+             rounds=rounds, accepted=len(trace) - 1, scored=scored,
+             filters_computed=computed, filters_reused=reused, wall_s=run.lap())
     return SolveReport(
         config=kernel.tap_model.configs(x),
         objective=fx,
@@ -839,36 +845,30 @@ def fit_pipeline(
 
     Returns (continuous_report, quantized_report_or_None).
     """
-    log = _debug_log()
-    clock = time.perf_counter if log is not None else _no_clock
     phases = dict.fromkeys(("continuous_s", "quantize_s", "local_search_s", "polish_s"), 0.0)
     opts = opts or SolveOptions()
     bounds = spec.bounds() if spec is not None else default_bounds(model)
-    t0 = clock()
+    run = _RunRecord()
     cont = solve_continuous(
         model, h_si, bounds, opts, num_taps, board, init_configs=init_configs
     )
-    t1 = clock()
-    phases["continuous_s"] = t1 - t0
+    phases["continuous_s"] = run.lap()
     qrep = None
     if spec is not None:
         qcfg = quantize_config(cont.config, spec)
-        t2 = clock()
+        phases["quantize_s"] = run.lap()
         qrep = local_search(qcfg, model, h_si, spec, board=board)
-        t3 = clock()
-        phases["quantize_s"], phases["local_search_s"] = t2 - t1, t3 - t2
+        phases["local_search_s"] = run.lap()
         if qrep.objective < cont.objective:
             polished = solve_continuous(
                 model, h_si, bounds, replace(opts, restarts=1), num_taps, board,
                 init_configs=[qrep.config],
             )
-            phases["polish_s"] = clock() - t3
+            phases["polish_s"] = run.lap()
             if polished.objective < cont.objective:
                 cont = polished
-    if log is not None:
-        log.debug("fit pipeline: continuous %(continuous_s).6f s, quantize "
-                  "%(quantize_s).6f s, local search %(local_search_s).6f s, "
-                  "polish %(polish_s).6f s", phases, extra=phases)
+    run.emit("fit pipeline: continuous %(continuous_s).6f s, quantize %(quantize_s).6f s, "
+             "local search %(local_search_s).6f s, polish %(polish_s).6f s", **phases)
     return cont, qrep
 
 

@@ -29,14 +29,16 @@ class SynthChannelSpec:
     reflections: tuple = DEFAULT_REFLECTIONS
 
     def __post_init__(self):
-        if not (self.isolation_db < 0):
-            raise InvalidArgumentError("isolation_db must be negative")
-        if not (self.base_delay_s >= 0):
-            raise InvalidArgumentError("base_delay_s must be nonnegative")
+        if not (-math.inf < self.isolation_db < 0):
+            raise InvalidArgumentError("isolation_db must be negative and finite")
+        if not (0 <= self.base_delay_s < math.inf):
+            raise InvalidArgumentError("base_delay_s must be nonnegative and finite")
         refl = tuple((float(a), float(d)) for a, d in self.reflections)
-        for a, _ in refl:
-            if not (a < 0):
-                raise InvalidArgumentError("reflection amplitudes must be < 0 dB")
+        for a, d in refl:
+            if not (-math.inf < a < 0):
+                raise InvalidArgumentError("reflection amplitudes must be finite and < 0 dB")
+            if not math.isfinite(d):
+                raise InvalidArgumentError("reflection delays must be finite")
         object.__setattr__(self, "reflections", refl)
 
 

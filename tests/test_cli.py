@@ -394,6 +394,20 @@ class TestParserPerProcess:
                              text=True, env=env, check=True)
         assert run.stdout == "True\n"
 
+    def test_fit_does_not_import_logging(self, tmp_path):
+        # no handler can take the solvers' DEBUG records in a program that
+        # never imported `logging`, so a run does not import it either
+        code = (
+            "import sys; from fdecanc.cli import main; "
+            "rc = main(['fit', '--synth', '--band', '890e6:910e6:11', '--restarts', '2', "
+            "'--max-iters', '20', '--quantize', 'rfic', '--out-report', sys.argv[1]]); "
+            "print(rc, 'logging' in sys.modules)"
+        )
+        env = {**os.environ, "PYTHONPATH": os.pathsep.join(sys.path)}
+        run = subprocess.run([sys.executable, "-c", code, str(tmp_path / "r.json")],
+                             capture_output=True, text=True, env=env, check=True)
+        assert run.stdout == "0 False\n"
+
 
 class TestOutputFiles:
     @pytest.mark.parametrize(
@@ -541,6 +555,27 @@ class TestUsageErrors:
             ["network", "uldl", "--gamma-ul-db", "0", "--gamma-dl-db=0:nan:2"],
             ["genchannel", "--band=-inf:1e9:11"],
             ["model", "--kind", "pcb", "--band", "8e8:inf:11"],
+            # values that the object a flag builds rejects
+            *(["model", "--kind", "ideal", "--fc", "9e8", "--band", "890e6:910e6:5", *flags]
+              for flags in (["--q", "-3"], ["--q", "nan"], ["--q", "inf"], ["--amp-db", "nan"],
+                            ["--phase", "7"])),
+            ["model", "--kind", "ideal", "--fc", "inf", "--band", "890e6:910e6:5"],
+            ["model", "--kind", "ideal", "--fc", "nan", "--band", "890e6:910e6:5"],
+            ["model", "--kind", "pcb", "--band", "890e6:910e6:5", "--cf-pf", "nan"],
+            ["model", "--kind", "pcb", "--band", "890e6:910e6:5", "--cf-pf", "inf"],
+            ["model", "--kind", "pcb", "--band", "890e6:910e6:5", "--cq-pf", "inf"],
+            *(["genchannel", "--band", "850e6:950e6:11", *flags]
+              for flags in (["--isolation-db", "5"], ["--isolation-db", "nan"],
+                            ["--base-delay-ns", "-1"], ["--base-delay-ns", "inf"],
+                            ["--reflections=5:10"], ["--reflections=-10:inf"],
+                            ["--isolation-db=-inf"], ["--reflections=-inf:10"])),
+            ["fit", "--synth", "--band", "890e6:910e6:21", "--seed", "-1"],
+            ["sweep", "--seed", "-1"],
+            ["sweep", "--center-mhz", "inf"],
+            ["sweep", "--center-mhz", "nan"],
+            ["network", "uldl", "--gamma-ul-db", "10", "--gamma-dl-db", "10",
+             "--bandwidth-hz", "inf"],
+            ["network", "tdma", "--schedule", "rro", "--bandwidth-hz", "inf"],
         ],
     )
     def test_malformed_value_is_one_line_usage_error(
@@ -552,7 +587,7 @@ class TestUsageErrors:
             raise AssertionError("computation started")
 
         for name in ("fit_pipeline", "synth_si_channel", "tdma_schedule_eval",
-                     "uldl_surface"):
+                     "uldl_surface", "ideal_tap_response", "pcb_bpf_response_closed_form"):
             monkeypatch.setattr(cli, name, no_compute)
         # `fit` has no --out; a bare --out would be an ambiguous option
         out_flag = "--out-report" if argv[0] == "fit" else "--out"

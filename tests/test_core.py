@@ -35,6 +35,12 @@ class TestFrequencyGrid:
         with pytest.raises(InvalidArgumentError):
             FrequencyGrid(np.array([900e6, 901e6, 903e6]))
 
+    @pytest.mark.parametrize("ends", [(np.inf, np.inf), (-np.inf, 1e9), (8e8, np.nan)])
+    def test_linspace_rejects_non_finite_ends(self, ends):
+        # before numpy computes the points, so no RuntimeWarning either
+        with pytest.raises(InvalidArgumentError):
+            FrequencyGrid.linspace(*ends, 11)
+
     def test_properties(self):
         g = FrequencyGrid.linspace(850e6, 950e6, 101)
         assert g.count == 101

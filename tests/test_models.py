@@ -79,6 +79,15 @@ class TestIdealTap:
         with pytest.raises(InvalidArgumentError):
             IdealTapConfig(0.0, 4.0, 900e6, 10.0)
 
+    @pytest.mark.parametrize("bad", [np.inf, np.nan])
+    def test_non_finite_knobs_rejected(self, bad):
+        for knobs in ((bad, 0.0, 900e6, 10.0), (0.0, 0.0, bad, 10.0), (0.0, 0.0, 900e6, bad)):
+            with pytest.raises(InvalidArgumentError):
+                IdealTapConfig(*knobs)
+        for knobs in ((bad, 0.0, 1.5, 8.0), (0.0, 0.0, bad, 8.0), (0.0, 0.0, 1.5, bad)):
+            with pytest.raises(InvalidArgumentError):
+                PcbTapConfig(*knobs)
+
     def test_zero_frequency_rejected(self):
         g = FrequencyGrid(np.array([0.0, 1e6]))
         with pytest.raises(InvalidArgumentError):

@@ -30,8 +30,9 @@ class TestShannon:
     def test_validation(self):
         with pytest.raises(InvalidArgumentError):
             shannon_rate(-0.1, 1.0)
-        with pytest.raises(InvalidArgumentError):
-            shannon_rate(1.0, 0.0)
+        for b in (0.0, math.inf, math.nan):
+            with pytest.raises(InvalidArgumentError):
+                shannon_rate(1.0, b)
 
     def test_nan_gamma_rejected(self):
         with pytest.raises(InvalidArgumentError):
@@ -159,6 +160,76 @@ class TestTdmaPerUserRates:
             assert math.isnan(got["jfi"])
 
 
+# gammas with zero and underflowing rates: log2(1 + g) rounds to 0 below
+# about 1e-16, so the half-duplex baseline can be zero
+_gammas = st.one_of(st.just(0.0), st.floats(0.0, 1e-14), st.floats(0.0, 1e6))
+
+
+@st.composite
+def scenarios(draw, n=None):
+    n = n or draw(st.sampled_from([2, 3]))
+    return MultiUserScenario(
+        draw(st.lists(_gammas, min_size=n, max_size=n)),
+        draw(st.lists(st.booleans(), min_size=n, max_size=n)),
+        draw(st.one_of(st.just(0.0), st.floats(0.0, 1e12))),
+        draw(st.floats(1e-3, 1e8)),
+    )
+
+
+class TestOneRateEvaluator:
+    @settings(max_examples=200, deadline=None)
+    @given(st.one_of(tdma_cases(), st.tuples(scenarios(), st.sampled_from(["rro", "iuif"]))
+                     .map(lambda c: (c[0], ScheduleSpec(c[1], c[0].n_users)))))
+    def test_gain_over_the_half_duplex_baseline(self, case):
+        s, sched = case
+        res = tdma_schedule_eval(s, sched)
+        baseline = sum(shannon_rate(g, s.bandwidth_hz) / s.n_users for g in s.gammas)
+        if baseline > 0:
+            assert res["gain"] == res["total"] / baseline
+        else:
+            assert math.isnan(res["gain"])
+
+    @settings(max_examples=200, deadline=None)
+    @given(scenarios())
+    def test_multi_user_is_iuif_with_one_slot_per_user(self, s):
+        iuif = tdma_schedule_eval(s, ScheduleSpec("iuif", s.n_users))
+        if math.isnan(iuif["gain"]):
+            with pytest.raises(UndefinedGainError, match="baseline"):
+                multi_user_throughputs(s)
+        else:
+            # repr: the same keys in the same order, and a NaN jfi equal to NaN
+            assert repr(multi_user_throughputs(s)) == repr(iuif)
+
+    @settings(max_examples=200, deadline=None)
+    @given(scenarios(n=2))
+    def test_three_node_cases_are_multi_user_totals(self, s):
+        cases = {"hd": (False, False), "fd1": (True, False), "fd2": (False, True),
+                 "fd": (True, True)}
+        b = s.bandwidth_hz
+        half = [0.5 * shannon_rate(g, b) for g in s.gammas]
+        if sum(half) == 0:
+            with pytest.raises(UndefinedGainError):
+                three_node_throughputs(s)
+            return
+        out = three_node_throughputs(s)
+        for name, caps in cases.items():
+            total = multi_user_throughputs(MultiUserScenario(s.gammas, caps, s.gamma_self, b))
+            assert out["rates"][name] == total["total"]
+            assert out["gains"][name] == total["gain"]
+            # the closed form: an FD user's full rate at gamma/(1+gamma_self),
+            # an HD user's half rate at full SNR
+            terms = [shannon_rate(g / (1.0 + s.gamma_self), b) if c else h
+                     for g, c, h in zip(s.gammas, caps, half)]
+            assert out["rates"][name] == terms[0] + terms[1]
+            assert out["gains"][name] == out["rates"][name] / (half[0] + half[1])
+
+    def test_fd_rates_that_underflow_give_zero_gain(self):
+        # a positive baseline, but every FD rate rounds to zero: no fairness index
+        s = MultiUserScenario((1e-15, 1e-15), (True, True), gamma_self=1e10)
+        res = multi_user_throughputs(s)
+        assert res["total"] == res["gain"] == 0.0 and math.isnan(res["jfi"])
+
+
 class TestThreeNode:
     def test_hand_values(self):
         s = MultiUserScenario((15.0, 15.0), (True, True), gamma_self=3.0)
@@ -221,6 +292,15 @@ class TestScenarioValidation:
     def test_negative_gamma(self):
         with pytest.raises(InvalidArgumentError):
             MultiUserScenario((-1.0, 1.0), (True, True))
+
+    @pytest.mark.parametrize("b", [0.0, -1.0, math.inf, math.nan])
+    def test_bandwidth_positive_and_finite(self, b):
+        with pytest.raises(InvalidArgumentError):
+            MultiUserScenario((1.0, 1.0), (True, True), bandwidth_hz=b)
+        with pytest.raises(InvalidArgumentError):
+            UlDlScenario(1.0, 1.0, bandwidth_hz=b)
+        with pytest.raises(InvalidArgumentError):
+            uldl_surface([1.0], [1.0], [0.0], bandwidth_hz=b)
 
 
 class TestJain:

@@ -439,6 +439,14 @@ class TestPipelineAndReports:
             report_from_dict(d)
 
 
+class TestSolveOptions:
+    @pytest.mark.parametrize("kwargs", [{"restarts": 0}, {"max_iters": 0}, {"seed": -1}])
+    def test_rejects_values_it_cannot_run(self, kwargs):
+        # a negative seed is also one numpy's generator rejects
+        with pytest.raises(InvalidArgumentError):
+            SolveOptions(**kwargs)
+
+
 class TestPipelinePhaseLog:
     def _records(self, caplog):
         return [r for r in caplog.records if r.name == "fdecanc"]

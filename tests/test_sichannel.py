@@ -112,6 +112,18 @@ class TestSynth:
         with pytest.raises(InvalidArgumentError):
             SynthChannelSpec(reflections=((2.0, 10e-9),))
 
+    @pytest.mark.parametrize("bad", [np.inf, -np.inf, np.nan])
+    def test_non_finite_values_rejected(self, bad):
+        # synth_si_channel could not evaluate them
+        with pytest.raises(InvalidArgumentError):
+            SynthChannelSpec(isolation_db=bad)
+        with pytest.raises(InvalidArgumentError):
+            SynthChannelSpec(base_delay_s=bad)
+        with pytest.raises(InvalidArgumentError):
+            SynthChannelSpec(reflections=((bad, 20e-9),))
+        with pytest.raises(InvalidArgumentError):
+            SynthChannelSpec(reflections=((-10.0, bad),))
+
     def test_no_reflections_flat(self):
         grid = FrequencyGrid.linspace(850e6, 950e6, 101)
         r = synth_si_channel(

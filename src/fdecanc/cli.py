@@ -16,17 +16,17 @@ tap model; `tdma --fd` and `--gammas-db` lists whose length is not `--users`
 (`--gammas-db` may also be one value); a dB value of `uldl` or `tdma` that is
 NaN or whose linear value overflows (`-inf` dB is a gamma of 0); a `--band` or
 `sweep --points` that gives no valid frequency grid (fewer than 2 points, not
-increasing); a `start:stop:count` whose start or stop is not finite; a
-frequency that is not finite and positive in any `--band`, in a `sweep` band
-from `--center-mhz` and `--bandwidths-mhz` or in a `fit --channel` file; a
---channel file that cannot be read; and an output path (--out, --out-report,
---out-csv) whose directory does not exist or that names a directory. All are
-checked before any computation starts. Frequency and `uldl` dB flags accept
-`start:stop:count` syntax, count >= 1. Outputs are deterministic given --seed
-and written atomically (temp file + rename), with the mode the umask gives a
-new file. A `start:stop:count` value that begins with '-' must be attached to
-its flag with '=' (`--gamma-iui-db=-5:5:3`), or argparse reads it as an
-option.
+increasing, more than 10^7 points); a `start:stop:count` whose start or stop
+is not finite or whose count exceeds 10^7; a frequency that is not finite and
+positive in any `--band`, in a `sweep` band from `--center-mhz` and
+`--bandwidths-mhz` or in a `fit --channel` file; a --channel file that cannot
+be read; and an output path (--out, --out-report, --out-csv) whose directory
+does not exist or that names a directory. All are checked before any
+computation starts. Frequency and `uldl` dB flags accept `start:stop:count`
+syntax, count >= 1. Outputs are deterministic given --seed and written
+atomically (temp file + rename), with the mode the umask gives a new file. A
+`start:stop:count` value that begins with '-' must be attached to its flag
+with '=' (`--gamma-iui-db=-5:5:3`), or argparse reads it as an option.
 """
 
 from __future__ import annotations
@@ -39,7 +39,9 @@ import sys
 
 import numpy as np
 
-from .core import ComplexResponse, FrequencyGrid, amplitude_db, group_delay, unwrapped_phase
+from .core import (
+    MAX_POINTS, ComplexResponse, FrequencyGrid, amplitude_db, group_delay, unwrapped_phase,
+)
 from .errors import FdecancError, InvalidArgumentError
 from .models import (
     TAP_MODELS,
@@ -119,7 +121,10 @@ def _parse_band(text: str) -> FrequencyGrid:
 def _parse_db_range(text: str) -> list:
     """A single dB value or a start:stop:count sweep, as Python floats."""
     if ":" in text:
-        return np.linspace(*_parse_span(text, "range")).tolist()
+        start, stop, count = _parse_span(text, "range")
+        if count > MAX_POINTS:
+            raise UsageError(f"range {text!r}: count exceeds {MAX_POINTS}")
+        return np.linspace(start, stop, count).tolist()
     try:
         return [float(text)]
     except ValueError:

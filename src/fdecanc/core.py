@@ -18,6 +18,9 @@ from .errors import (
 )
 
 _UNIFORMITY_RTOL = 1e-9
+# The most points a grid may have: 10^7 frequencies take 80 MB, and each
+# complex response on them twice that.
+MAX_POINTS = 10**7
 
 
 @dataclass(frozen=True)
@@ -42,9 +45,12 @@ class FrequencyGrid:
 
     @classmethod
     def linspace(cls, start_hz: float, stop_hz: float, count: int) -> "FrequencyGrid":
-        # checked before np.linspace, which warns on a non-finite end
+        # checked before np.linspace, which warns on a non-finite end and
+        # would allocate any count
         if not (np.isfinite(start_hz) and np.isfinite(stop_hz)):
             raise InvalidArgumentError("grid contains non-finite frequencies")
+        if int(count) > MAX_POINTS:
+            raise InvalidArgumentError(f"grid of {int(count)} points exceeds {MAX_POINTS}")
         return cls(np.linspace(start_hz, stop_hz, int(count)))
 
     @property

@@ -214,8 +214,14 @@ class ModelKernel:
 def _objectives(target: np.ndarray, taps: np.ndarray) -> np.ndarray:
     """sum_k |target_k - sum_m T_mk|^2 of per-tap responses T, shape (..., M,
     K): one objective per config, its taps summed in tap order."""
-    d = target - taps.sum(axis=-2)
-    return np.sum(d.real**2 + d.imag**2, axis=-1)
+    return _residual_objectives(target, taps)[1]
+
+
+def _residual_objectives(target: np.ndarray, taps: np.ndarray):
+    """The residuals d = target - sum_m T_m, shape (..., K), and the
+    objectives |d|^2 that `_objectives` returns."""
+    d = target - np.add.reduce(taps, axis=-2)
+    return d, np.add.reduce(d.real**2 + d.imag**2, axis=-1)
 
 
 def config_vector(cfgs) -> np.ndarray:
@@ -634,6 +640,67 @@ def quantize_config(config, spec: QuantizationSpec):
     return [tm.config_class(*row) for row in np.stack(q, axis=1).tolist()]
 
 
+class _MoveScreen:
+    """Lower bounds on the objectives of local-search moves; `local_search`
+    gives the algebra and its rounding bound.
+
+    For the current point it holds the objective fx and residual e of its
+    last exact score and, per tap, the weight w, the unit row phi =
+    combine(1, filter term), |phi|^2 and, once a move of the tap needs it,
+    <e, phi> = sum_k conj(e_k) phi_k.
+    """
+
+    def __init__(self, target, weights, units, fx, resid):
+        self._coef = 16.0 * (target.size + len(units) + 8) * np.finfo(float).eps
+        self._tau = float(np.linalg.norm(target))
+        self._w, self._units = list(weights), list(units)
+        self._phi2 = [float(np.vdot(u, u).real) for u in units]
+        self._phi = [math.sqrt(p2) for p2 in self._phi2]
+        self._norms = [abs(w) * p for w, p in zip(self._w, self._phi)]
+        self.accept(fx, resid)
+
+    def accept(self, fx, resid, i=None, w=None, unit=None):
+        """Take the exact score (objective fx, residual `resid`) of the new
+        point, at which tap i has weight w or unit row `unit`."""
+        if w is not None:
+            self._w[i] = w
+        if unit is not None:
+            self._units[i] = unit
+            self._phi2[i] = float(np.vdot(unit, unit).real)
+            self._phi[i] = math.sqrt(self._phi2[i])
+        if i is not None:
+            self._norms[i] = abs(self._w[i]) * self._phi[i]
+        self.fx, self._e = fx, resid
+        self._norm = self._tau + sum(self._norms)
+        self._c = [None] * len(self._w)
+
+    def weights(self, i, ws) -> list:
+        """Lower bounds on the objectives with tap i's weight moved to each
+        of ws: |e - D phi|^2 = fx - 2 Re(D <e, phi>) + |D|^2 |phi|^2, D = w' - w."""
+        c = self._c[i]
+        if c is None:
+            c = self._c[i] = complex(np.vdot(self._e, self._units[i]))
+        fx, w, p, p2 = self.fx, self._w[i], self._phi[i], self._phi2[i]
+        out = []
+        for wn in ws:
+            d = wn - w
+            n = self._norm + abs(wn) * p
+            out.append(fx - 2.0 * (d * c).real + (d.real * d.real + d.imag * d.imag) * p2
+                       - self._coef * n * n)
+        return out
+
+    def rows(self, row, new) -> list:
+        """Lower bounds on the objectives with a tap's row `row` replaced by
+        each row r' of `new`: |g - r'|^2, g = e + row."""
+        out = []
+        for v in (self._e + row) - new:
+            s = float(np.vdot(v, v).real)
+            # |r'| <= |g| + |g - r'| <= 2 (|t| + sum_m |r_m|) + |g - r'|
+            n = 3.0 * self._norm + math.sqrt(s)
+            out.append(s - self._coef * n * n)
+        return out
+
+
 def local_search(
     qconfig,
     model: str,
@@ -657,11 +724,38 @@ def local_search(
     computes only the moved tap's candidate rows, and an amplitude or phase
     move no filter term.  They are combined as the model's kernel combines
     them, and candidates are scored as `ModelKernel.objective_batch` scores
-    configs, so every objective is bitwise the kernel's.  Each call logs
-    rounds, accepted moves, candidates scored, filter rows computed and
-    reused and wall time (rounds, accepted, scored, filters_computed,
-    filters_reused, wall_s) at DEBUG on the "fdecanc" logger, also as record
-    attributes.
+    configs, so every objective is bitwise the kernel's.
+
+    Screen.  A tap's row is r = w phi up to rounding, with w its weight and
+    phi = combine(1, filter term) its unit row.  Let e be the residual of
+    the current point's exact score.  A move of tap i to weight w' has
+    objective |e - D phi_i|^2, D = w' - w, which `_MoveScreen` expands into
+    scalars from <e, phi_i> and |phi_i|^2.  A move of its filter knobs has
+    objective |g - r'|^2, g = e + r_i, from the candidate row r' that its
+    exact score needs anyway: one subtraction and one K-term dot product per
+    candidate.  A candidate is scored exactly only if its screened value
+    minus a slack is below fx; the others cannot beat fx, so the search
+    accepts the same moves, in the same order, with the same objectives as
+    one that scores every candidate exactly.
+
+    Rounding bound.  Let eps be the machine epsilon, K the grid points, M the
+    taps and N = |t| + sum_m |r_m| + |r'|, 2-norms over the grid, with r' the
+    candidate row: N bounds every vector the values are built from.  An
+    exact score (a sum over taps, a subtraction, K squares and their sum) is
+    within (K + 2M + 4) eps N^2 of its value in exact arithmetic on the same
+    rows, and so is fx; e is within (M + 1) eps N of t - sum_m r_m.  A row
+    combine(w, term) differs from w phi by at most 16 eps |r| (up to three
+    complex products or a division on each side).  A screened value adds to
+    these its K-term dot product, |phi|^2 and the few products and sums that
+    assemble it, so it is within (7K + 6M + 100) eps N^2 of the candidate's
+    exact score.  The slack 16 (K + M + 8) eps N^2 exceeds that, with N
+    taken from |w| |phi|, within a few eps of |r|, or for a filter move from
+    the triangle bound |r'| <= |g| + |g - r'|.
+
+    Each call logs rounds, accepted moves, candidates scored (screened),
+    candidates scored exactly, filter rows computed and reused and wall
+    time (rounds, accepted, scored, exact, filters_computed, filters_reused,
+    wall_s) at DEBUG on the "fdecanc" logger, also as record attributes.
     """
     run = _RunRecord()
     kernel = ModelKernel(model, h_si, board)
@@ -675,15 +769,29 @@ def local_search(
 
     gain, turn = weight_factors(knob_vals[0], knob_vals[1])
     combine = tm.combiner(f, board)
-    weights = (gain[idx[:, 0]] * turn[idx[:, 1]])[:, None]
-    terms = tm.filter(x[:, 2], x[:, 3], f, board)[0]
-    rows = combine(weights, terms)
+    filters = {}
+    computed = 0
+
+    def lookup(keys):
+        """The filter terms of (center code, q code) keys, computing the new ones."""
+        nonlocal computed
+        fresh = [key for key in keys if key not in filters]
+        if fresh:
+            c = knob_vals[2][[key[0] for key in fresh]]
+            q = knob_vals[3][[key[1] for key in fresh]]
+            filters.update(zip(fresh, tm.filter(c, q, f, board)[0]))
+            computed += len(fresh)
+        return np.array([filters[key] for key in keys])
+
+    terms = lookup([(c, q) for c, q in idx[:, 2:].tolist()])
+    weights = gain[idx[:, 0]] * turn[idx[:, 1]]
+    rows = combine(weights[:, None], terms)
     fx = kernel.objective(x)
+    screen = _MoveScreen(target, weights.tolist(), combine(1.0, terms), fx,
+                         target - rows.sum(axis=0))
     idx = idx.tolist()
-    filters = {(c[2], c[3]): row for c, row in zip(idx, terms)}
     trace = [fx]
-    rounds = scored = 0
-    computed, reused = len(idx), 0
+    rounds = scored = exact = reused = 0
     for _ in range(max_rounds):
         rounds += 1
         improved = False
@@ -699,32 +807,38 @@ def local_search(
                     moves.append(k)
                 if not moves:
                     continue
+                scored += len(moves)
                 if j < 2:
                     a = moves if j == 0 else [code[0]] * len(moves)
                     p = moves if j == 1 else [code[1]] * len(moves)
-                    w = (gain[a] * turn[p])[:, None]
-                    new = combine(w, filters[code[2], code[3]][None, :])
+                    ws = gain[a] * turn[p]
+                    low = screen.weights(i, ws.tolist())
                 else:
                     keys = [(k, code[3]) if j == 2 else (code[2], k) for k in moves]
-                    fresh = [key for key in keys if key not in filters]
-                    if fresh:
-                        c, q = np.array(fresh).T
-                        filters.update(zip(
-                            fresh, tm.filter(knob_vals[2][c], knob_vals[3][q], f, board)[0]
-                        ))
-                    computed += len(fresh)
-                    reused += len(keys) - len(fresh)
-                    w = weights[i : i + 1]
-                    new = combine(w, np.stack([filters[key] for key in keys]))
-                cands = np.repeat(rows[None], len(moves), axis=0)
-                cands[:, i] = new
-                scored += len(moves)
-                for m, (k, fc) in enumerate(zip(moves, _objectives(target, cands).tolist())):
+                    before = computed
+                    cand_terms = lookup(keys)
+                    reused += len(keys) - (computed - before)
+                    cand_rows = combine(weights[i], cand_terms)
+                    low = screen.rows(rows[i], cand_rows)
+                for m, v in enumerate(low):
+                    if not v < fx:
+                        continue
+                    exact += 1
+                    cand = rows.copy()
+                    if j < 2:
+                        cand[i] = combine(ws[m], filters[code[2], code[3]])
+                    else:
+                        cand[i] = cand_rows[m]
+                    resid, fc = _residual_objectives(target, cand)
+                    fc = float(fc)
                     if fc < fx:
-                        code[j] = k
-                        rows[i] = new[m]
+                        code[j] = moves[m]
+                        rows = cand
                         if j < 2:
-                            weights[i] = w[m]
+                            weights[i] = ws[m]
+                            screen.accept(fc, resid, i, w=complex(ws[m]))
+                        else:
+                            screen.accept(fc, resid, i, unit=combine(1.0, cand_terms[m]))
                         fx = fc
                         trace.append(fx)
                         improved = True
@@ -733,9 +847,9 @@ def local_search(
             break
     x = np.stack([v[[c[j] for c in idx]] for j, v in enumerate(knob_vals)], axis=1)
     run.emit("local search: %(rounds)d rounds, %(accepted)d moves accepted, "
-             "%(scored)d candidates scored, filter rows %(filters_computed)d "
-             "computed and %(filters_reused)d reused, %(wall_s).6f s",
-             rounds=rounds, accepted=len(trace) - 1, scored=scored,
+             "%(scored)d candidates scored, %(exact)d exactly, filter rows "
+             "%(filters_computed)d computed and %(filters_reused)d reused, %(wall_s).6f s",
+             rounds=rounds, accepted=len(trace) - 1, scored=scored, exact=exact,
              filters_computed=computed, filters_reused=reused, wall_s=run.lap())
     return SolveReport(
         config=kernel.tap_model.configs(x),
@@ -879,55 +993,92 @@ def fit_pipeline(
 _SCREEN_ROWS = 64
 
 
-def _pair_rows(target: np.ndarray, resp: np.ndarray) -> np.ndarray:
-    """Ascending indices i of every row that can hold the best pair (i, j).
+def _pair_rows(target: np.ndarray, weights: np.ndarray, units: np.ndarray) -> np.ndarray:
+    """Ascending indices a of every row that can hold the best pair (a, b)
+    of rows r_a = weights[a // n] * units[a % n], n = len(units): each of
+    the P weights times each of the n unit rows, in weight-major order.
 
-    The pair objective |t - r_i - r_j|^2 expands, with the real float views
-    R_i = (Re r_i1, Im r_i1, ..., Re r_iK, Im r_iK) and T of t, of length
-    n = 2K, to
+    The pair objective |t - r_a - r_b|^2 expands, with the real float views
+    R_a = (Re r_a1, Im r_a1, ..., Re r_aK, Im r_aK) and T of t, to
 
-        obj(i, j) = |T|^2 + u_i + u_j + 2 R_i.R_j,   u_i = |R_i|^2 - 2 T.R_i,
+        obj(a, b) = |T|^2 + u_a + u_b + 2 R_a.R_b,   u_a = |R_a|^2 - 2 T.R_a.
 
-    so every row minimum m_i = min_j obj(i, j) comes from real GEMMs, with
-    no P x P matrix kept.  R_i.R_j is symmetric, so only the blocks on or
-    above the diagonal are computed, R[block] @ R[block start:].T: each
-    block updates the minima of its rows (adding u of its columns) and of
-    its columns (adding u of its rows).  The screened value of (i, j) may
-    thus come from the (j, i) product.
+    With w_a and phi_a the weight and unit row of r_a, R_a.R_b = Re(conj(w_a)
+    w_b C_ab) for the Gram matrix C_ab = <phi_a, phi_b> of the unit rows.
+    A Cholesky factorization of conj(C) with diagonal pivoting, stopped once
+    every pivot left is at most n eps times the largest diagonal entry,
+    gives F with conj(C) = F F^H + S: filter rows of nearby knobs are nearly
+    dependent, so F has d columns, far below n (5-7 for the pcb sublattice
+    of 36 rows, 12-22 for rfic, on 101-point grids).  Then R_a.R_b =
+    Re <s_a, s_b>, a real dot product of 2d floats, for s_a = w_a F_a, and
+    u_a = |w_a|^2 C_aa - 2 Re(w_a <t, phi_a>).  One GEMM of the rows (2 s_a,
+    u_a, 1) and (s_b, 1, u_b) gives obj(a, b) - |T|^2, so every row minimum
+    m_a = min_b obj(a, b) comes from real GEMMs 2d + 2 wide, not 2K, with no
+    Pn x Pn matrix kept.
+    The pair value is symmetric, so only the blocks on or above the diagonal
+    are computed: each block updates the minima of its rows and of its
+    columns, so the screened value of (a, b) may come from the (b, a)
+    product.
 
-    Rounding bound.  Let eps be the unit roundoff, tau = |t|, rho = max_i |r_i|
-    and S = (tau + 2 rho)^2.  The absolute values of the terms above sum to
-    at most S (|T|^2 + |u_i| + |u_j| + 2|R_i.R_j| <= tau^2 + 4 rho tau
-    + 4 rho^2).  A length-n dot product in any summation order, whichever
-    operand comes first, is off by at most gamma_n = n eps / (1 - n eps)
-    times the sum of its absolute products, and four additions assemble obj,
-    so the screened value is within about (2K + 4) eps S of the exact obj.  The caller's direct
-    evaluation sum_k |(t_k - r_ik) - r_jk|^2 (two subtractions, the squares
-    and a K-term sum) is within about (K + 6) eps S of it, since by Minkowski
-    sum_c (|T_c| + |R_ic| + |R_jc|)^2 <= S.  So screened and direct values
-    differ by at most (3K + 10) eps S <= slack = 16 K eps S, and so do the
-    screened row minimum m_i and the direct one.  A row whose direct minimum
-    ties the smallest therefore has m_i <= min(m) + 2 slack, and every such
-    row is returned; the caller's strict-< scan over these rows then picks
-    the same (i, j) and objective as a scan over all rows.  Non-finite
-    bounds or minima keep every row.
+    Rounding bound.  Let eps be the machine epsilon, tau = |t|, omega =
+    max |w_a|, psi = max |phi_a| and S = (tau + 2 omega psi)^2.  The caller's
+    rows r_a = combine(w_a, term_a) differ from w_a phi_a by at most 16 eps
+    |r_a| (up to three complex products or a division on each side), so
+    its direct values and the exact ones on w_a phi_a differ by at most
+    about 70 eps S, and |R_a|, |r_a| <= omega psi (1 + 16 eps).  The Gram
+    entries are K-term dot products, off by at most 2K eps psi^2.  The
+    factorization's rounding adds at most (d + 1) eps psi^2 to each entry
+    of F F^H + S, and the dropped S, positive semidefinite up to that
+    rounding, has entries at most its largest pivot, n eps psi^2: together
+    below n^2 eps psi^2 with a modest constant.  Forming s and the
+    (2d + 2)-term dot products adds (2n + 8) eps S, and u and |T|^2 add
+    (2K + 40) eps S.
+    In all, the screened value of (a, b) is within (3K + n^2 + n + 120) eps
+    S of the caller's direct value sum_k |(t_k - r_ak) - r_bk|^2, which is
+    below slack = 16 (K + n^2 + 8) eps S, and so are the screened row minimum
+    m_a and the direct one.  A row whose direct minimum ties the smallest
+    therefore has m_a <= min(m) + 2 slack, and every such row is returned;
+    the caller's strict-< scan over these rows then picks the same (a, b)
+    and objective as a scan over all rows.  Non-finite inputs keep every
+    row.
     """
-    p, k = resp.shape
-    r = resp.view(np.float64)
-    t = target.view(np.float64)
-    norm2 = np.einsum("ij,ij->i", r, r)
-    u = norm2 - 2.0 * (r @ t)
+    n, k = units.shape
+    p = weights.size * n
+    if not (np.isfinite(units).all() and np.isfinite(weights).all()
+            and np.isfinite(target).all()):
+        return np.arange(p)
+    gram = units @ np.conj(units).T
+    diag = gram.diagonal().real
+    # pivoted Cholesky: each step takes the largest pivot of the Schur
+    # complement left and stops at pivots of the factorization's own rounding
+    schur, cols = gram.copy(), []
+    for _ in range(n):
+        pivots = schur.diagonal().real
+        j = int(np.argmax(pivots))
+        if not pivots[j] > n * np.finfo(float).eps * diag.max():
+            break
+        col = schur[:, j] / np.sqrt(pivots[j])
+        schur -= np.outer(col, np.conj(col))
+        cols.append(col)
+    factor = np.array(cols).T.reshape(n, len(cols))
+    u = (np.abs(weights)[:, None] ** 2 * diag
+         - 2.0 * (weights[:, None] * (units @ np.conj(target))).real).ravel()
+    # rows (2 s_a, u_a, 1) and (s_b, 1, u_b): their dot product is the pair
+    # value 2 s_a.s_b + u_a + u_b, the factor 2 exact
+    s = (weights[:, None, None] * factor).reshape(p, -1)
+    u, one = u[:, None], np.ones((p, 1))
+    lhs = np.hstack((2.0 * s.real, 2.0 * s.imag, u, one))
+    rhs = np.hstack((s.real, s.imag, one, u))
     row_min = np.full(p, np.inf)
     for b0 in range(0, p, _SCREEN_ROWS):
         b1 = min(b0 + _SCREEN_ROWS, p)
-        g = r[b0:b1] @ r[b0:].T
-        g *= 2.0
-        np.minimum(row_min[b0:b1], (g + u[b0:]).min(axis=1), out=row_min[b0:b1])
-        g += u[b0:b1, None]
+        g = lhs[b0:b1] @ rhs[b0:].T
+        np.minimum(row_min[b0:b1], g.min(axis=1), out=row_min[b0:b1])
         np.minimum(row_min[b0:], g.min(axis=0), out=row_min[b0:])
-    row_min += u + t @ t
-    s = (np.sqrt(t @ t) + 2.0 * np.sqrt(np.max(norm2))) ** 2
-    slack = 16.0 * k * np.finfo(float).eps * s
+    t2 = float(np.vdot(target, target).real)
+    row_min += t2
+    rho = np.abs(weights).max() * np.sqrt(diag.max())
+    slack = 16.0 * (k + n * n + 8) * np.finfo(float).eps * (np.sqrt(t2) + 2.0 * rho) ** 2
     return np.flatnonzero(~(row_min > np.min(row_min) + 2.0 * slack))
 
 
@@ -956,6 +1107,7 @@ def grid_search_oracle(
     if total > LATTICE_CAP:
         raise LatticeTooLargeError(total, LATTICE_CAP)
 
+    run = _RunRecord()
     kernel = ModelKernel(model, h_si, board)
     tm, f = kernel.tap_model, h_si.grid.points
     grids = np.meshgrid(*sub_vals, indexing="ij")
@@ -967,9 +1119,9 @@ def grid_search_oracle(
     n_cq = sub_vals[2].size * sub_vals[3].size
     terms = tm.filter(tap_configs[:n_cq, 2], tap_configs[:n_cq, 3], f, kernel.board)[0]
     gain, turn = weight_factors(tap_configs[:, 0], tap_configs[:, 1])
-    resp = tm.combiner(f, kernel.board)(
-        (gain * turn)[:, None], np.tile(terms, (per_tap // n_cq, 1))
-    )
+    combine = tm.combiner(f, kernel.board)
+    weights = gain * turn
+    resp = combine(weights[:, None], np.tile(terms, (per_tap // n_cq, 1)))
     target = h_si.values
 
     if num_taps == 1:
@@ -977,10 +1129,12 @@ def grid_search_oracle(
         best = int(np.argmin(obj))
         x = tap_configs[best : best + 1]
         fbest = float(obj[best])
+        kept, scanned = 0, per_tap
     else:
         fbest = np.inf
         best_pair = (0, 0)
-        for i in _pair_rows(target, resp):
+        rows = _pair_rows(target, weights[::n_cq], combine(1.0, terms))
+        for i in rows:
             d = target[None, :] - resp[i][None, :] - resp
             obj = np.sum(d.real**2 + d.imag**2, axis=1)
             j = int(np.argmin(obj))
@@ -988,6 +1142,10 @@ def grid_search_oracle(
                 fbest = float(obj[j])
                 best_pair = (i, j)
         x = tap_configs[list(best_pair)]
+        kept, scanned = rows.size, rows.size * per_tap
+    run.emit("oracle: %(configs)d configs, %(rows_kept)d rows kept by the pair screen, "
+             "%(scanned)d scored directly, %(wall_s).6f s",
+             configs=total, rows_kept=kept, scanned=scanned, wall_s=run.lap())
 
     return SolveReport(
         config=kernel.tap_model.configs(x),

@@ -495,6 +495,33 @@ class TestUsageErrors:
     @pytest.mark.parametrize(
         "argv",
         [
+            ["sweep", "--points", "100000000000"],
+            ["model", "--kind", "ideal", "--fc", "9e8", "--band", "890e6:910e6:100000000000"],
+            ["network", "uldl", "--gamma-ul-db", "0:30:100000000000", "--gamma-dl-db", "0"],
+            ["network", "uldl", "--gamma-ul-db", "0", "--gamma-dl-db", "0",
+             "--gamma-iui-db=0:5:10000001"],
+        ],
+    )
+    def test_point_count_above_the_bound_is_one_line_usage_error(
+        self, tmp_path, capsys, monkeypatch, argv
+    ):
+        linspace = np.linspace
+
+        def bounded(start, stop, num=50, **kwargs):
+            assert num <= 10**7, "points allocated"
+            return linspace(start, stop, num, **kwargs)
+
+        monkeypatch.setattr(np, "linspace", bounded)
+        rc = main([*argv, "--out", str(tmp_path / "o.csv")])
+        assert rc == 1
+        err = capsys.readouterr().err
+        assert err.startswith("usage error: ") and "exceeds 10000000" in err
+        assert err.count("\n") == 1
+        assert not (tmp_path / "o.csv").exists()
+
+    @pytest.mark.parametrize(
+        "argv",
+        [
             ["genchannel", "--band", "850e6:950e6:11", "--reflections", "bad"],
             ["genchannel", "--band", "850e6:950e6:11", "--reflections", "-10:x"],
             ["sweep", "--taps", "1,x"],

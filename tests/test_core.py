@@ -14,6 +14,7 @@ from fdecanc import (
     linear_to_db,
     unwrapped_phase,
 )
+from fdecanc.core import MAX_POINTS
 
 
 def make_resp(values, start=900e6, step=1e6):
@@ -40,6 +41,16 @@ class TestFrequencyGrid:
         # before numpy computes the points, so no RuntimeWarning either
         with pytest.raises(InvalidArgumentError):
             FrequencyGrid.linspace(*ends, 11)
+
+    @pytest.mark.parametrize("count", [MAX_POINTS + 1, 100_000_000_000])
+    def test_linspace_rejects_a_count_above_the_bound(self, monkeypatch, count):
+        # before numpy allocates the points
+        def no_alloc(*args, **kwargs):
+            raise AssertionError("points allocated")
+
+        monkeypatch.setattr(np, "linspace", no_alloc)
+        with pytest.raises(InvalidArgumentError, match="exceeds"):
+            FrequencyGrid.linspace(850e6, 950e6, count)
 
     def test_properties(self):
         g = FrequencyGrid.linspace(850e6, 950e6, 101)

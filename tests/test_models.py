@@ -419,3 +419,23 @@ class TestKernelFactors:
             rev = tm.filter(x[::-1, 2], x[::-1, 3], f, board)[0]
             moved = np.column_stack([np.repeat(x[i : i + 1, :2], taps, 0), x[::-1, 2:]])
             assert combine(w[i : i + 1], rev).tobytes() == tm.kernel(moved, f, board).tobytes()
+
+    @settings(max_examples=30, deadline=None)
+    @given(
+        model=st.sampled_from(["ideal", "pcb"]),
+        seed=st.integers(0, 2**32 - 1),
+        points=st.sampled_from([3, 31, 101]),
+    )
+    def test_scalar_weight_on_one_term_row_matches_the_kernel(self, model, seed, points):
+        # a scalar weight on one filter-term row is bitwise the kernel's tap row
+        tm = TAP_MODELS[model]
+        vals = [k.values() for k in quantization_preset(tm.preset).knobs()]
+        rng = np.random.default_rng(seed)
+        a, p, c, q = (rng.integers(v.size) for v in vals)
+        f = np.linspace(880e6, 920e6, points)
+        board = PcbBoardParams()
+        term = tm.filter(vals[2][c : c + 1], vals[3][q : q + 1], f, board)[0][0]
+        gain, turn = weight_factors(vals[0], vals[1])
+        x = np.array([[vals[0][a], vals[1][p], vals[2][c], vals[3][q]]])
+        row = tm.combiner(f, board)(gain[a] * turn[p], term)
+        assert row.tobytes() == tm.kernel(x, f, board)[0].tobytes()

@@ -30,7 +30,7 @@ from fdecanc import (
     synth_si_channel,
     SynthChannelSpec,
 )
-from fdecanc.models import TAP_MODELS, PcbBoardParams, PcbTapConfig
+from fdecanc.models import TAP_MODELS, PcbBoardParams, PcbTapConfig, weight_factors
 from fdecanc import optimizer
 from fdecanc.optimizer import (
     STOP_REASONS,
@@ -601,9 +601,10 @@ class TestOraclePairSearch:
         assert config_vector(rep.config).tolist() == rows[[0, 0]].tolist()
 
 
-def pair_rows_full(target, resp, block=64):
-    """The rows `_pair_rows` keeps, screened over the full square: every row
-    minimum from R[block] @ R.T, with the same slack."""
+def pair_rows_full(target, resp, slack=None, block=64):
+    """The rows a screen with the given slack keeps, screened over the full
+    square: every row minimum from R[block] @ R.T.  The default slack,
+    16 K eps (|t| + 2 max|r|)^2, is the one of a screen on the rows themselves."""
     p, k = resp.shape
     r = resp.view(np.float64)
     t = target.view(np.float64)
@@ -614,44 +615,87 @@ def pair_rows_full(target, resp, block=64):
         g = 2.0 * (r[b0 : b0 + block] @ r.T) + u[None, :]
         row_min[b0 : b0 + block] = g.min(axis=1)
     row_min += u + t @ t
-    s = (np.sqrt(t @ t) + 2.0 * np.sqrt(np.max(norm2))) ** 2
-    slack = 16.0 * k * np.finfo(float).eps * s
+    if slack is None:
+        s = (np.sqrt(t @ t) + 2.0 * np.sqrt(np.max(norm2))) ** 2
+        slack = 16.0 * k * np.finfo(float).eps * s
     return np.flatnonzero(~(row_min > np.min(row_min) + 2.0 * slack))
 
 
+def direct_row_minima(target, resp):
+    """Each row's minimum pair objective, as the oracle's direct scan computes it."""
+    out = []
+    for i in range(resp.shape[0]):
+        d = target[None, :] - resp[i][None, :] - resp
+        out.append(np.sum(d.real**2 + d.imag**2, axis=1).min())
+    return np.array(out)
+
+
+def factored_slack(target, weights, units):
+    """The slack of `_pair_rows`: 16 (K + n^2 + 8) eps (|t| + 2 max|w| max|phi|)^2."""
+    n, k = units.shape
+    big = np.abs(weights).max() * np.sqrt(np.max(np.sum(np.abs(units) ** 2, axis=1)))
+    return 16.0 * (k + n * n + 8) * np.finfo(float).eps * (np.linalg.norm(target) + 2 * big) ** 2
+
+
+def check_pair_rows(target, weights, units, resp):
+    """`_pair_rows` keeps exactly the rows of the full-square screen with its
+    slack, and among them every row whose direct minimum ties the smallest."""
+    kept = _pair_rows(target, weights, units)
+    slack = factored_slack(target, weights, units)
+    assert kept.tolist() == pair_rows_full(target, resp, slack).tolist()
+    mins = direct_row_minima(target, resp)
+    assert set(np.flatnonzero(mins == mins.min()).tolist()) <= set(kept.tolist())
+    return kept
+
+
 class TestPairRowsHalfScreen:
+    """`_pair_rows` screens rows of weights times unit rows through a factor
+    of the unit rows' Gram matrix; the full-square screen on the rows
+    themselves is the reference."""
+
     @settings(max_examples=60, deadline=None)
     @given(
-        rows=st.integers(1, 200),
+        n_w=st.integers(1, 12),
+        n=st.integers(1, 16),
         k=st.integers(1, 12),
         seed=st.integers(0, 2**32 - 1),
         planted=st.booleans(),
         repeats=st.booleans(),
     )
-    def test_keeps_the_rows_of_the_full_screen(self, rows, k, seed, planted, repeats):
+    def test_keeps_the_rows_of_the_full_screen(self, n_w, n, k, seed, planted, repeats):
         rng = np.random.default_rng(seed)
-        resp = rng.normal(size=(rows, k)) + 1j * rng.normal(size=(rows, k))
+        weights = rng.normal(size=n_w) + 1j * rng.normal(size=n_w)
+        units = rng.normal(size=(n, k)) + 1j * rng.normal(size=(n, k))
         if repeats:
-            # equal rows: many pairs tie
-            resp = resp[rng.integers(max(1, rows // 4), size=rows)]
+            # equal weights and unit rows: many pairs tie, and the Gram
+            # matrix is singular
+            weights = weights[rng.integers(max(1, n_w // 3), size=n_w)]
+            units = units[rng.integers(max(1, n // 3), size=n)]
+        resp = (weights[:, None, None] * units).reshape(-1, k)
         if planted:
-            a, b = rng.integers(rows, size=2)
+            a, b = rng.integers(resp.shape[0], size=2)
             target = resp[a] + resp[b]
         else:
             target = rng.normal(size=k) + 1j * rng.normal(size=k)
-        full = pair_rows_full(target, resp)
-        half = _pair_rows(target, resp)
-        assert set(full.tolist()) <= set(half.tolist())
-        assert half.tolist() == full.tolist()
+        check_pair_rows(target, weights, units, resp)
 
     @pytest.mark.parametrize("model", ["ideal", "pcb"])
     def test_same_rows_on_the_oracle_sublattice(self, model):
         spec = quantization_preset("rfic" if model == "ideal" else "pcb")
         grid = FrequencyGrid.linspace(880e6, 920e6, 41)
-        resp = _tap_rows(model, _sublattice(spec, 6), grid)
+        rows = _sublattice(spec, 6)
+        tm, board = TAP_MODELS[model], PcbBoardParams()
+        # the oracle's inputs: weight of each (amp, phase) pair, unit row of
+        # each (center, q) pair
+        n = 36
+        terms = tm.filter(rows[:n, 2], rows[:n, 3], grid.points, board)[0]
+        units = tm.combiner(grid.points, board)(1.0, terms)
+        gain, turn = weight_factors(rows[::n, 0], rows[::n, 1])
+        resp = _tap_rows(model, rows, grid)
         target = synth_si_channel(SynthChannelSpec(), grid).values
         for t in (target, 0.3 * target, resp[5] + resp[1000]):
-            assert _pair_rows(t, resp).tolist() == pair_rows_full(t, resp).tolist()
+            kept = check_pair_rows(t, gain * turn, units, resp)
+            assert kept.tolist() == pair_rows_full(t, resp).tolist()
 
 
 def _box(model, taps):
@@ -1069,10 +1113,12 @@ class TestLocalSearchReference:
         seed=st.integers(0, 2**32 - 1),
         max_rounds=st.integers(1, 12),
         edges=st.booleans(),
+        points=st.sampled_from([31, 101]),
     )
-    def test_accepts_same_sequence(self, model, taps, seed, max_rounds, edges):
+    def test_accepts_same_sequence(self, model, taps, seed, max_rounds, edges, points):
+        # the screen's slack grows with the grid's point count
         spec = quantization_preset("rfic" if model == "ideal" else "pcb")
-        grid = FrequencyGrid.linspace(880e6, 920e6, 31)
+        grid = FrequencyGrid.linspace(880e6, 920e6, points)
         h = synth_si_channel(SynthChannelSpec(), grid)
         rng = np.random.default_rng(seed)
         knob_vals = [k.values() for k in spec.knobs()]
@@ -1113,5 +1159,88 @@ class TestLocalSearchReference:
         assert 8 * rec.rounds <= rec.scored <= 16 * rec.rounds
         assert rec.filters_computed >= 2 and rec.filters_reused > 0
         assert rec.filters_computed - 2 + rec.filters_reused <= rec.scored
+        # every accepted move was scored exactly, and the screen ruled out
+        # most of the other candidates
+        assert rec.accepted <= rec.exact < rec.scored / 2
         assert rec.wall_s > 0
         assert rec.getMessage().startswith(f"local search: {rec.rounds} rounds")
+
+
+class TestMoveScreen:
+    """`_MoveScreen`'s value for a move is never above the move's exact
+    objective, along a walk of accepted moves."""
+
+    @settings(max_examples=40, deadline=None)
+    @given(
+        model=st.sampled_from(["ideal", "pcb"]),
+        taps=st.integers(1, 4),
+        seed=st.integers(0, 2**32 - 1),
+        phase_edges=st.booleans(),
+        points=st.sampled_from([3, 31]),
+    )
+    def test_never_rules_out_an_improving_move(self, model, taps, seed, phase_edges, points):
+        spec = quantization_preset("rfic" if model == "ideal" else "pcb")
+        tm, board = TAP_MODELS[model], PcbBoardParams()
+        grid = FrequencyGrid.linspace(880e6, 920e6, points)
+        f, target = grid.points, synth_si_channel(SynthChannelSpec(), grid).values
+        vals = [k.values() for k in spec.knobs()]
+        gain, turn = weight_factors(vals[0], vals[1])
+        combine = tm.combiner(f, board)
+        rng = np.random.default_rng(seed)
+        codes = np.array([[rng.integers(v.size) for v in vals] for _ in range(taps)])
+        if phase_edges:
+            # phase codes 0 and 255 are -pi and pi: a move across them
+            # changes the objective by rounding only
+            codes[:, 1] = rng.choice([0, vals[1].size - 1], size=taps)
+
+        def tap_rows(c):
+            w = gain[c[:, 0]] * turn[c[:, 1]]
+            terms = tm.filter(vals[2][c[:, 2]], vals[3][c[:, 3]], f, board)[0]
+            return w, terms, combine(w[:, None], terms)
+
+        w, terms, rows = tap_rows(codes)
+        resid, fx = optimizer._residual_objectives(target, rows)
+        screen = optimizer._MoveScreen(target, w.tolist(), combine(1.0, terms), float(fx), resid)
+        for _ in range(4):
+            for i in range(taps):
+                for j in range(4):
+                    for delta in (-1, 1):
+                        cand = codes.copy()
+                        cand[i, j] = (cand[i, j] + delta) % vals[j].size
+                        cw, _, crows = tap_rows(cand)
+                        fc = float(optimizer._objectives(target, crows))
+                        if j < 2:
+                            [low] = screen.weights(i, [complex(cw[i])])
+                        else:
+                            [low] = screen.rows(rows[i], crows[i : i + 1])
+                        assert low <= fc
+            # take a random move, better or not, as the search takes a better one
+            i, j = rng.integers(taps), rng.integers(4)
+            codes[i, j] = (codes[i, j] + rng.choice([-1, 1])) % vals[j].size
+            w, terms, rows = tap_rows(codes)
+            resid, fx = optimizer._residual_objectives(target, rows)
+            if j < 2:
+                screen.accept(float(fx), resid, i, w=complex(w[i]))
+            else:
+                screen.accept(float(fx), resid, i, unit=combine(1.0, terms[i]))
+
+
+class TestOracleRunRecord:
+    def test_logs_each_oracle_search_at_debug(self, caplog):
+        spec = quantization_preset("pcb")
+        h = synth_si_channel(SynthChannelSpec(), GRID)
+        rep = grid_search_oracle("pcb", h, spec, 3, 2)
+        assert not [r for r in caplog.records if r.name == "fdecanc"]
+        with caplog.at_level(logging.DEBUG, logger="fdecanc"):
+            again = grid_search_oracle("pcb", h, spec, 3, 2)
+            one = grid_search_oracle("pcb", h, spec, 3, 1)
+        assert again.to_json() == rep.to_json()
+        pair, single = [r for r in caplog.records if r.name == "fdecanc"]
+        assert pair.levelno == logging.DEBUG
+        assert pair.configs == rep.iterations == 81**2
+        # the screen keeps at least the best pair's row, far from all 81
+        assert 1 <= pair.rows_kept < 81
+        assert pair.scanned == 81 * pair.rows_kept
+        assert (single.configs, single.rows_kept, single.scanned) == (one.iterations, 0, 81)
+        assert pair.wall_s > 0 and single.wall_s > 0
+        assert pair.getMessage().startswith(f"oracle: 6561 configs, {pair.rows_kept} rows")

@@ -151,7 +151,12 @@ def _tap_jacobian(t, d_center, d_q):
     """dT/dx (M, 4, K) from the per-tap responses T and their derivatives by
     the two filter knobs; every tap is A e^{-j phi} times a filter, so
     dT/d(amp_db) = T ln10/20 and dT/d(phase) = -jT."""
-    return np.stack((t * (np.log(10.0) / 20.0), -1j * t, d_center, d_q), axis=1)
+    jac = np.empty((t.shape[0], 4, t.shape[1]), dtype=complex)
+    np.multiply(t, np.log(10.0) / 20.0, out=jac[:, 0])
+    np.multiply(t, -1j, out=jac[:, 1])
+    jac[:, 2] = d_center
+    jac[:, 3] = d_q
+    return jac
 
 
 # A model's kernel is combine(w, filter term), the term a function of the

@@ -71,9 +71,12 @@ class KnobSpec:
 
     def codes(self, v) -> np.ndarray:
         """Indices into values() of the grid values nearest to each of v;
-        periodic knobs wrap into range first.  Raises if a value lies outside
-        the range."""
+        periodic knobs wrap into range first.  Raises if a value is not
+        finite or lies outside the range."""
         v = np.asarray(v, dtype=float)
+        bad = ~np.isfinite(v)
+        if bad.any():
+            raise InvalidArgumentError(f"knob value {float(v[bad][0])!r} is not finite")
         span = self.max - self.min
         if self.periodic:
             v = (v - self.min) % span + self.min
@@ -355,19 +358,25 @@ def _descend(kernel, z0, lows, span, periodic, opts, stats=None):
     analytic Jacobian J = dH/dz and the residual r.  Knobs on a box edge
     whose descent direction points out of the box are frozen: their rows and
     columns of the damped matrix become identity rows with a zero right-hand
-    side, so their step is zero; periodic knobs wrap and are never frozen.  A
-    step is accepted only if it strictly lowers the objective, so the trace
-    is strictly decreasing; lam is divided by 3 on acceptance and multiplied
-    by 4 on rejection.  `opts.max_iters` caps the accepted steps.
+    side, so their step is zero; periodic knobs wrap and are never frozen.
+    A trial whose step then pushes a knob on its box edge out of the box
+    holds that knob the same way and solves its system once more, so the
+    other knobs take the step that is best with that knob held, not the one
+    computed as if it had moved (the binding set of projected Newton
+    methods); what is still out of the box after that is clipped.  A step is
+    accepted only if it strictly lowers the objective, so the trace is
+    strictly decreasing; lam is divided by 3 on acceptance and multiplied by
+    4 on rejection.  `opts.max_iters` caps the accepted steps.
 
     Each pass gives every running start the trials of its next three damping
     values lam, 4 lam and 16 lam: one Jacobian call for the starts that
-    moved, one stacked solve, one `objective_batch` call for all candidates
-    and one for all extrapolations.  A start takes its first accepted trial,
-    or stops at its first rejected one that ends the descent; while its point
-    stays put, A and g do not change, so this is the accept/reject sequence
-    of one trial per pass.  A start leaves the batch when it stops, and starts
-    share no state, so each start's result is bitwise the one it gets alone.
+    moved, one stacked solve and one for the trials that hold a knob, one
+    `objective_batch` call for all candidates and one for all
+    extrapolations.  A start takes its first accepted trial, or stops at its
+    first rejected one that ends the descent; while its point stays put, A
+    and g do not change, so this is the accept/reject sequence of one trial
+    per pass.  A start leaves the batch when it stops, and starts share no
+    state, so each start's result is bitwise the one it gets alone.
 
     A trial whose damped matrix is singular gets a NaN step, which is not
     scored: its objective is NaN, so the trial is rejected.
@@ -386,7 +395,7 @@ def _descend(kernel, z0, lows, span, periodic, opts, stats=None):
         return lows + z * span
 
     def project(z):
-        return np.clip(np.where(periodic, z % 1.0, z), 0.0, 1.0)
+        return np.where(periodic, z % 1.0, z).clip(0.0, 1.0)
 
     def f_batch(zs):
         return kernel.objective_batch(denorm(zs).reshape(-1, m, 4))
@@ -397,33 +406,34 @@ def _descend(kernel, z0, lows, span, periodic, opts, stats=None):
     passes, scored = 0, len(z0)
     # the running starts, one batch row each: start index, point, objective,
     # trace, damping, whether the point moved since the normal equations
-    # were built, and those as a padded system: undamped matrix, diag(damp)
-    # and right-hand side
-    ids = np.flatnonzero(np.isfinite(f0)).tolist()
-    z = z[ids]
-    fz = f0[ids].tolist()
-    traces = [[v] for v in fz]
-    lam = np.full(len(ids), _LAMBDA0)
-    moved = [True] * len(ids)
-    base = np.empty((len(ids), n, n))
-    dmat = np.empty((len(ids), n, n))
-    rhs = np.empty((len(ids), n))
+    # were built, and those as a padded system: undamped matrix, the damping
+    # of its diagonal and right-hand side
+    ids = np.flatnonzero(np.isfinite(f0))
+    z, fz = z[ids], f0[ids]
+    traces = [[v] for v in fz.tolist()]
+    lam = np.full(ids.size, _LAMBDA0)
+    moved = np.ones(ids.size, dtype=bool)
+    base = np.empty((ids.size, n, n))
+    damp = np.empty((ids.size, n))
+    rhs = np.empty((ids.size, n))
 
     def retire(stops):
         """Record each start of `stops` (batch row -> stop reason) as done
         and drop it from the batch."""
-        nonlocal ids, z, fz, traces, lam, moved, base, dmat, rhs
+        nonlocal ids, z, fz, traces, lam, moved, base, damp, rhs
         for i, reason in stops.items():
-            out[ids[i]] = (z[i].copy(), fz[i], traces[i], reason)
-        keep = [i for i in range(len(ids)) if i not in stops]
-        z, lam, base, dmat, rhs = (v[keep] for v in (z, lam, base, dmat, rhs))
-        ids, fz, traces, moved = ([v[i] for i in keep] for v in (ids, fz, traces, moved))
+            out[ids[i]] = (z[i].copy(), float(fz[i]), traces[i], reason)
+        keep = np.ones(ids.size, dtype=bool)
+        keep[list(stops)] = False
+        ids, z, fz, lam, moved, base, damp, rhs = (
+            v[keep] for v in (ids, z, fz, lam, moved, base, damp, rhs)
+        )
+        traces = [t for t, k in zip(traces, keep.tolist()) if k]
 
-    while ids:
+    while ids.size:
         passes += 1
-        if any(moved):
-            rows = [i for i, mv in enumerate(moved) if mv]
-            sel = slice(None) if len(rows) == len(ids) else rows
+        if moved.any():
+            sel = slice(None) if moved.all() else np.flatnonzero(moved)
             zn = z[sel]
             r, jac = kernel.residual_jacobian(denorm(zn).reshape(-1, m, 4))
             jz = (jac * span[:, None]).view(np.float64)
@@ -437,41 +447,55 @@ def _descend(kernel, z0, lows, span, periodic, opts, stats=None):
             diag = an.diagonal(axis1=1, axis2=2)
             if fr.all():
                 base[sel], rhs[sel] = an, gn
-                damp = np.maximum(diag, 1e-15 * diag.max(axis=1, keepdims=True))
+                damp[sel] = np.maximum(diag, 1e-15 * diag.max(axis=1, keepdims=True))
             else:
                 base[sel] = np.where(fr[:, :, None] & fr[:, None, :], an, eye)
                 rhs[sel] = np.where(fr, gn, 0.0)
                 top = np.where(fr, diag, 0.0).max(axis=1, keepdims=True)
-                damp = np.where(fr, np.maximum(diag, 1e-15 * top), 0.0)
-            dmat[sel] = np.where(eye, damp[:, :, None], 0.0)
-            moved = [False] * len(ids)
+                damp[sel] = np.where(fr, np.maximum(diag, 1e-15 * top), 0.0)
+            moved[:] = False
             down = (fr & (gn != 0.0)).any(axis=1)
             if not (np.isfinite(an).all() and np.isfinite(gn).all() and down.all()):
                 ok = np.isfinite(an).all(axis=(1, 2)) & np.isfinite(gn).all(axis=1)
+                rows = np.arange(ids.size)[sel].tolist()
                 retire({
                     i: "no_descent" if o else "non_finite"
                     for i, o, d in zip(rows, ok.tolist(), down.tolist()) if not (o and d)
                 })
-                if not ids:
+                if not ids.size:
                     break
         # the trials of every rung, (R, rungs, n)
         lams = lam[:, None] * _RUNGS
-        damped = base[:, None] + lams[:, :, None, None] * dmat[:, None]
+        damped = np.empty(lams.shape + (n, n))
+        damped[...] = base[:, None]
+        damped.reshape(lams.shape + (n * n,))[:, :, :: n + 1] += lams[:, :, None] * damp[:, None]
         step = _solve_each(damped, rhs[:, None])
         zr = z[:, None]
+        # hold each bounded knob on its box edge that the step pushes out of
+        # the box, and solve those trials again
+        held = bounded & (((zr <= 0.0) & (step < 0.0)) | ((zr >= 1.0) & (step > 0.0)))
+        hit = held.any(axis=2)
+        if hit.any():
+            free = ~held[hit]
+            step[hit] = _solve_each(
+                np.where(free[:, :, None] & free[:, None, :], damped[hit], eye),
+                np.where(free, rhs[hit.nonzero()[0]], 0.0),
+            )
         # clipped step on the box; periodic knobs move unwrapped
-        step = np.where(bounded, np.clip(zr + step, 0.0, 1.0) - zr, step)
+        step = np.where(bounded, (zr + step).clip(0.0, 1.0) - zr, step)
         cand = project(zr + step)
         # a singular matrix's NaN step is not scored: its trial is rejected
-        finite = np.isfinite(step).all(axis=2)
+        finite = np.isfinite(step)
         if finite.all():
             fc = f_batch(cand.reshape(-1, n)).reshape(lams.shape)
+            scored += fc.size
         else:
+            finite = finite.all(axis=2)
             fc = np.full(lams.shape, np.nan)
             if finite.any():
                 fc[finite] = f_batch(cand[finite])
-        scored += int(finite.sum())
-        acc = fc < np.array(fz)[:, None]
+            scored += int(finite.sum())
+        acc = fc < fz[:, None]
         if acc[:, 0].all():
             # the common pass: every start accepts its first rung
             pick, stops = (slice(None), 0), {}
@@ -481,43 +505,46 @@ def _descend(kernel, z0, lows, span, periodic, opts, stats=None):
             # no longer moves z; each start takes its first rung that accepts
             # or ends
             end = ~acc & ((lams * _LAMBDA_UP > _LAMBDA_MAX) | (cand == zr).all(axis=2))
-            pick = np.arange(len(ids)), (acc | end).argmax(axis=1)
+            pick = np.arange(ids.size), (acc | end).argmax(axis=1)
             stops = {i: "no_descent" for i in np.flatnonzero(end[pick]).tolist()}
             # with no rung taken, the next pass goes on from the rung after the last
             lam = np.where(acc[pick], lams[pick] / _LAMBDA_DOWN, lams[:, -1] * _LAMBDA_UP)
-        accepted = acc[pick].tolist()
-        if any(accepted):
-            step, cand, fc = step[pick], cand[pick], fc[pick].tolist()
-            # the step is zero on frozen knobs, so the padded system predicts
-            # the decrease that A and g do
+        accepted = acc[pick]
+        everyone = accepted.all()
+        if everyone or accepted.any():
+            step, cand, fc = step[pick], cand[pick], fc[pick]
+            # the step is zero on frozen and held knobs, so the padded system
+            # predicts the decrease that A and g do
             row = step[:, None, :]
-            pred = (
-                2.0 * np.matmul(row, rhs[:, :, None])
-                - np.matmul(np.matmul(row, base), step[:, :, None])
-            ).ravel().tolist()
-            ext = [
-                i for i, acc in enumerate(accepted)
-                if acc and fz[i] - fc[i] > _EXTRAPOLATE_RATIO * pred[i]
-            ]
-            if ext:
-                far = z[ext][:, None, :] + _EXTRAPOLATE[:, None] * step[ext][:, None, :]
-                far = project(far)
-                ffar = f_batch(far.reshape(-1, n)).reshape(len(ext), -1)
+            pred = (2.0 * (row @ rhs[:, :, None]) - row @ base @ step[:, :, None]).ravel()
+            gain = fz - fc
+            # the accepted steps that gained well beyond their prediction
+            leap = gain > _EXTRAPOLATE_RATIO * pred
+            ext = np.flatnonzero(leap if everyone else accepted & leap)
+            if ext.size:
+                far = project(z[ext][:, None, :] + _EXTRAPOLATE[:, None] * step[ext][:, None, :])
+                ffar = f_batch(far.reshape(-1, n)).reshape(ext.size, -1)
                 scored += ffar.size
-                for e, (i, k) in enumerate(zip(ext, ffar.argmin(axis=1).tolist())):
-                    fk = float(ffar[e, k])
-                    if fk < fc[i]:
-                        cand[i], fc[i] = far[e, k], fk
-            for i, acc in enumerate(accepted):
-                if acc:
-                    gain = fz[i] - fc[i]
-                    fz[i] = fc[i]
-                    traces[i].append(fc[i])
-                    if gain <= _TOL * max(fz[i], 1e-300):
-                        stops[i] = "tol"
-                    elif len(traces[i]) > opts.max_iters:
-                        stops[i] = "max_iters"
-            z = cand if all(accepted) else np.where(np.array(accepted)[:, None], cand, z)
+                k = ffar.argmin(axis=1)
+                fk = ffar[np.arange(ext.size), k]
+                better = fk < fc[ext]
+                cand[ext[better]] = far[better, k[better]]
+                fc[ext[better]] = fk[better]
+                gain = fz - fc
+            if everyone:
+                fz, z, rows = fc, cand, range(ids.size)
+            else:
+                fz = np.where(accepted, fc, fz)
+                z = np.where(accepted[:, None], cand, z)
+                rows = np.flatnonzero(accepted).tolist()
+            ended = (gain <= _TOL * np.maximum(fz, 1e-300)).tolist()
+            values = fz.tolist()
+            for i in rows:
+                traces[i].append(values[i])
+                if ended[i]:
+                    stops[i] = "tol"
+                elif len(traces[i]) > opts.max_iters:
+                    stops[i] = "max_iters"
             moved = accepted
         if stops:
             retire(stops)
@@ -570,12 +597,12 @@ def solve_continuous(
     Each start descends with an analytic Jacobian in box-normalized knob
     coordinates (phase wraps), and all starts advance in lockstep in one
     `_descend` call.  `init_configs` optionally adds deterministic warm starts
-    (lists of tap configs) after the random ones; the best start by final
-    objective wins, with the lowest start index breaking ties.  The report's
-    `stop_reason` says why that start stopped.  Each start's outcome (start,
-    iterations, stop_reason, objective), then the solve's lockstep passes,
-    configs scored and wall time (starts, passes, configs, wall_s) are logged
-    at DEBUG on the "fdecanc" logger, also as record attributes.
+    (lists of `num_taps` tap configs) after the random ones; the best start
+    by final objective wins, with the lowest start index breaking ties.  The
+    report's `stop_reason` says why that start stopped.  Each start's outcome
+    (start, iterations, stop_reason, objective), then the solve's lockstep
+    passes, configs scored and wall time (starts, passes, configs, wall_s) are
+    logged at DEBUG on the "fdecanc" logger, also as record attributes.
     """
     if num_taps < 1:
         raise InvalidArgumentError("num_taps must be >= 1")
@@ -589,8 +616,12 @@ def solve_continuous(
     rng = np.random.default_rng(opts.seed)
     starts = [rng.uniform(size=(opts.restarts, 4 * num_taps))]
     for cfgs in init_configs or []:
-        x = kernel.tap_model.vector(cfgs).reshape(1, -1)
-        starts.append((x - lows) / span)
+        x = kernel.tap_model.vector(cfgs)
+        if len(x) != num_taps:
+            raise InvalidArgumentError(
+                f"init_configs entry has {len(x)} taps, expected num_taps={num_taps}"
+            )
+        starts.append((x.reshape(1, -1) - lows) / span)
 
     run = _RunRecord()
     stats = {}

@@ -83,6 +83,17 @@ class TestKnobSpec:
         with pytest.raises(InvalidArgumentError):
             k.snap(-5.0)
 
+    @pytest.mark.parametrize("knob", ["amp_db", "phase_rad", "center", "q"])
+    @pytest.mark.parametrize("value", [np.nan, np.inf, -np.inf])
+    def test_non_finite_rejected(self, knob, value):
+        # a periodic knob's wrap would turn inf into nan, and nan compares
+        # inside no range, so both were once snapped to a code
+        k = getattr(quantization_preset("rfic"), knob)
+        with pytest.raises(InvalidArgumentError, match="not finite"):
+            k.snap(value)
+        with pytest.raises(InvalidArgumentError, match="not finite"):
+            k.codes([k.min, value])
+
     def test_periodic_snap_wraps(self):
         k = KnobSpec(-np.pi, np.pi, bits=8, periodic=True)
         assert k.snap(np.pi + 0.1) == pytest.approx(k.snap(-np.pi + 0.1))
@@ -528,6 +539,25 @@ class TestConfigOfOtherModel:
             solve_continuous("pcb", h, opts=FAST, init_configs=[[self.IDEAL_TAP]])
 
 
+class TestWarmStartTapCount:
+    TAP = IdealTapConfig(-20.0, 0.0, 900e6, 10.0)
+
+    @pytest.mark.parametrize("taps, num_taps", [(1, 2), (3, 2), (0, 1)])
+    def test_rejected_before_any_descent(self, monkeypatch, taps, num_taps):
+        def no_descent(*args, **kwargs):
+            raise AssertionError("descent ran")
+
+        monkeypatch.setattr(optimizer, "_descend", no_descent)
+        h = synth_si_channel(SynthChannelSpec(), GRID)
+        match = f"has {taps} taps, expected num_taps={num_taps}"
+        init = [[self.TAP] * num_taps, [self.TAP] * taps]
+        with pytest.raises(InvalidArgumentError, match=match):
+            solve_continuous("ideal", h, opts=FAST, num_taps=num_taps, init_configs=init)
+        with pytest.raises(InvalidArgumentError, match=match):
+            fit_pipeline("ideal", h, num_taps, FAST, quantization_preset("rfic"),
+                         init_configs=init)
+
+
 # ---------------------------------------------------------------------------
 # search kernels against plain reference implementations
 
@@ -763,6 +793,31 @@ class TestLevenbergMarquardt:
         assert fz <= 1e-8 * GRID.count
         assert lows + z * span == pytest.approx(config_vector([cfg])[0], rel=1e-3)
 
+    def test_holds_edge_knob_the_step_pushes_out(self, monkeypatch):
+        # the planted center lies just below the 875 MHz floor, so the best
+        # center in the box is on that edge; a start with its center there
+        # keeps it there while the other knobs converge
+        cfg = IdealTapConfig(-20.0, 0.5, 874.9e6, 10.0)
+        kernel = ModelKernel("ideal", ideal_tap_response(cfg, GRID))
+        lows, span, periodic = _box("ideal", 1)
+        centers, stacks = [], []
+        jacobian, solve = kernel.residual_jacobian, optimizer._solve_each
+        monkeypatch.setattr(
+            kernel, "residual_jacobian",
+            lambda xs: centers.extend(xs[:, :, 2].ravel().tolist()) or jacobian(xs),
+        )
+        monkeypatch.setattr(
+            optimizer, "_solve_each", lambda mats, rhs: stacks.append(mats.ndim) or solve(mats, rhs)
+        )
+        z0 = np.array([[0.5, 0.5, 0.0, 0.5]])
+        [(z, fz, trace, reason)] = _descend(kernel, z0, lows, span, periodic, FAST)
+        assert reason == "tol"
+        # a Jacobian at every point the descent accepted but its last
+        assert len(centers) == len(trace) - 1 and z[2] == 0.0
+        assert centers == [875e6] * len(centers)
+        # some trial held the center and was solved again
+        assert 3 in stacks
+
     def test_stops_on_tol(self):
         h = synth_si_channel(SynthChannelSpec(), GRID)
         rep = solve_continuous("ideal", h, opts=FAST, num_taps=1)
@@ -824,6 +879,12 @@ def descend_one(kernel, z0, lows, span, periodic, opts, lam_max=1e32):
         z[..., periodic] = z[..., periodic] % 1.0
         return np.clip(z, 0.0, 1.0)
 
+    def solve(mat, b):
+        try:
+            return np.linalg.solve(mat, b)
+        except np.linalg.LinAlgError:
+            return np.full_like(b, np.nan)
+
     z = project(z0)
     fz = kernel.objective(denorm(z))
     if not np.isfinite(fz):
@@ -843,13 +904,20 @@ def descend_one(kernel, z0, lows, span, periodic, opts, lam_max=1e32):
             return z, fz, trace, "no_descent"
         # frozen rows and columns become identity with a zero right-hand side
         padded = np.where(np.outer(free, free), a, np.eye(z.size))
+        rhs = np.where(free, g, 0.0)
         diag = np.diag(a)
         damp = np.where(free, np.maximum(diag, 1e-15 * np.max(diag[free])), 0.0)
         while True:
-            try:
-                step = np.linalg.solve(padded + np.diag(lam * damp), np.where(free, g, 0.0))
-            except np.linalg.LinAlgError:
-                step = np.full_like(z, np.nan)
+            damped = padded.copy()
+            damped[np.diag_indices(z.size)] += lam * damp
+            step = solve(damped, rhs)
+            # a bounded knob on its edge that the step pushes out is held like
+            # a frozen one, and the trial is solved once more
+            held = bounded & (((z <= 0.0) & (step < 0.0)) | ((z >= 1.0) & (step > 0.0)))
+            if held.any():
+                keep = ~held
+                step = solve(np.where(np.outer(keep, keep), damped, np.eye(z.size)),
+                             np.where(keep, rhs, 0.0))
             step[bounded] = np.clip(z[bounded] + step[bounded], 0.0, 1.0) - z[bounded]
             cand = project(z + step)
             fc = kernel.objective(denorm(cand)) if np.isfinite(step).all() else np.nan

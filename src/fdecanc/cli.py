@@ -6,7 +6,8 @@ include malformed flag values; values out of range (`fit --taps`, `sweep
 --taps`, `--restarts` and `--max-iters` below 1, `--bandwidths-mhz` values
 that are not positive); every value that the object a flag builds rejects: the
 tap config of `model` (a NaN or infinite value, `--q` or `--fc` not positive,
-`--phase` outside [-pi, pi]), the channel spec of `genchannel`
+`--phase` outside [-pi, pi], an `--amp-db` whose linear gain 10^(dB/20)
+overflows, above about 6165 dB), the channel spec of `genchannel`
 (`--isolation-db` or an echo amplitude not negative and finite, a negative or
 infinite delay), the solver options of `fit` and `sweep` (a negative `--seed`)
 and the scenario and schedule of `network` (a negative or NaN `--gamma-self`,

@@ -22,6 +22,7 @@ lattice oracle and the CLI all evaluate taps from these two pieces.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from typing import Callable
 
@@ -29,6 +30,19 @@ import numpy as np
 
 from .core import ComplexResponse, FrequencyGrid
 from .errors import InvalidArgumentError, SingularNetworkError
+
+
+def _check_amp_db(amp_db) -> None:
+    """An attenuator setting must be finite with a finite linear gain
+    10^(amp_db/20), which holds up to about 6165 dB."""
+    try:
+        ok = math.isfinite(amp_db) and math.isfinite(math.pow(10.0, amp_db / 20.0))
+    except OverflowError:
+        ok = False
+    if not ok:
+        raise InvalidArgumentError(
+            "amp_db must be finite with a finite linear gain 10^(amp_db/20)"
+        )
 
 
 @dataclass(frozen=True)
@@ -47,8 +61,7 @@ class IdealTapConfig:
             raise InvalidArgumentError("center_hz must be positive and finite")
         if not (-np.pi <= self.phase_rad <= np.pi):
             raise InvalidArgumentError("phase_rad must lie in [-pi, pi]")
-        if not np.isfinite(self.amp_db):
-            raise InvalidArgumentError("amp_db must be finite")
+        _check_amp_db(self.amp_db)
 
 
 @dataclass(frozen=True)
@@ -67,8 +80,7 @@ class PcbTapConfig:
             raise InvalidArgumentError("cq_pf must be positive and finite")
         if not (-np.pi <= self.phase_rad <= np.pi):
             raise InvalidArgumentError("phase_rad must lie in [-pi, pi]")
-        if not np.isfinite(self.amp_db):
-            raise InvalidArgumentError("amp_db must be finite")
+        _check_amp_db(self.amp_db)
 
 
 @dataclass(frozen=True)

@@ -171,13 +171,14 @@ def default_bounds(model: str) -> BoxBounds:
 
 
 class ModelKernel:
-    """Evaluates objective(x) = sum_k |h_si_k - H(f_k; x)|^2 for one model;
-    every frequency of `h_si` must be positive."""
+    """Evaluates objective(x) = sum_k |h_si_k - H(f_k; x)|^2 for one model on
+    the paper's board (`PcbBoardParams()`); every frequency of `h_si` must be
+    positive."""
 
-    def __init__(self, model: str, h_si: ComplexResponse, board=None):
+    def __init__(self, model: str, h_si: ComplexResponse):
         self.tap_model = tap_model(model)
         self.h_si = h_si
-        self.board = board if board is not None else PcbBoardParams()
+        self.board = PcbBoardParams()
         self._f = _positive_points(h_si.grid, f"{model} tap model")
         self._target = h_si.values
         self._kernel = self.tap_model.kernel
@@ -212,6 +213,13 @@ class ModelKernel:
 
     def avg_sic_db(self, x: np.ndarray) -> float:
         return self.sic(x).avg_db
+
+    def report(self, x: np.ndarray, objective: float, iterations: int, trace: list,
+               restart_index: int = 0, **fields) -> SolveReport:
+        """The report of a solve that ended at knob matrix x, with the configs
+        and average SIC of x; `fields` are the other `SolveReport` fields."""
+        return SolveReport(self.tap_model.configs(x), objective, self.avg_sic_db(x),
+                           iterations, restart_index, trace, **fields)
 
 
 def _objectives(target: np.ndarray, taps: np.ndarray) -> np.ndarray:
@@ -259,8 +267,9 @@ class SolveReport:
     restart_index: int
     trace: list = field(repr=False)
     quantized: bool = False
-    # why the winning restart of a continuous solve stopped (STOP_REASONS);
-    # not part of to_dict(), so report JSON keeps its keys
+    # why the winning restart of a continuous solve, or a local search,
+    # stopped (STOP_REASONS); not part of to_dict(), so report JSON keeps
+    # its keys
     stop_reason: str | None = None
 
     def to_dict(self) -> dict:
@@ -278,8 +287,8 @@ class SolveReport:
             "quantized": self.quantized,
         }
 
-    def to_json(self, **kwargs) -> str:
-        return json.dumps(self.to_dict(), **kwargs)
+    def to_json(self) -> str:
+        return json.dumps(self.to_dict())
 
 
 def report_from_dict(d: dict) -> SolveReport:
@@ -589,7 +598,6 @@ def solve_continuous(
     bounds: BoxBounds | None = None,
     opts: SolveOptions | None = None,
     num_taps: int = 1,
-    board: PcbBoardParams | None = None,
     init_configs=None,
 ) -> SolveReport:
     """Multi-start projected Levenberg-Marquardt over the continuous knob box.
@@ -608,7 +616,7 @@ def solve_continuous(
         raise InvalidArgumentError("num_taps must be >= 1")
     opts = opts or SolveOptions()
     bounds = bounds or default_bounds(model)
-    kernel = ModelKernel(model, h_si, board)
+    kernel = ModelKernel(model, h_si)
     lows = np.tile(bounds.lows(), num_taps)
     highs = np.tile(bounds.highs(), num_taps)
     span = highs - lows
@@ -644,16 +652,8 @@ def solve_continuous(
     if best is None:
         raise SolverFailureError("all restarts produced non-finite objectives")
     z, fz, trace, reason, r = best
-    x = lows + z * span
-    return SolveReport(
-        config=kernel.tap_model.configs(x),
-        objective=fz,
-        avg_sic_db=kernel.avg_sic_db(x),
-        iterations=len(trace) - 1,
-        restart_index=r,
-        trace=trace,
-        stop_reason=reason,
-    )
+    return kernel.report(lows + z * span, fz, len(trace) - 1, trace, restart_index=r,
+                         stop_reason=reason)
 
 
 # ---------------------------------------------------------------------------
@@ -738,7 +738,6 @@ def local_search(
     h_si: ComplexResponse,
     spec: QuantizationSpec,
     max_rounds: int = 10,
-    board: PcbBoardParams | None = None,
 ) -> SolveReport:
     """Coordinate-wise +/-1-step hill climbing on the quantization lattice.
 
@@ -748,7 +747,8 @@ def local_search(
     objective is taken.  Once the -1 move is taken, the +1 move from there is
     the old point, which cannot beat the new objective, so scoring both from
     the current point takes the same moves as trying them in turn.  The
-    search ends after a round with no move, or after `max_rounds`.
+    search ends after a round with no move (the report's `stop_reason` is
+    "no_descent"), or after `max_rounds` ("max_iters").
 
     Tap rows come from cached factors: weights from per-code gain and turn
     tables, filter terms memoized by (center code, q code), so a move
@@ -784,12 +784,13 @@ def local_search(
     the triangle bound |r'| <= |g| + |g - r'|.
 
     Each call logs rounds, accepted moves, candidates scored (screened),
-    candidates scored exactly, filter rows computed and reused and wall
-    time (rounds, accepted, scored, exact, filters_computed, filters_reused,
-    wall_s) at DEBUG on the "fdecanc" logger, also as record attributes.
+    candidates scored exactly, filter rows computed and reused, the stop
+    reason and wall time (rounds, accepted, scored, exact, filters_computed,
+    filters_reused, stop_reason, wall_s) at DEBUG on the "fdecanc" logger,
+    also as record attributes.
     """
     run = _RunRecord()
-    kernel = ModelKernel(model, h_si, board)
+    kernel = ModelKernel(model, h_si)
     tm, f, target, board = kernel.tap_model, kernel._f, kernel._target, kernel.board
     knob_vals = [k.values() for k in spec.knobs()]
     sizes = [v.size for v in knob_vals]
@@ -823,6 +824,7 @@ def local_search(
     idx = idx.tolist()
     trace = [fx]
     rounds = scored = exact = reused = 0
+    reason = "max_iters"
     for _ in range(max_rounds):
         rounds += 1
         improved = False
@@ -875,22 +877,17 @@ def local_search(
                         improved = True
                         break
         if not improved:
+            reason = "no_descent"
             break
     x = np.stack([v[[c[j] for c in idx]] for j, v in enumerate(knob_vals)], axis=1)
     run.emit("local search: %(rounds)d rounds, %(accepted)d moves accepted, "
              "%(scored)d candidates scored, %(exact)d exactly, filter rows "
-             "%(filters_computed)d computed and %(filters_reused)d reused, %(wall_s).6f s",
+             "%(filters_computed)d computed and %(filters_reused)d reused, stop "
+             "%(stop_reason)s, %(wall_s).6f s",
              rounds=rounds, accepted=len(trace) - 1, scored=scored, exact=exact,
-             filters_computed=computed, filters_reused=reused, wall_s=run.lap())
-    return SolveReport(
-        config=kernel.tap_model.configs(x),
-        objective=fx,
-        avg_sic_db=kernel.avg_sic_db(x),
-        iterations=rounds,
-        restart_index=0,
-        trace=trace,
-        quantized=True,
-    )
+             filters_computed=computed, filters_reused=reused, stop_reason=reason,
+             wall_s=run.lap())
+    return kernel.report(x, fx, rounds, trace, quantized=True, stop_reason=reason)
 
 
 # ---------------------------------------------------------------------------
@@ -910,7 +907,7 @@ def _fit_taps(kernel: ModelKernel, taps, windows, bounds: BoxBounds, seed: int) 
         resid = kernel.h_si.values - kernel.response_values(kernel.tap_model.vector(taps))
         sub = ComplexResponse(FrequencyGrid(f[w]), resid[w])
         opts = SolveOptions(restarts=8, max_iters=150, seed=seed + len(taps))
-        rep = solve_continuous(kernel.tap_model.name, sub, bounds, opts, 1, kernel.board)
+        rep = solve_continuous(kernel.tap_model.name, sub, bounds, opts, 1)
         taps.append(rep.config[0])
     return taps
 
@@ -935,14 +932,7 @@ def iterative_heuristic(model: str, h_si: ComplexResponse, canc_freqs) -> SolveR
     configs = _fit_taps(kernel, [], windows, default_bounds(model), 0)
     x = kernel.tap_model.vector(configs)
     obj = kernel.objective(x)
-    return SolveReport(
-        config=configs,
-        objective=obj,
-        avg_sic_db=kernel.avg_sic_db(x),
-        iterations=len(configs),
-        restart_index=0,
-        trace=[obj],
-    )
+    return kernel.report(x, obj, len(configs), [obj])
 
 
 def greedy_extend(
@@ -951,14 +941,13 @@ def greedy_extend(
     config,
     num_taps: int,
     bounds: BoxBounds | None = None,
-    board: PcbBoardParams | None = None,
     seed: int = 0,
 ):
     """Extend a tap list to `num_taps` by repeatedly fitting one tap to the
     running residual on the whole grid; used to warm-start a larger joint
     solve from a smaller one's solution."""
     cfg = list(config)[:num_taps]
-    kernel = ModelKernel(model, h_si, board)
+    kernel = ModelKernel(model, h_si)
     windows = [slice(None)] * (num_taps - len(cfg))
     return _fit_taps(kernel, cfg, windows, bounds or default_bounds(model), seed)
 
@@ -973,7 +962,6 @@ def fit_pipeline(
     num_taps: int,
     opts: SolveOptions | None = None,
     spec: QuantizationSpec | None = None,
-    board: PcbBoardParams | None = None,
     init_configs=None,
 ):
     """Full configuration pipeline.
@@ -994,20 +982,17 @@ def fit_pipeline(
     opts = opts or SolveOptions()
     bounds = spec.bounds() if spec is not None else default_bounds(model)
     run = _RunRecord()
-    cont = solve_continuous(
-        model, h_si, bounds, opts, num_taps, board, init_configs=init_configs
-    )
+    cont = solve_continuous(model, h_si, bounds, opts, num_taps, init_configs)
     phases["continuous_s"] = run.lap()
     qrep = None
     if spec is not None:
         qcfg = quantize_config(cont.config, spec)
         phases["quantize_s"] = run.lap()
-        qrep = local_search(qcfg, model, h_si, spec, board=board)
+        qrep = local_search(qcfg, model, h_si, spec)
         phases["local_search_s"] = run.lap()
         if qrep.objective < cont.objective:
             polished = solve_continuous(
-                model, h_si, bounds, replace(opts, restarts=1), num_taps, board,
-                init_configs=[qrep.config],
+                model, h_si, bounds, replace(opts, restarts=1), num_taps, [qrep.config]
             )
             phases["polish_s"] = run.lap()
             if polished.objective < cont.objective:
@@ -1119,9 +1104,10 @@ def grid_search_oracle(
     spec: QuantizationSpec,
     points_per_knob: int,
     num_taps: int = 1,
-    board: PcbBoardParams | None = None,
 ) -> SolveReport:
-    """Exhaustively evaluate a coarse sublattice of the quantization grid."""
+    """Exhaustively evaluate a coarse sublattice of the quantization grid:
+    `points_per_knob` evenly spaced codes of each knob, or all of them if
+    the knob has fewer."""
     if num_taps not in (1, 2):
         raise InvalidArgumentError("oracle supports 1 or 2 taps")
     if points_per_knob < 2:
@@ -1129,9 +1115,9 @@ def grid_search_oracle(
     sub_vals = []
     for knob in spec.knobs():
         vals = knob.values()
-        ix = np.unique(
-            np.round(np.linspace(0, vals.size - 1, points_per_knob)).astype(int)
-        )
+        # more points than codes would only select codes twice
+        count = min(points_per_knob, vals.size)
+        ix = np.unique(np.round(np.linspace(0, vals.size - 1, count)).astype(int))
         sub_vals.append(vals[ix])
     per_tap = int(np.prod([v.size for v in sub_vals]))
     total = per_tap**num_taps
@@ -1139,7 +1125,7 @@ def grid_search_oracle(
         raise LatticeTooLargeError(total, LATTICE_CAP)
 
     run = _RunRecord()
-    kernel = ModelKernel(model, h_si, board)
+    kernel = ModelKernel(model, h_si)
     tm, f = kernel.tap_model, h_si.grid.points
     grids = np.meshgrid(*sub_vals, indexing="ij")
     tap_configs = np.stack([g.ravel() for g in grids], axis=1)  # (per_tap, 4)
@@ -1178,12 +1164,4 @@ def grid_search_oracle(
              "%(scanned)d scored directly, %(wall_s).6f s",
              configs=total, rows_kept=kept, scanned=scanned, wall_s=run.lap())
 
-    return SolveReport(
-        config=kernel.tap_model.configs(x),
-        objective=fbest,
-        avg_sic_db=kernel.avg_sic_db(x),
-        iterations=total,
-        restart_index=0,
-        trace=[fbest],
-        quantized=True,
-    )
+    return kernel.report(x, fbest, total, [fbest], quantized=True)

@@ -603,6 +603,10 @@ class TestUsageErrors:
             ["network", "uldl", "--gamma-ul-db", "10", "--gamma-dl-db", "10",
              "--bandwidth-hz", "inf"],
             ["network", "tdma", "--schedule", "rro", "--bandwidth-hz", "inf"],
+            # an attenuator setting whose linear gain overflows
+            ["model", "--kind", "ideal", "--fc", "9e8", "--band", "890e6:910e6:5",
+             "--amp-db", "1e6"],
+            ["model", "--kind", "pcb", "--band", "890e6:910e6:5", "--amp-db", "1e6"],
         ],
     )
     def test_malformed_value_is_one_line_usage_error(

@@ -6,7 +6,6 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from fdecanc import (
-    ComplexResponse,
     FrequencyGrid,
     IdealTapConfig,
     InvalidArgumentError,
@@ -87,6 +86,17 @@ class TestIdealTap:
         for knobs in ((bad, 0.0, 1.5, 8.0), (0.0, 0.0, bad, 8.0), (0.0, 0.0, 1.5, bad)):
             with pytest.raises(InvalidArgumentError):
                 PcbTapConfig(*knobs)
+
+    @pytest.mark.parametrize("cls,filt", [(IdealTapConfig, (900e6, 10.0)),
+                                          (PcbTapConfig, (1.5, 8.0))])
+    def test_amp_db_needs_a_finite_linear_gain(self, cls, filt):
+        # 10^(amp_db/20) overflows a double above about 6165 dB
+        for amp_db in (6166.0, 1e6, np.float64(1e6), -np.inf):
+            with pytest.raises(InvalidArgumentError, match="amp_db"):
+                cls(amp_db, 0.0, *filt)
+        for amp_db in (6165.0, -1e6):
+            cfg = cls(amp_db, 0.0, *filt)
+            assert np.isfinite(weight_factors(cfg.amp_db, cfg.phase_rad)[0])
 
     def test_zero_frequency_rejected(self):
         g = FrequencyGrid(np.array([0.0, 1e6]))
@@ -295,9 +305,10 @@ class TestPcbCanceller:
 # the batch kernels against independent oracles
 
 
-def _kernel(model, grid, board=None):
-    zero = ComplexResponse(grid, np.zeros(grid.count, dtype=complex))
-    return ModelKernel(model, zero, board)
+def _response(model, grid, taps, board=None):
+    """The canceller response of knob rows `taps` on the model's kernel, as
+    `ModelKernel.response_values` sums it."""
+    return TAP_MODELS[model].kernel(np.array(taps), grid.points, board).sum(axis=0)
 
 
 PCB_TAPS = st.lists(
@@ -351,7 +362,7 @@ class TestKernelOracles:
         ref = a0 * np.exp(-2j * np.pi * grid.points * board.tau0_s) * sum(terms)
         # per point, relative to the tap magnitudes, which may cancel
         scale = a0 * sum(np.abs(t) for t in terms)
-        got = _kernel("pcb", grid, board).response_values(np.array(taps))
+        got = _response("pcb", grid, taps, board)
         assert np.all(np.abs(got - ref) <= 1e-9 * scale)
         canc = pcb_canceller_response(cfgs, board, grid).values
         assert np.all(np.abs(canc - ref) <= 1e-9 * scale)
@@ -360,7 +371,7 @@ class TestKernelOracles:
     @given(taps=IDEAL_TAPS)
     def test_ideal_kernel_matches_pointwise_formula(self, taps):
         grid = FrequencyGrid.linspace(880e6, 920e6, 21)
-        got = _kernel("ideal", grid).response_values(np.array(taps))
+        got = _response("ideal", grid, taps)
         for k, f in enumerate(grid.points.tolist()):
             vals = [
                 10.0 ** (a / 20.0) * cmath.exp(-1j * ph)

@@ -16,6 +16,7 @@ from fdecanc import (
     InvalidArgumentError,
     KnobSpec,
     LatticeTooLargeError,
+    QuantizationSpec,
     SolveOptions,
     grid_search_oracle,
     ideal_tap_response,
@@ -284,12 +285,19 @@ class TestLocalSearch:
         )
         rep = local_search([start], "ideal", h, spec)
         assert rep.objective <= 1e-20
+        assert rep.stop_reason == "no_descent"
+        # the first round takes moves, so a one-round cap ends the search
+        capped = local_search([start], "ideal", h, spec, max_rounds=1)
+        assert (capped.iterations, capped.stop_reason) == (1, "max_iters")
+        assert len(capped.trace) > 1
+        assert "stop_reason" not in capped.to_dict()
 
     def test_local_optimum_is_fixed_point(self):
         spec, cfg, h = self._small_instance()
         rep = local_search([cfg], "ideal", h, spec)
         assert rep.objective == 0.0
         assert rep.iterations == 1
+        assert rep.stop_reason == "no_descent"
         assert config_vector(rep.config).tolist() == config_vector([cfg]).tolist()
 
     def test_never_worse_than_start(self):
@@ -351,6 +359,26 @@ class TestGridSearchOracle:
         h = synth_si_channel(SynthChannelSpec(), GRID)
         with pytest.raises(LatticeTooLargeError):
             grid_search_oracle("ideal", h, spec, 9, 2)
+
+    def test_more_points_than_codes_selects_every_code(self):
+        # a count far past every knob's code count allocates nothing for it:
+        # it selects each knob's codes once, as a count of exactly that size
+        spec = QuantizationSpec(
+            amp_db=KnobSpec(-30.0, -10.0, step=5.0),
+            phase_rad=KnobSpec(-np.pi, np.pi, bits=3, periodic=True),
+            center=KnobSpec(880e6, 920e6, bits=2),
+            q=KnobSpec(5.0, 20.0, step=5.0),
+        )
+        sizes = [k.values().size for k in spec.knobs()]
+        assert sizes == [5, 8, 4, 4]
+        h = synth_si_channel(SynthChannelSpec(), GRID)
+        for taps in (1, 2):
+            rep = grid_search_oracle("ideal", h, spec, 10**12, taps)
+            assert rep.to_json() == grid_search_oracle("ideal", h, spec, 8, taps).to_json()
+            assert rep.iterations == int(np.prod(sizes)) ** taps
+        # the full rfic lattice is past the cap
+        with pytest.raises(LatticeTooLargeError):
+            grid_search_oracle("ideal", h, quantization_preset("rfic"), 10**12, 1)
 
 
 class TestIterativeHeuristic:
@@ -1221,6 +1249,7 @@ class TestLocalSearchReference:
         [rec] = [r for r in caplog.records if r.name == "fdecanc"]
         assert rec.levelno == logging.DEBUG
         assert (rec.rounds, rec.accepted) == (rep.iterations, len(rep.trace) - 1)
+        assert rec.stop_reason == rep.stop_reason and rec.stop_reason in STOP_REASONS
         # each round scores one or two codes of each of the 8 knobs; the
         # filter rows of the two start taps are computed, and every filter
         # candidate's row is computed or reused

@@ -4,7 +4,8 @@ Commands: model, fit, sweep, network (uldl | tdma), genchannel.
 Exit codes: 0 success, 1 usage error, 2 computation failure. Usage errors
 include malformed flag values; values out of range (`fit --taps`, `sweep
 --taps`, `--restarts` and `--max-iters` below 1, `--bandwidths-mhz` values
-that are not positive); every value that the object a flag builds rejects: the
+that are not positive, a `model --amp-db` whose linear gain underflows to 0,
+below about -6466 dB); every value that the object a flag builds rejects: the
 tap config of `model` (a NaN or infinite value, `--q` or `--fc` not positive,
 `--phase` outside [-pi, pi], an `--amp-db` whose linear gain 10^(dB/20)
 overflows, above about 6165 dB), the channel spec of `genchannel`
@@ -215,11 +216,16 @@ def cmd_model(args) -> int:
         if args.fc is None:
             raise UsageError("--fc is required for --kind ideal")
         cfg = _from_flags(IdealTapConfig, args.amp_db, args.phase, args.fc, args.q)
-        r = ideal_tap_response(cfg, grid)
     else:
         cfg = _from_flags(PcbTapConfig, args.amp_db, args.phase, args.cf_pf, args.cq_pf)
+    # a zero response has no phase to unwrap
+    gain, turn = weight_factors(args.amp_db, args.phase)
+    if gain == 0.0:
+        raise UsageError(f"--amp-db {args.amp_db!r} has a linear gain that underflows to 0")
+    if args.kind == "ideal":
+        r = ideal_tap_response(cfg, grid)
+    else:
         bare = pcb_bpf_response_closed_form(cfg, PcbBoardParams(), grid)
-        gain, turn = weight_factors(args.amp_db, args.phase)
         r = ComplexResponse(grid, gain * turn * bare.values)
     amp = amplitude_db(r)
     ph = unwrapped_phase(r)

@@ -11,19 +11,22 @@ under a global attenuation/delay.  Its closed form expands the C-entry of the
 five-matrix ABCD cascade; the cascade (`pcb_bpf_response_abcd`) is kept as
 the oracle that the closed form must match pointwise.
 
-`TAP_MODELS` has one entry per model: config class, knob fields in
-knob-vector order, quantization preset, filter, combiner and analytic
-Jacobian.  A tap's response is its weight A e^{-j phi} combined with a filter
-term of the two filter knobs; `TapModel.kernel` builds it for M taps from an
-(M, 4) knob matrix, and searches that cache both pieces per lattice code
-combine them the same way.  The per-config functions here, the solvers, the
-lattice oracle and the CLI all evaluate taps from these two pieces.
+`TAP_MODELS` has one entry per model, holding only what the model knows:
+config class, quantization preset, filter, combiner and the derivatives of a
+tap by its two filter knobs.  The knob names are the config class's fields.
+`TapModel` builds the rest once: `taps` combines a tap's weight A e^{-j phi}
+with the filter term of its two filter knobs for M taps from an (M, 4) knob
+matrix, and `kernel` and `jacobian` both start from it, the Jacobian filling
+the weight rows itself.  Searches that cache weights and filter terms per
+lattice code combine them with the same combiner.  The per-config functions
+here, the solvers, the lattice oracle and the CLI all evaluate taps from
+these pieces.  Both config classes share one check, `_check_tap`.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 from typing import Callable
 
 import numpy as np
@@ -32,11 +35,18 @@ from .core import ComplexResponse, FrequencyGrid
 from .errors import InvalidArgumentError, SingularNetworkError
 
 
-def _check_amp_db(amp_db) -> None:
-    """An attenuator setting must be finite with a finite linear gain
+def _check_tap(cfg) -> None:
+    """The checks of a tap config, whose fields are amp_db, phase_rad and the
+    two filter knobs: each filter knob must be positive and finite, the phase
+    must lie in [-pi, pi], and amp_db must be finite with a finite linear gain
     10^(amp_db/20), which holds up to about 6165 dB."""
+    for name in tuple(cfg.__dataclass_fields__)[2:]:
+        if not (0 < getattr(cfg, name) < np.inf):
+            raise InvalidArgumentError(f"{name} must be positive and finite")
+    if not (-np.pi <= cfg.phase_rad <= np.pi):
+        raise InvalidArgumentError("phase_rad must lie in [-pi, pi]")
     try:
-        ok = math.isfinite(amp_db) and math.isfinite(math.pow(10.0, amp_db / 20.0))
+        ok = math.isfinite(cfg.amp_db) and math.isfinite(math.pow(10.0, cfg.amp_db / 20.0))
     except OverflowError:
         ok = False
     if not ok:
@@ -54,14 +64,7 @@ class IdealTapConfig:
     center_hz: float
     q: float
 
-    def __post_init__(self):
-        if not (0 < self.q < np.inf):
-            raise InvalidArgumentError("q must be positive and finite")
-        if not (0 < self.center_hz < np.inf):
-            raise InvalidArgumentError("center_hz must be positive and finite")
-        if not (-np.pi <= self.phase_rad <= np.pi):
-            raise InvalidArgumentError("phase_rad must lie in [-pi, pi]")
-        _check_amp_db(self.amp_db)
+    __post_init__ = _check_tap
 
 
 @dataclass(frozen=True)
@@ -73,14 +76,7 @@ class PcbTapConfig:
     cf_pf: float
     cq_pf: float
 
-    def __post_init__(self):
-        if not (0 < self.cf_pf < np.inf):
-            raise InvalidArgumentError("cf_pf must be positive and finite")
-        if not (0 < self.cq_pf < np.inf):
-            raise InvalidArgumentError("cq_pf must be positive and finite")
-        if not (-np.pi <= self.phase_rad <= np.pi):
-            raise InvalidArgumentError("phase_rad must lie in [-pi, pi]")
-        _check_amp_db(self.amp_db)
+    __post_init__ = _check_tap
 
 
 @dataclass(frozen=True)
@@ -153,33 +149,16 @@ def weight_factors(amp_db, phase_rad):
     return 10.0 ** (amp_db / 20.0), np.exp(-1j * phase_rad)
 
 
-def _weights(x: np.ndarray) -> np.ndarray:
-    """Attenuator and phase-shifter weights A e^{-j phi}, shape (M, 1)."""
-    gain, turn = weight_factors(x[:, 0], x[:, 1])
-    return (gain * turn)[:, None]
-
-
-def _tap_jacobian(t, d_center, d_q):
-    """dT/dx (M, 4, K) from the per-tap responses T and their derivatives by
-    the two filter knobs; every tap is A e^{-j phi} times a filter, so
-    dT/d(amp_db) = T ln10/20 and dT/d(phase) = -jT."""
-    jac = np.empty((t.shape[0], 4, t.shape[1]), dtype=complex)
-    np.multiply(t, np.log(10.0) / 20.0, out=jac[:, 0])
-    np.multiply(t, -1j, out=jac[:, 1])
-    jac[:, 2] = d_center
-    jac[:, 3] = d_q
-    return jac
-
-
-# A model's kernel is combine(w, filter term), the term a function of the
-# (center, q) knobs alone.  The Jacobians and the lattice searches build their
-# tap rows from the same two functions, so every tap row is bitwise the
-# kernel's.
+# A model is its filter of the (center, q) knobs, its combiner of weights with
+# filter terms and the derivatives of T by the two filter knobs; `TapModel`
+# builds the tap rows, the kernel and the Jacobian from these, and the lattice
+# searches combine cached weights and filter terms with the same combiner, so
+# every tap row is bitwise the kernel's.
 
 
 def _ideal_filter(center, q, f, board=None):
     """Filter terms D = 1 - jQ*ratio (M, K) of M ideal taps, with the
-    detuning ratio f_c/f - f/f_c that the Jacobian reuses; T = w/D."""
+    detuning ratio f_c/f - f/f_c that the derivatives reuse; T = w/D."""
     ratio = center[:, None] / f[None, :] - f[None, :] / center[:, None]
     return 1.0 - 1j * q[:, None] * ratio, ratio
 
@@ -189,24 +168,22 @@ def _ideal_combiner(f, board=None):
     return np.divide
 
 
-def _ideal_jacobian(x: np.ndarray, f: np.ndarray, board=None):
-    """T (M, K) and dT/dx (M, 4, K) of M ideal taps by (amp_db, phase_rad,
-    f_c, Q):
+def _ideal_derivatives(x: np.ndarray, f: np.ndarray, t, filtered, board=None):
+    """dT/d(f_c) and dT/dQ (M, K) of M ideal taps with responses T:
 
-        T ln10/20,   -jT,   jQ (1/f + f/f_c^2) T/D,   j ratio T/D.
+        jQ (1/f + f/f_c^2) T/D,   j ratio T/D.
     """
-    d, ratio = _ideal_filter(x[:, 2], x[:, 3], f)
-    t = _ideal_combiner(f)(_weights(x), d)
+    d, ratio = filtered
     fc = x[:, 2, None]
     t_d = t / d
     d_fc = 1j * x[:, 3, None] * (1.0 / f[None, :] + f[None, :] / (fc * fc)) * t_d
-    return t, _tap_jacobian(t, d_fc, 1j * ratio * t_d)
+    return d_fc, 1j * ratio * t_d
 
 
 def _pcb_filter(center, q, f, board: PcbBoardParams):
     """Filter terms 1/(R_S M_C) (M, K) of M PCB taps from their C_F and C_Q
     in pF, with the tank admittances Y_F, Y_Q and the cascade's C-entry M_C
-    that the Jacobian reuses.  With a = cos(beta*l), s2 = sin(2*beta*l):
+    that the derivatives reuse.  With a = cos(beta*l), s2 = sin(2*beta*l):
 
         M_C = j s2 Z0 Y_F Y_Q + a^2 Y_F + 2 cos(2 beta l) Y_Q
               + j s2 / Z0 + j s2 Z0 Y_Q^2 - sin^2(beta l) Z0^2 Y_F Y_Q^2
@@ -236,12 +213,10 @@ def _pcb_combiner(f, board: PcbBoardParams):
     return lambda w, b: e * (w * b)
 
 
-def _pcb_jacobian(x: np.ndarray, f: np.ndarray, board: PcbBoardParams):
-    """T (M, K) and dT/dx (M, 4, K) of M PCB taps by (amp_db, phase_rad,
-    C_F, C_Q); by the chain rule through Y = ... + jwC*1e-12,
-    dT/dC = -T/M_C * dM_C/dY * jw*1e-12."""
-    b, y_f, y_q, m_c = _pcb_filter(x[:, 2], x[:, 3], f, board)
-    t = _pcb_combiner(f, board)(_weights(x), b)
+def _pcb_derivatives(x: np.ndarray, f: np.ndarray, t, filtered, board: PcbBoardParams):
+    """dT/d(C_F) and dT/d(C_Q) (M, K) of M PCB taps with responses T; by the
+    chain rule through Y = ... + jwC*1e-12, dT/dC = -T/M_C * dM_C/dY * jw*1e-12."""
+    _, y_f, y_q, m_c = filtered
     bl = board.beta_l_rad
     z0 = board.z0_ohm
     s2 = np.sin(2.0 * bl)
@@ -254,7 +229,7 @@ def _pcb_jacobian(x: np.ndarray, f: np.ndarray, board: PcbBoardParams):
         - 2.0 * sin2_z0z0 * y_f * y_q
     )
     dy_dc = -t / m_c * (1j * 2.0 * np.pi * f * 1e-12)[None, :]
-    return t, _tap_jacobian(t, dm_dyf * dy_dc, dm_dyq * dy_dc)
+    return dm_dyf * dy_dc, dm_dyq * dy_dc
 
 
 # ---------------------------------------------------------------------------
@@ -266,37 +241,57 @@ class TapModel:
     """One tap model of `TAP_MODELS`.
 
     `filter(center, q, f, board)` returns the filter terms (M, K) of the
-    two filter knobs first, then the terms the Jacobian reuses;
+    two filter knobs first, then the terms the derivatives reuse;
     `combiner(f, board)` returns the function that combines weights with
-    filter terms into per-tap responses T; `jacobian(x, f, board)` returns T
-    and dT/dx (M, 4, K).  Knob rows follow `knobs`, the config fields in
-    knob-vector order.
+    filter terms into per-tap responses T; `derivatives(x, f, t, filtered,
+    board)` returns dT by the two filter knobs from T and the filter's whole
+    output.  Knob rows follow `knobs`, the config fields.
     """
 
     name: str
     config_class: type
-    knobs: tuple
     preset: str
-    jacobian: Callable
     filter: Callable
     combiner: Callable
+    derivatives: Callable
+
+    @property
+    def knobs(self) -> tuple:
+        """The config fields, in knob-vector order."""
+        return tuple(k.name for k in fields(self.config_class))
+
+    def taps(self, x: np.ndarray, f: np.ndarray, board=None):
+        """Per-tap responses T (M, K) of the (M, 4) knob matrix x and the
+        filter's whole output: the weights w = gain * turn of
+        `weight_factors`, shape (M, 1), combined with the filter terms."""
+        filtered = self.filter(x[:, 2], x[:, 3], f, board)
+        gain, turn = weight_factors(x[:, 0], x[:, 1])
+        return self.combiner(f, board)((gain * turn)[:, None], filtered[0]), filtered
 
     def kernel(self, x: np.ndarray, f: np.ndarray, board=None) -> np.ndarray:
-        """Per-tap responses T (M, K) of the (M, 4) knob matrix x: the weights
-        w = gain * turn of `weight_factors`, shape (M, 1), combined with the
-        filter terms."""
-        terms = self.filter(x[:, 2], x[:, 3], f, board)[0]
-        return self.combiner(f, board)(_weights(x), terms)
+        """Per-tap responses T (M, K) of the (M, 4) knob matrix x."""
+        return self.taps(x, f, board)[0]
+
+    def jacobian(self, x: np.ndarray, f: np.ndarray, board=None):
+        """T (M, K) and dT/dx (M, 4, K); every tap is A e^{-j phi} times a
+        filter, so dT/d(amp_db) = T ln10/20 and dT/d(phase) = -jT."""
+        t, filtered = self.taps(x, f, board)
+        jac = np.empty((t.shape[0], 4, t.shape[1]), dtype=complex)
+        np.multiply(t, np.log(10.0) / 20.0, out=jac[:, 0])
+        np.multiply(t, -1j, out=jac[:, 1])
+        jac[:, 2], jac[:, 3] = self.derivatives(x, f, t, filtered, board)
+        return t, jac
 
     def vector(self, cfgs) -> np.ndarray:
         """The (M, 4) knob matrix of a list of this model's tap configs."""
+        knobs = self.knobs
         rows = []
         for c in cfgs:
             if not isinstance(c, self.config_class):
                 raise InvalidArgumentError(
                     f"{type(c).__name__} is not a {self.name!r} tap config"
                 )
-            rows.append([getattr(c, k) for k in self.knobs])
+            rows.append([getattr(c, k) for k in knobs])
         return np.array(rows, dtype=float)
 
     def configs(self, x) -> list:
@@ -307,12 +302,10 @@ class TapModel:
 
 TAP_MODELS = {
     "ideal": TapModel(
-        "ideal", IdealTapConfig, ("amp_db", "phase_rad", "center_hz", "q"), "rfic",
-        _ideal_jacobian, _ideal_filter, _ideal_combiner,
+        "ideal", IdealTapConfig, "rfic", _ideal_filter, _ideal_combiner, _ideal_derivatives,
     ),
     "pcb": TapModel(
-        "pcb", PcbTapConfig, ("amp_db", "phase_rad", "cf_pf", "cq_pf"), "pcb",
-        _pcb_jacobian, _pcb_filter, _pcb_combiner,
+        "pcb", PcbTapConfig, "pcb", _pcb_filter, _pcb_combiner, _pcb_derivatives,
     ),
 }
 
@@ -355,9 +348,7 @@ def ideal_tap_response(cfg: IdealTapConfig, grid: FrequencyGrid) -> ComplexRespo
     At f = center_hz the denominator is exactly 1, so the value is
     linear(amp_db) * e^{-j phase_rad}.
     """
-    f = _positive_points(grid, "ideal tap")
-    tm = TAP_MODELS["ideal"]
-    return ComplexResponse(grid, tm.kernel(tm.vector([cfg]), f)[0])
+    return multi_tap_response([cfg], grid)
 
 
 def multi_tap_response(cfgs, grid: FrequencyGrid) -> ComplexResponse:
@@ -441,8 +432,7 @@ def pcb_canceller_response(
     if not cfgs:
         raise InvalidArgumentError("need at least one tap")
     f = _positive_points(grid, "PCB BPF")
-    x = TAP_MODELS["pcb"].vector(cfgs)
-    bare, _, _, m_c = _pcb_filter(x[:, 2], x[:, 3], f, params)
+    tm = TAP_MODELS["pcb"]
+    taps, (_, _, _, m_c) = tm.taps(tm.vector(cfgs), f, params)
     _check_nonsingular(m_c, f)
-    taps = _pcb_combiner(f, params)(_weights(x), bare)
     return ComplexResponse(grid, taps.sum(axis=0))

@@ -454,14 +454,10 @@ def _descend(kernel, z0, lows, span, periodic, opts, stats=None):
             # damping comes from the free diagonal; a knob with zero curvature
             # still gets some, so the damped matrix is positive definite.
             diag = an.diagonal(axis1=1, axis2=2)
-            if fr.all():
-                base[sel], rhs[sel] = an, gn
-                damp[sel] = np.maximum(diag, 1e-15 * diag.max(axis=1, keepdims=True))
-            else:
-                base[sel] = np.where(fr[:, :, None] & fr[:, None, :], an, eye)
-                rhs[sel] = np.where(fr, gn, 0.0)
-                top = np.where(fr, diag, 0.0).max(axis=1, keepdims=True)
-                damp[sel] = np.where(fr, np.maximum(diag, 1e-15 * top), 0.0)
+            base[sel] = np.where(fr[:, :, None] & fr[:, None, :], an, eye)
+            rhs[sel] = np.where(fr, gn, 0.0)
+            top = np.where(fr, diag, 0.0).max(axis=1, keepdims=True)
+            damp[sel] = np.where(fr, np.maximum(diag, 1e-15 * top), 0.0)
             moved[:] = False
             down = (fr & (gn != 0.0)).any(axis=1)
             if not (np.isfinite(an).all() and np.isfinite(gn).all() and down.all()):

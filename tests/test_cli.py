@@ -607,6 +607,10 @@ class TestUsageErrors:
             ["model", "--kind", "ideal", "--fc", "9e8", "--band", "890e6:910e6:5",
              "--amp-db", "1e6"],
             ["model", "--kind", "pcb", "--band", "890e6:910e6:5", "--amp-db", "1e6"],
+            # one whose linear gain underflows to 0: a zero response
+            ["model", "--kind", "ideal", "--fc", "9e8", "--band", "850e6:950e6:5",
+             "--amp-db=-1e6"],
+            ["model", "--kind", "pcb", "--band", "850e6:950e6:5", "--amp-db=-1e6"],
         ],
     )
     def test_malformed_value_is_one_line_usage_error(

@@ -396,6 +396,34 @@ class TestKernelOracles:
         assert kernel.objective_batch(xs).tolist() == [kernel.objective(x) for x in xs]
 
 
+class TestTapJacobian:
+    @settings(max_examples=60, deadline=None)
+    @given(
+        model=st.sampled_from(["ideal", "pcb"]),
+        taps=st.integers(1, 3),
+        seed=st.integers(0, 2**32 - 1),
+        board=BOARDS,
+    )
+    def test_matches_central_differences_of_the_kernel(self, model, taps, seed, board):
+        tm = TAP_MODELS[model]
+        bounds = quantization_preset(tm.preset).bounds()
+        lows, span = bounds.lows(), bounds.highs() - bounds.lows()
+        rng = np.random.default_rng(seed)
+        x = lows + rng.uniform(0.01, 0.99, size=(taps, 4)) * span
+        f = np.linspace(880e6, 920e6, 17)
+        t, jac = tm.jacobian(x, f, board)
+        assert t.tobytes() == tm.kernel(x, f, board).tobytes()
+        for j in range(4):
+            h = 1e-6 * span[j]
+            xp, xm = x.copy(), x.copy()
+            xp[:, j] += h
+            xm[:, j] -= h
+            # each tap row depends only on its own knobs
+            fd = (tm.kernel(xp, f, board) - tm.kernel(xm, f, board)) / (2 * h)
+            scale = np.max(np.abs(jac[:, j]), axis=1, keepdims=True)
+            assert np.all(np.abs(jac[:, j] - fd) <= 1e-6 * scale), j
+
+
 class TestKernelFactors:
     @settings(max_examples=60, deadline=None)
     @given(

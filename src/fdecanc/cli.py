@@ -4,8 +4,8 @@ Commands: model, fit, sweep, network (uldl | tdma), genchannel.
 Exit codes: 0 success, 1 usage error, 2 computation failure. Usage errors
 include malformed flag values; values out of range (`fit --taps`, `sweep
 --taps`, `--restarts` and `--max-iters` below 1, `--bandwidths-mhz` values
-that are not positive, a `model --amp-db` whose linear gain underflows to 0,
-below about -6466 dB); every value that the object a flag builds rejects: the
+that are not positive, a `model --amp-db` whose linear gain is subnormal or 0,
+below about -6153 dB); every value that the object a flag builds rejects: the
 tap config of `model` (a NaN or infinite value, `--q` or `--fc` not positive,
 `--phase` outside [-pi, pi], an `--amp-db` whose linear gain 10^(dB/20)
 overflows, above about 6165 dB), the channel spec of `genchannel`
@@ -29,6 +29,8 @@ syntax, count >= 1. Outputs are deterministic given --seed and written
 atomically (temp file + rename), with the mode the umask gives a new file. A
 `start:stop:count` value that begins with '-' must be attached to its flag
 with '=' (`--gamma-iui-db=-5:5:3`), or argparse reads it as an option.
+One usage error is found only once computed: a `model` response with a 0
+value, which has no phase (a `--q` near 1e290 gives one).
 """
 
 from __future__ import annotations
@@ -218,15 +220,17 @@ def cmd_model(args) -> int:
         cfg = _from_flags(IdealTapConfig, args.amp_db, args.phase, args.fc, args.q)
     else:
         cfg = _from_flags(PcbTapConfig, args.amp_db, args.phase, args.cf_pf, args.cq_pf)
-    # a zero response has no phase to unwrap
+    # a zero response has no phase; a subnormal gain times a term below 1 can be 0
     gain, turn = weight_factors(args.amp_db, args.phase)
-    if gain == 0.0:
-        raise UsageError(f"--amp-db {args.amp_db!r} has a linear gain that underflows to 0")
+    if gain < np.finfo(float).tiny:
+        raise UsageError(f"--amp-db {args.amp_db!r} has a linear gain that underflows")
     if args.kind == "ideal":
         r = ideal_tap_response(cfg, grid)
     else:
         bare = pcb_bpf_response_closed_form(cfg, PcbBoardParams(), grid)
         r = ComplexResponse(grid, gain * turn * bare.values)
+    if not r.values.all():
+        raise UsageError("the tap's response underflows to 0 at some frequency")
     amp = amplitude_db(r)
     ph = unwrapped_phase(r)
     gd = group_delay(r)

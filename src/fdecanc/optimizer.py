@@ -190,13 +190,13 @@ class ModelKernel:
 
     def objective(self, x: np.ndarray) -> float:
         x = np.asarray(x, dtype=float).reshape(-1, 4)
-        return float(_objectives(self._target, self._kernel(x, self._f, self.board)))
+        return float(_residual_objectives(self._target, self._kernel(x, self._f, self.board))[1])
 
     def objective_batch(self, xs: np.ndarray) -> np.ndarray:
         """Objectives for a batch of configs; xs has shape (P, M, 4)."""
         p, m, _ = xs.shape
         mat = self._kernel(xs.reshape(p * m, 4), self._f, self.board)
-        return _objectives(self._target, mat.reshape(p, m, self._f.size))
+        return _residual_objectives(self._target, mat.reshape(p, m, self._f.size))[1]
 
     def residual_jacobian(self, xs: np.ndarray):
         """Residuals r = h_si - H(x), shape (P, K), and Jacobians dH/dx =
@@ -222,15 +222,10 @@ class ModelKernel:
                            iterations, restart_index, trace, **fields)
 
 
-def _objectives(target: np.ndarray, taps: np.ndarray) -> np.ndarray:
-    """sum_k |target_k - sum_m T_mk|^2 of per-tap responses T, shape (..., M,
-    K): one objective per config, its taps summed in tap order."""
-    return _residual_objectives(target, taps)[1]
-
-
 def _residual_objectives(target: np.ndarray, taps: np.ndarray):
-    """The residuals d = target - sum_m T_m, shape (..., K), and the
-    objectives |d|^2 that `_objectives` returns."""
+    """The residuals d = target - sum_m T_m of per-tap responses T, shape
+    (..., M, K), and the objectives sum_k |d_k|^2: one residual and one
+    objective per config, its taps summed in tap order."""
     d = target - np.add.reduce(taps, axis=-2)
     return d, np.add.reduce(d.real**2 + d.imag**2, axis=-1)
 
@@ -315,7 +310,7 @@ def residual_objective(h_si: ComplexResponse, h_canc: ComplexResponse) -> float:
     """sum_k |H_SI(f_k) - H(f_k)|^2."""
     if h_canc.grid != h_si.grid:
         raise InvalidArgumentError("responses must share a grid")
-    return float(_objectives(h_si.values, h_canc.values[None, :]))
+    return float(_residual_objectives(h_si.values, h_canc.values[None, :])[1])
 
 
 STOP_REASONS = ("tol", "max_iters", "no_descent", "non_finite")
@@ -667,6 +662,36 @@ def quantize_config(config, spec: QuantizationSpec):
     return [tm.config_class(*row) for row in np.stack(q, axis=1).tolist()]
 
 
+class _Lattice:
+    """The quantization lattice of `spec` on one model's kernel: the knob
+    value tables `values`, the per-code gains `gain` and turns `turn` of
+    `weight_factors` (a tap's weight is gain[a] * turn[p]), the model's
+    combiner `combine`, built once, and the filter terms of (center code,
+    q code) keys, memoized in `filters`.  A tap row combine(gain[a] *
+    turn[p], filters[c, q]) is bitwise the kernel's row of its knob values.
+    """
+
+    def __init__(self, kernel: ModelKernel, spec: QuantizationSpec):
+        self.values = [k.values() for k in spec.knobs()]
+        self.gain, self.turn = weight_factors(self.values[0], self.values[1])
+        self._filter, self._f, self._board = kernel.tap_model.filter, kernel._f, kernel.board
+        self.combine = kernel.tap_model.combiner(kernel._f, kernel.board)
+        self.filters = {}
+
+    def terms(self, keys) -> np.ndarray:
+        """The filter terms of (center code, q code) keys, computing the new ones."""
+        fresh = [key for key in keys if key not in self.filters]
+        if fresh:
+            c = self.values[2][[key[0] for key in fresh]]
+            q = self.values[3][[key[1] for key in fresh]]
+            self.filters.update(zip(fresh, self._filter(c, q, self._f, self._board)[0]))
+        return np.array([self.filters[key] for key in keys])
+
+    def point(self, codes) -> np.ndarray:
+        """The (M, 4) knob matrix of an (M, 4) code array."""
+        return np.stack([v[codes[:, j]] for j, v in enumerate(self.values)], axis=1)
+
+
 class _MoveScreen:
     """Lower bounds on the objectives of local-search moves; `local_search`
     gives the algebra and its rounding bound.
@@ -746,12 +771,12 @@ def local_search(
     search ends after a round with no move (the report's `stop_reason` is
     "no_descent"), or after `max_rounds` ("max_iters").
 
-    Tap rows come from cached factors: weights from per-code gain and turn
-    tables, filter terms memoized by (center code, q code), so a move
-    computes only the moved tap's candidate rows, and an amplitude or phase
-    move no filter term.  They are combined as the model's kernel combines
-    them, and candidates are scored as `ModelKernel.objective_batch` scores
-    configs, so every objective is bitwise the kernel's.
+    Tap rows come from the cached factors of `_Lattice`: weights from its
+    gain and turn tables, filter terms memoized by (center code, q code), so
+    a move computes only the moved tap's candidate rows, and an amplitude or
+    phase move no filter term.  Candidates are scored as
+    `ModelKernel.objective_batch` scores configs, so every objective is
+    bitwise the kernel's.
 
     Screen.  A tap's row is r = w phi up to rounding, with w its weight and
     phi = combine(1, filter term) its unit row.  Let e be the residual of
@@ -787,31 +812,15 @@ def local_search(
     """
     run = _RunRecord()
     kernel = ModelKernel(model, h_si)
-    tm, f, target, board = kernel.tap_model, kernel._f, kernel._target, kernel.board
-    knob_vals = [k.values() for k in spec.knobs()]
-    sizes = [v.size for v in knob_vals]
+    target, lat = kernel._target, _Lattice(kernel, spec)
+    gain, turn, combine, filters = lat.gain, lat.turn, lat.combine, lat.filters
+    sizes = [v.size for v in lat.values]
     periodic = [k.periodic for k in spec.knobs()]
-    x = tm.vector(qconfig)
-    idx = np.stack([nearest_codes(v, x[:, j]) for j, v in enumerate(knob_vals)], axis=1)
-    x = np.stack([v[idx[:, j]] for j, v in enumerate(knob_vals)], axis=1)
+    x = kernel.tap_model.vector(qconfig)
+    idx = np.stack([nearest_codes(v, x[:, j]) for j, v in enumerate(lat.values)], axis=1)
+    x = lat.point(idx)
 
-    gain, turn = weight_factors(knob_vals[0], knob_vals[1])
-    combine = tm.combiner(f, board)
-    filters = {}
-    computed = 0
-
-    def lookup(keys):
-        """The filter terms of (center code, q code) keys, computing the new ones."""
-        nonlocal computed
-        fresh = [key for key in keys if key not in filters]
-        if fresh:
-            c = knob_vals[2][[key[0] for key in fresh]]
-            q = knob_vals[3][[key[1] for key in fresh]]
-            filters.update(zip(fresh, tm.filter(c, q, f, board)[0]))
-            computed += len(fresh)
-        return np.array([filters[key] for key in keys])
-
-    terms = lookup([(c, q) for c, q in idx[:, 2:].tolist()])
+    terms = lat.terms([(c, q) for c, q in idx[:, 2:].tolist()])
     weights = gain[idx[:, 0]] * turn[idx[:, 1]]
     rows = combine(weights[:, None], terms)
     fx = kernel.objective(x)
@@ -844,9 +853,9 @@ def local_search(
                     low = screen.weights(i, ws.tolist())
                 else:
                     keys = [(k, code[3]) if j == 2 else (code[2], k) for k in moves]
-                    before = computed
-                    cand_terms = lookup(keys)
-                    reused += len(keys) - (computed - before)
+                    before = len(filters)
+                    cand_terms = lat.terms(keys)
+                    reused += len(keys) - (len(filters) - before)
                     cand_rows = combine(weights[i], cand_terms)
                     low = screen.rows(rows[i], cand_rows)
                 for m, v in enumerate(low):
@@ -875,13 +884,13 @@ def local_search(
         if not improved:
             reason = "no_descent"
             break
-    x = np.stack([v[[c[j] for c in idx]] for j, v in enumerate(knob_vals)], axis=1)
+    x = lat.point(np.array(idx))
     run.emit("local search: %(rounds)d rounds, %(accepted)d moves accepted, "
              "%(scored)d candidates scored, %(exact)d exactly, filter rows "
              "%(filters_computed)d computed and %(filters_reused)d reused, stop "
              "%(stop_reason)s, %(wall_s).6f s",
              rounds=rounds, accepted=len(trace) - 1, scored=scored, exact=exact,
-             filters_computed=computed, filters_reused=reused, stop_reason=reason,
+             filters_computed=len(filters), filters_reused=reused, stop_reason=reason,
              wall_s=run.lap())
     return kernel.report(x, fx, rounds, trace, quantized=True, stop_reason=reason)
 
@@ -962,19 +971,20 @@ def fit_pipeline(
 ):
     """Full configuration pipeline.
 
-    Continuous multi-start solve; if a quantization spec is given, round and
-    hill-climb on the lattice, then re-descend in continuous space from the
-    lattice solution and keep whichever continuous result is better.  The
-    polish step guarantees continuous objective <= quantized objective, so
-    quantization can only degrade the reported figures.
+    One continuous multi-start solve; if a quantization spec is given, its
+    answer is snapped to the lattice and `local_search` hill-climbs from
+    there.  A lattice point is a point of the box, so when it beats the
+    continuous answer (a poor solve, as with tiny options), the continuous
+    report is the quantized one with `quantized` False: the continuous
+    objective is never above the quantized one.
 
     Each call logs the wall time of each phase (continuous_s, quantize_s,
-    local_search_s, polish_s; 0 for a phase that did not run) at DEBUG on the
+    local_search_s; 0 for a phase that did not run) at DEBUG on the
     "fdecanc" logger, also as record attributes.
 
     Returns (continuous_report, quantized_report_or_None).
     """
-    phases = dict.fromkeys(("continuous_s", "quantize_s", "local_search_s", "polish_s"), 0.0)
+    phases = dict.fromkeys(("continuous_s", "quantize_s", "local_search_s"), 0.0)
     opts = opts or SolveOptions()
     bounds = spec.bounds() if spec is not None else default_bounds(model)
     run = _RunRecord()
@@ -987,14 +997,9 @@ def fit_pipeline(
         qrep = local_search(qcfg, model, h_si, spec)
         phases["local_search_s"] = run.lap()
         if qrep.objective < cont.objective:
-            polished = solve_continuous(
-                model, h_si, bounds, replace(opts, restarts=1), num_taps, [qrep.config]
-            )
-            phases["polish_s"] = run.lap()
-            if polished.objective < cont.objective:
-                cont = polished
+            cont = replace(qrep, quantized=False)
     run.emit("fit pipeline: continuous %(continuous_s).6f s, quantize %(quantize_s).6f s, "
-             "local search %(local_search_s).6f s, polish %(polish_s).6f s", **phases)
+             "local search %(local_search_s).6f s", **phases)
     return cont, qrep
 
 
@@ -1108,54 +1113,45 @@ def grid_search_oracle(
         raise InvalidArgumentError("oracle supports 1 or 2 taps")
     if points_per_knob < 2:
         raise InvalidArgumentError("points_per_knob must be >= 2")
-    sub_vals = []
-    for knob in spec.knobs():
-        vals = knob.values()
-        # more points than codes would only select codes twice
-        count = min(points_per_knob, vals.size)
-        ix = np.unique(np.round(np.linspace(0, vals.size - 1, count)).astype(int))
-        sub_vals.append(vals[ix])
-    per_tap = int(np.prod([v.size for v in sub_vals]))
+    # the codes of each knob; more points than codes would only select codes twice
+    sub = [np.unique(np.round(np.linspace(0, n - 1, min(points_per_knob, n))).astype(int))
+           for n in (knob.values().size for knob in spec.knobs())]
+    per_tap = int(np.prod([ix.size for ix in sub]))
     total = per_tap**num_taps
     if total > LATTICE_CAP:
         raise LatticeTooLargeError(total, LATTICE_CAP)
 
     run = _RunRecord()
     kernel = ModelKernel(model, h_si)
-    tm, f = kernel.tap_model, h_si.grid.points
-    grids = np.meshgrid(*sub_vals, indexing="ij")
-    tap_configs = np.stack([g.ravel() for g in grids], axis=1)  # (per_tap, 4)
+    lat = _Lattice(kernel, spec)
+    codes = np.stack([g.ravel() for g in np.meshgrid(*sub, indexing="ij")], axis=1)
 
     # single-tap response of every lattice point, (per_tap, K), as the
-    # kernel's: its first rows hold every (center, q) pair once, and their
-    # filter terms repeat for each (amp, phase)
-    n_cq = sub_vals[2].size * sub_vals[3].size
-    terms = tm.filter(tap_configs[:n_cq, 2], tap_configs[:n_cq, 3], f, kernel.board)[0]
-    gain, turn = weight_factors(tap_configs[:, 0], tap_configs[:, 1])
-    combine = tm.combiner(f, kernel.board)
-    weights = gain * turn
-    resp = combine(weights[:, None], np.tile(terms, (per_tap // n_cq, 1)))
+    # kernel's: its first rows hold every (center, q) code pair once, and
+    # their filter terms repeat for each (amp, phase) weight
+    n_cq = sub[2].size * sub[3].size
+    terms = lat.terms(list(map(tuple, codes[:n_cq, 2:].tolist())))
+    weights = (lat.gain[sub[0], None] * lat.turn[sub[1]]).ravel()
+    resp = lat.combine(np.repeat(weights, n_cq)[:, None], np.tile(terms, (weights.size, 1)))
     target = h_si.values
 
     if num_taps == 1:
-        obj = _objectives(target, resp[:, None, :])
-        best = int(np.argmin(obj))
-        x = tap_configs[best : best + 1]
-        fbest = float(obj[best])
+        obj = _residual_objectives(target, resp[:, None, :])[1]
+        best = [int(np.argmin(obj))]
+        fbest = float(obj[best[0]])
         kept, scanned = 0, per_tap
     else:
-        fbest = np.inf
-        best_pair = (0, 0)
-        rows = _pair_rows(target, weights[::n_cq], combine(1.0, terms))
+        fbest, best = np.inf, [0, 0]
+        rows = _pair_rows(target, weights, lat.combine(1.0, terms))
         for i in rows:
             d = target[None, :] - resp[i][None, :] - resp
             obj = np.sum(d.real**2 + d.imag**2, axis=1)
             j = int(np.argmin(obj))
             if obj[j] < fbest:
                 fbest = float(obj[j])
-                best_pair = (i, j)
-        x = tap_configs[list(best_pair)]
+                best = [i, j]
         kept, scanned = rows.size, rows.size * per_tap
+    x = lat.point(codes[best])
     run.emit("oracle: %(configs)d configs, %(rows_kept)d rows kept by the pair screen, "
              "%(scanned)d scored directly, %(wall_s).6f s",
              configs=total, rows_kept=kept, scanned=scanned, wall_s=run.lap())

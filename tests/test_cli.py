@@ -72,6 +72,24 @@ class TestModelCommand:
         got = np.array([float(r[1]) for r in rows])
         assert np.allclose(got, expect, atol=1e-9)
 
+    def test_zero_response_is_one_line_usage_error(self, tmp_path, capsys):
+        # a normal gain over a filter term near 1e289 underflows to 0
+        out = tmp_path / "m.csv"
+        rc = main(["model", "--kind", "ideal", "--fc", "9e8", "--q", "1e290",
+                   "--band", "850e6:950e6:5", "--amp-db=-6000", "--out", str(out)])
+        assert rc == 1
+        err = capsys.readouterr().err
+        assert err.startswith("usage error: ") and err.count("\n") == 1
+        assert not out.exists()
+
+    @pytest.mark.parametrize("flags", [["--kind", "ideal", "--fc", "9e8"], ["--kind", "pcb"]])
+    def test_smallest_normal_gains_work(self, tmp_path, flags):
+        out = tmp_path / "m.csv"
+        rc = main(["model", *flags, "--band", "850e6:950e6:5", "--amp-db=-6150",
+                   "--out", str(out)])
+        assert rc == 0
+        assert len(read_rows(out)[1]) == 5
+
     def test_bad_band_spec(self, tmp_path):
         rc = main(
             ["model", "--kind", "ideal", "--fc", "900e6", "--band", "890e6:910e6",
@@ -607,10 +625,14 @@ class TestUsageErrors:
             ["model", "--kind", "ideal", "--fc", "9e8", "--band", "890e6:910e6:5",
              "--amp-db", "1e6"],
             ["model", "--kind", "pcb", "--band", "890e6:910e6:5", "--amp-db", "1e6"],
-            # one whose linear gain underflows to 0: a zero response
+            # one whose linear gain underflows to 0 or to a subnormal float,
+            # which times a filter term below 1 can be 0: a zero response
             ["model", "--kind", "ideal", "--fc", "9e8", "--band", "850e6:950e6:5",
              "--amp-db=-1e6"],
             ["model", "--kind", "pcb", "--band", "850e6:950e6:5", "--amp-db=-1e6"],
+            ["model", "--kind", "ideal", "--fc", "9e8", "--band", "850e6:950e6:5",
+             "--amp-db=-6466"],
+            ["model", "--kind", "pcb", "--band", "850e6:950e6:5", "--amp-db=-6460"],
         ],
     )
     def test_malformed_value_is_one_line_usage_error(

@@ -502,9 +502,22 @@ class TestPipelinePhaseLog:
         phase = records[-1]
         assert phase.getMessage().startswith("fit pipeline: continuous ")
         assert min(phase.continuous_s, phase.quantize_s, phase.local_search_s) > 0
-        # a polish ran iff a second solve was logged
-        solves = [r for r in records if r.getMessage().startswith("solve:")]
-        assert (phase.polish_s > 0) == (len(solves) == 2)
+        assert not hasattr(phase, "polish_s")
+        # the pipeline solves once
+        assert len([r for r in records if r.getMessage().startswith("solve:")]) == 1
+
+    def test_lattice_point_that_beats_the_solve_is_the_continuous_report(self, caplog):
+        # one start of one iteration stops far from the optimum: the lattice
+        # point (1.728) beats it (3.990)
+        h = synth_si_channel(SynthChannelSpec(), GRID)
+        opts = SolveOptions(restarts=1, max_iters=1, seed=0)
+        with caplog.at_level(logging.DEBUG, logger="fdecanc"):
+            cont, quant = fit_pipeline("ideal", h, 2, opts, quantization_preset("rfic"))
+        assert quant.objective < solve_continuous("ideal", h, opts=opts, num_taps=2).objective
+        assert (cont.config, cont.objective) == (quant.config, quant.objective)
+        assert not cont.quantized and quant.quantized
+        solves = [r for r in self._records(caplog) if r.getMessage().startswith("solve:")]
+        assert len(solves) == 1
 
     def test_continuous_only_phases_are_zero(self, caplog):
         h = synth_si_channel(SynthChannelSpec(), GRID)
@@ -512,7 +525,7 @@ class TestPipelinePhaseLog:
             fit_pipeline("ideal", h, 1, FAST)
         phase = self._records(caplog)[-1]
         assert phase.continuous_s > 0
-        assert phase.quantize_s == phase.local_search_s == phase.polish_s == 0.0
+        assert phase.quantize_s == phase.local_search_s == 0.0
 
     def test_no_clock_read_without_a_debug_logger(self, monkeypatch):
         def no_clock():
@@ -1305,7 +1318,7 @@ class TestMoveScreen:
                         cand = codes.copy()
                         cand[i, j] = (cand[i, j] + delta) % vals[j].size
                         cw, _, crows = tap_rows(cand)
-                        fc = float(optimizer._objectives(target, crows))
+                        fc = float(optimizer._residual_objectives(target, crows)[1])
                         if j < 2:
                             [low] = screen.weights(i, [complex(cw[i])])
                         else:
@@ -1320,6 +1333,43 @@ class TestMoveScreen:
                 screen.accept(float(fx), resid, i, w=complex(w[i]))
             else:
                 screen.accept(float(fx), resid, i, unit=combine(1.0, terms[i]))
+
+
+class TestLattice:
+    """A tap row that `_Lattice` assembles from its tables and memoized filter
+    terms is bitwise the kernel's row of the tap's knob values."""
+
+    @pytest.mark.parametrize("model", ["ideal", "pcb"])
+    @pytest.mark.parametrize("seed", range(4))
+    def test_rows_are_the_kernels(self, model, seed):
+        grid = FrequencyGrid.linspace(880e6, 920e6, 31)
+        kernel = ModelKernel(model, synth_si_channel(SynthChannelSpec(), grid))
+        lat = optimizer._Lattice(kernel, quantization_preset(TAP_MODELS[model].preset))
+        rng = np.random.default_rng(seed)
+        seen = set()
+        prev = None
+        for _ in range(3):
+            codes = np.array([[rng.integers(v.size) for v in lat.values] for _ in range(5)])
+            # a key twice in one call, and keys of the previous call: memo
+            # misses and hits in one lookup
+            codes[1, 2:] = codes[0, 2:]
+            if prev is not None:
+                codes[2:4, 2:] = prev[[0, 4], 2:]
+            keys = list(map(tuple, codes[:, 2:].tolist()))
+            hits = [key in lat.filters for key in keys]
+            terms = lat.terms(keys)
+            seen.update(keys)
+            assert len(lat.filters) == len(seen)
+            assert (prev is None) == (not any(hits))
+            x = lat.point(codes)
+            assert x.tolist() == [[v[c] for v, c in zip(lat.values, row)] for row in codes]
+            want = kernel._kernel(x, kernel._f, kernel.board)
+            weights = lat.gain[codes[:, 0]] * lat.turn[codes[:, 1]]
+            assert lat.combine(weights[:, None], terms).tobytes() == want.tobytes()
+            for (a, p, c, q), row in zip(codes.tolist(), want):
+                got = lat.combine(lat.gain[a] * lat.turn[p], lat.filters[c, q])
+                assert got.tobytes() == row.tobytes()
+            prev = codes
 
 
 class TestOracleRunRecord:

@@ -260,22 +260,25 @@ class TapModel:
         """The config fields, in knob-vector order."""
         return tuple(k.name for k in fields(self.config_class))
 
-    def taps(self, x: np.ndarray, f: np.ndarray, board=None):
+    def taps(self, x: np.ndarray, f: np.ndarray, board=None, combine=None):
         """Per-tap responses T (M, K) of the (M, 4) knob matrix x and the
         filter's whole output: the weights w = gain * turn of
-        `weight_factors`, shape (M, 1), combined with the filter terms."""
+        `weight_factors`, shape (M, 1), combined with the filter terms by
+        `combine`, the built `combiner(f, board)` (built here if None)."""
         filtered = self.filter(x[:, 2], x[:, 3], f, board)
         gain, turn = weight_factors(x[:, 0], x[:, 1])
-        return self.combiner(f, board)((gain * turn)[:, None], filtered[0]), filtered
+        if combine is None:
+            combine = self.combiner(f, board)
+        return combine((gain * turn)[:, None], filtered[0]), filtered
 
-    def kernel(self, x: np.ndarray, f: np.ndarray, board=None) -> np.ndarray:
+    def kernel(self, x: np.ndarray, f: np.ndarray, board=None, combine=None) -> np.ndarray:
         """Per-tap responses T (M, K) of the (M, 4) knob matrix x."""
-        return self.taps(x, f, board)[0]
+        return self.taps(x, f, board, combine)[0]
 
-    def jacobian(self, x: np.ndarray, f: np.ndarray, board=None):
+    def jacobian(self, x: np.ndarray, f: np.ndarray, board=None, combine=None):
         """T (M, K) and dT/dx (M, 4, K); every tap is A e^{-j phi} times a
         filter, so dT/d(amp_db) = T ln10/20 and dT/d(phase) = -jT."""
-        t, filtered = self.taps(x, f, board)
+        t, filtered = self.taps(x, f, board, combine)
         jac = np.empty((t.shape[0], 4, t.shape[1]), dtype=complex)
         np.multiply(t, np.log(10.0) / 20.0, out=jac[:, 0])
         np.multiply(t, -1j, out=jac[:, 1])

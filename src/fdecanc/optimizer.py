@@ -25,7 +25,7 @@ import json
 import math
 import sys
 import time
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field, fields, replace
 
 import numpy as np
 
@@ -125,12 +125,27 @@ class QuantizationSpec:
 
 @dataclass(frozen=True)
 class BoxBounds:
-    """Continuous box constraints per knob; phase is treated as periodic."""
+    """Continuous box constraints per knob, each a (low, high) pair of
+    finite floats with low < high; phase is treated as periodic."""
 
     amp_db: tuple
     phase_rad: tuple
     center: tuple
     q: tuple
+
+    def __post_init__(self):
+        for knob in fields(self):
+            pair = getattr(self, knob.name)
+            try:
+                low, high = (float(v) for v in pair)
+            except (TypeError, ValueError):
+                raise InvalidArgumentError(
+                    f"{knob.name} bounds must be a (low, high) pair, got {pair!r}"
+                ) from None
+            if not (math.isfinite(low) and math.isfinite(high) and low < high):
+                raise InvalidArgumentError(
+                    f"{knob.name} bounds must be finite with low < high, got {pair!r}"
+                )
 
     def lows(self) -> np.ndarray:
         return np.array(
@@ -173,7 +188,8 @@ def default_bounds(model: str) -> BoxBounds:
 class ModelKernel:
     """Evaluates objective(x) = sum_k |h_si_k - H(f_k; x)|^2 for one model on
     the paper's board (`PcbBoardParams()`); every frequency of `h_si` must be
-    positive."""
+    positive.  The model's combiner is built once, here, for every kernel and
+    Jacobian call."""
 
     def __init__(self, model: str, h_si: ComplexResponse):
         self.tap_model = tap_model(model)
@@ -181,21 +197,23 @@ class ModelKernel:
         self.board = PcbBoardParams()
         self._f = _positive_points(h_si.grid, f"{model} tap model")
         self._target = h_si.values
+        self._combine = self.tap_model.combiner(self._f, self.board)
         self._kernel = self.tap_model.kernel
         self._jacobian = self.tap_model.jacobian
 
     def response_values(self, x: np.ndarray) -> np.ndarray:
         x = np.asarray(x, dtype=float).reshape(-1, 4)
-        return self._kernel(x, self._f, self.board).sum(axis=0)
+        return self._kernel(x, self._f, self.board, self._combine).sum(axis=0)
 
     def objective(self, x: np.ndarray) -> float:
         x = np.asarray(x, dtype=float).reshape(-1, 4)
-        return float(_residual_objectives(self._target, self._kernel(x, self._f, self.board))[1])
+        taps = self._kernel(x, self._f, self.board, self._combine)
+        return float(_residual_objectives(self._target, taps)[1])
 
     def objective_batch(self, xs: np.ndarray) -> np.ndarray:
         """Objectives for a batch of configs; xs has shape (P, M, 4)."""
         p, m, _ = xs.shape
-        mat = self._kernel(xs.reshape(p * m, 4), self._f, self.board)
+        mat = self._kernel(xs.reshape(p * m, 4), self._f, self.board, self._combine)
         return _residual_objectives(self._target, mat.reshape(p, m, self._f.size))[1]
 
     def residual_jacobian(self, xs: np.ndarray):
@@ -203,7 +221,7 @@ class ModelKernel:
         -dr/dx, shape (P, 4M, K) with rows in knob-vector order, for a batch
         of configs; xs has shape (P, M, 4)."""
         p, m, _ = xs.shape
-        taps, jac = self._jacobian(xs.reshape(p * m, 4), self._f, self.board)
+        taps, jac = self._jacobian(xs.reshape(p * m, 4), self._f, self.board, self._combine)
         k = self._f.size
         return self._target - taps.reshape(p, m, k).sum(axis=1), jac.reshape(p, 4 * m, k)
 
@@ -675,7 +693,7 @@ class _Lattice:
         self.values = [k.values() for k in spec.knobs()]
         self.gain, self.turn = weight_factors(self.values[0], self.values[1])
         self._filter, self._f, self._board = kernel.tap_model.filter, kernel._f, kernel.board
-        self.combine = kernel.tap_model.combiner(kernel._f, kernel.board)
+        self.combine = kernel._combine
         self.filters = {}
 
     def terms(self, keys) -> np.ndarray:
@@ -810,6 +828,9 @@ def local_search(
     filters_reused, stop_reason, wall_s) at DEBUG on the "fdecanc" logger,
     also as record attributes.
     """
+    qconfig = list(qconfig)
+    if not qconfig:
+        raise InvalidArgumentError("need at least one tap")
     run = _RunRecord()
     kernel = ModelKernel(model, h_si)
     target, lat = kernel._target, _Lattice(kernel, spec)
@@ -1010,10 +1031,12 @@ def fit_pipeline(
 _SCREEN_ROWS = 64
 
 
-def _pair_rows(target: np.ndarray, weights: np.ndarray, units: np.ndarray) -> np.ndarray:
-    """Ascending indices a of every row that can hold the best pair (a, b)
-    of rows r_a = weights[a // n] * units[a % n], n = len(units): each of
-    the P weights times each of the n unit rows, in weight-major order.
+def _pair_rows(target: np.ndarray, weights: np.ndarray, units: np.ndarray):
+    """The pairs (a, b) of rows r_a = weights[a // n] * units[a % n], n =
+    len(units), that can be the best pair: each of the P weights times each
+    of the n unit rows, in weight-major order.  Returns the ascending
+    indices a of every row that can hold the best pair, and for each of
+    them the ascending columns b that can be its best pair.
 
     The pair objective |t - r_a - r_b|^2 expands, with the real float views
     R_a = (Re r_a1, Im r_a1, ..., Re r_aK, Im r_aK) and T of t, to
@@ -1035,7 +1058,9 @@ def _pair_rows(target: np.ndarray, weights: np.ndarray, units: np.ndarray) -> np
     The pair value is symmetric, so only the blocks on or above the diagonal
     are computed: each block updates the minima of its rows and of its
     columns, so the screened value of (a, b) may come from the (b, a)
-    product.
+    product.  The columns of a kept row a come from one more product of its
+    row (2 s_a, u_a, 1) with every (s_b, 1, u_b): those whose screened value
+    is within 2 slack of that row's own screened minimum.
 
     Rounding bound.  Let eps be the machine epsilon, tau = |t|, omega =
     max |w_a|, psi = max |phi_a| and S = (tau + 2 omega psi)^2.  The caller's
@@ -1055,15 +1080,19 @@ def _pair_rows(target: np.ndarray, weights: np.ndarray, units: np.ndarray) -> np
     below slack = 16 (K + n^2 + 8) eps S, and so are the screened row minimum
     m_a and the direct one.  A row whose direct minimum ties the smallest
     therefore has m_a <= min(m) + 2 slack, and every such row is returned;
-    the caller's strict-< scan over these rows then picks the same (a, b)
-    and objective as a scan over all rows.  Non-finite inputs keep every
-    row.
+    by the same argument on one row, a column whose direct value ties the
+    row's direct minimum has a screened value within 2 slack of the row's
+    screened minimum, and every such column is returned.  The caller's
+    strict-< scan over these rows, each over its columns in ascending order,
+    then picks the same (a, b) and objective as a scan over all pairs.
+    Non-finite inputs keep every row and every column.
     """
     n, k = units.shape
     p = weights.size * n
     if not (np.isfinite(units).all() and np.isfinite(weights).all()
             and np.isfinite(target).all()):
-        return np.arange(p)
+        every = np.arange(p)
+        return every, [every] * p
     gram = units @ np.conj(units).T
     diag = gram.diagonal().real
     # pivoted Cholesky: each step takes the largest pivot of the Schur
@@ -1096,7 +1125,13 @@ def _pair_rows(target: np.ndarray, weights: np.ndarray, units: np.ndarray) -> np
     row_min += t2
     rho = np.abs(weights).max() * np.sqrt(diag.max())
     slack = 16.0 * (k + n * n + 8) * np.finfo(float).eps * (np.sqrt(t2) + 2.0 * rho) ** 2
-    return np.flatnonzero(~(row_min > np.min(row_min) + 2.0 * slack))
+    rows = np.flatnonzero(~(row_min > np.min(row_min) + 2.0 * slack))
+    columns = []
+    for b0 in range(0, rows.size, _SCREEN_ROWS):
+        g = lhs[rows[b0:b0 + _SCREEN_ROWS]] @ rhs.T
+        g += t2
+        columns.extend(np.flatnonzero(~(v > np.min(v) + 2.0 * slack)) for v in g)
+    return rows, columns
 
 
 def grid_search_oracle(
@@ -1108,7 +1143,19 @@ def grid_search_oracle(
 ) -> SolveReport:
     """Exhaustively evaluate a coarse sublattice of the quantization grid:
     `points_per_knob` evenly spaced codes of each knob, or all of them if
-    the knob has fewer."""
+    the knob has fewer.
+
+    One tap scores every lattice point.  Two taps score directly only the
+    pairs that `_pair_rows` keeps: the rows that can hold the best pair
+    and, for each, the columns that can complete it.  Tap rows are built
+    only for those pairs, each as the kernel builds it, and the scan over
+    kept rows and their columns in ascending order with a strict < picks
+    the same pair and objective as a scan over all pairs.
+
+    Each call logs the configs, the rows the pair screen kept, the pairs
+    scored directly and the wall time (configs, rows_kept, scanned, wall_s)
+    at DEBUG on the "fdecanc" logger, also as record attributes.
+    """
     if num_taps not in (1, 2):
         raise InvalidArgumentError("oracle supports 1 or 2 taps")
     if points_per_knob < 2:
@@ -1126,31 +1173,36 @@ def grid_search_oracle(
     lat = _Lattice(kernel, spec)
     codes = np.stack([g.ravel() for g in np.meshgrid(*sub, indexing="ij")], axis=1)
 
-    # single-tap response of every lattice point, (per_tap, K), as the
-    # kernel's: its first rows hold every (center, q) code pair once, and
-    # their filter terms repeat for each (amp, phase) weight
+    # lattice point i has weight weights[i // n_cq] and the filter terms
+    # terms[i % n_cq]: the first n_cq points hold every (center, q) code
+    # pair once, and their filter terms repeat for each (amp, phase) weight
     n_cq = sub[2].size * sub[3].size
     terms = lat.terms(list(map(tuple, codes[:n_cq, 2:].tolist())))
     weights = (lat.gain[sub[0], None] * lat.turn[sub[1]]).ravel()
-    resp = lat.combine(np.repeat(weights, n_cq)[:, None], np.tile(terms, (weights.size, 1)))
     target = h_si.values
 
+    def tap_rows(points):
+        """The single-tap responses (len(points), K) of lattice points, as the kernel's."""
+        return lat.combine(weights[points // n_cq, None], terms[points % n_cq])
+
     if num_taps == 1:
-        obj = _residual_objectives(target, resp[:, None, :])[1]
+        obj = _residual_objectives(target, tap_rows(np.arange(per_tap))[:, None, :])[1]
         best = [int(np.argmin(obj))]
         fbest = float(obj[best[0]])
         kept, scanned = 0, per_tap
     else:
         fbest, best = np.inf, [0, 0]
-        rows = _pair_rows(target, weights, lat.combine(1.0, terms))
-        for i in rows:
-            d = target[None, :] - resp[i][None, :] - resp
+        rows, columns = _pair_rows(target, weights, lat.combine(1.0, terms))
+        points = np.unique(np.concatenate([rows, *columns]))
+        resp = tap_rows(points)
+        for i, cols in zip(rows.tolist(), columns):
+            d = target - resp[np.searchsorted(points, i)] - resp[np.searchsorted(points, cols)]
             obj = np.sum(d.real**2 + d.imag**2, axis=1)
             j = int(np.argmin(obj))
             if obj[j] < fbest:
                 fbest = float(obj[j])
-                best = [i, j]
-        kept, scanned = rows.size, rows.size * per_tap
+                best = [i, int(cols[j])]
+        kept, scanned = rows.size, sum(cols.size for cols in columns)
     x = lat.point(codes[best])
     run.emit("oracle: %(configs)d configs, %(rows_kept)d rows kept by the pair screen, "
              "%(scanned)d scored directly, %(wall_s).6f s",

@@ -161,6 +161,18 @@ class TestPresets:
             quantization_preset("bogus")
 
 
+class TestBoxBounds:
+    @pytest.mark.parametrize("knob", ["amp_db", "phase_rad", "center", "q"])
+    @pytest.mark.parametrize("pair", [
+        (float("nan"), 1.0), (0.0, float("inf")), (-float("inf"), 0.0),
+        (1.0, 1.0), (2.0, 1.0), (0.0,), (0.0, 1.0, 2.0), 5.0, ("a", "b"), None,
+    ])
+    def test_rejects_a_bad_field_at_construction(self, knob, pair):
+        good = quantization_preset("rfic").bounds()
+        with pytest.raises(InvalidArgumentError, match=knob):
+            replace(good, **{knob: pair})
+
+
 class TestResidualObjective:
     def test_perfect_match(self):
         h = flat_channel(0.1)
@@ -300,6 +312,12 @@ class TestLocalSearch:
         assert rep.stop_reason == "no_descent"
         assert config_vector(rep.config).tolist() == config_vector([cfg]).tolist()
 
+    def test_no_taps(self):
+        spec = quantization_preset("rfic")
+        h = synth_si_channel(SynthChannelSpec(), GRID)
+        with pytest.raises(InvalidArgumentError, match="need at least one tap"):
+            local_search([], "ideal", h, spec)
+
     def test_never_worse_than_start(self):
         spec = quantization_preset("rfic")
         h = synth_si_channel(SynthChannelSpec(), GRID)
@@ -353,6 +371,30 @@ class TestGridSearchOracle:
         rep = grid_search_oracle("ideal", h, spec, 3, 2)
         assert rep.iterations == 81**2
         assert rep.objective <= grid_search_oracle("ideal", h, spec, 3, 1).objective
+
+    def test_two_taps_build_rows_only_for_scored_pairs(self, monkeypatch):
+        # one tap builds all 81 rows of the sublattice; two taps build the
+        # 9 unit rows and the rows of the pairs the screen keeps
+        tm = TAP_MODELS["pcb"]
+        rows_built = []
+
+        def recording(f, board):
+            combine = tm.combiner(f, board)
+
+            def wrapped(w, b):
+                out = combine(w, b)
+                rows_built.append(out.shape[0] if out.ndim == 2 else 1)
+                return out
+            return wrapped
+
+        monkeypatch.setitem(TAP_MODELS, "pcb", replace(tm, combiner=recording))
+        spec = quantization_preset("pcb")
+        h = synth_si_channel(SynthChannelSpec(), GRID)
+        grid_search_oracle("pcb", h, spec, 3, 1)
+        assert max(rows_built) == 81
+        rows_built.clear()
+        grid_search_oracle("pcb", h, spec, 3, 2)
+        assert max(rows_built) < 81
 
     def test_lattice_cap(self):
         spec = quantization_preset("rfic")
@@ -660,22 +702,28 @@ class TestOraclePairSearch:
         assert rep.objective == fbest
         assert config_vector(rep.config).tolist() == rows[[i, j]].tolist()
 
-    def test_forced_ties_pick_first_pair(self):
-        # at -400 dB every pair's objective rounds to |t|^2 exactly
+    def test_forced_ties_pick_first_pair(self, caplog):
+        # at -400 dB every pair's objective rounds to |t|^2 exactly, so the
+        # screen keeps every row and every column
         spec = replace(
             quantization_preset("rfic"), amp_db=KnobSpec(-400.0, -390.0, step=5.0)
         )
         h = synth_si_channel(SynthChannelSpec(), GRID)
         rows = _sublattice(spec, 2)
-        rep = grid_search_oracle("ideal", h, spec, 2, 2)
+        with caplog.at_level(logging.DEBUG, logger="fdecanc"):
+            rep = grid_search_oracle("ideal", h, spec, 2, 2)
         assert rep.objective == float(np.sum(np.abs(h.values) ** 2))
         assert config_vector(rep.config).tolist() == rows[[0, 0]].tolist()
+        (record,) = [r for r in caplog.records if r.name == "fdecanc"]
+        assert (record.rows_kept, record.scanned) == (16, 16 * 16)
 
 
 def pair_rows_full(target, resp, slack=None, block=64):
     """The rows a screen with the given slack keeps, screened over the full
-    square: every row minimum from R[block] @ R.T.  The default slack,
-    16 K eps (|t| + 2 max|r|)^2, is the one of a screen on the rows themselves."""
+    square (every row minimum from R[block] @ R.T), and for each kept row
+    the columns whose value is within 2 slack of that row's minimum.  The
+    default slack, 16 K eps (|t| + 2 max|r|)^2, is the one of a screen on the
+    rows themselves."""
     p, k = resp.shape
     r = resp.view(np.float64)
     t = target.view(np.float64)
@@ -689,16 +737,15 @@ def pair_rows_full(target, resp, slack=None, block=64):
     if slack is None:
         s = (np.sqrt(t @ t) + 2.0 * np.sqrt(np.max(norm2))) ** 2
         slack = 16.0 * k * np.finfo(float).eps * s
-    return np.flatnonzero(~(row_min > np.min(row_min) + 2.0 * slack))
+    rows = np.flatnonzero(~(row_min > np.min(row_min) + 2.0 * slack))
+    g = 2.0 * (r[rows] @ r.T) + u[None, :] + (u[rows] + t @ t)[:, None]
+    return rows, [np.flatnonzero(~(v > np.min(v) + 2.0 * slack)) for v in g]
 
 
-def direct_row_minima(target, resp):
-    """Each row's minimum pair objective, as the oracle's direct scan computes it."""
-    out = []
-    for i in range(resp.shape[0]):
-        d = target[None, :] - resp[i][None, :] - resp
-        out.append(np.sum(d.real**2 + d.imag**2, axis=1).min())
-    return np.array(out)
+def direct_row(target, resp, i):
+    """Row i's pair objectives, as the oracle's direct scan computes them."""
+    d = target - resp[i] - resp
+    return np.sum(d.real**2 + d.imag**2, axis=1)
 
 
 def factored_slack(target, weights, units):
@@ -710,13 +757,19 @@ def factored_slack(target, weights, units):
 
 def check_pair_rows(target, weights, units, resp):
     """`_pair_rows` keeps exactly the rows of the full-square screen with its
-    slack, and among them every row whose direct minimum ties the smallest."""
-    kept = _pair_rows(target, weights, units)
-    slack = factored_slack(target, weights, units)
-    assert kept.tolist() == pair_rows_full(target, resp, slack).tolist()
-    mins = direct_row_minima(target, resp)
+    slack and, for each, that screen's columns; among them every row whose
+    direct minimum ties the smallest, and every column that reaches its
+    row's direct minimum."""
+    kept, columns = _pair_rows(target, weights, units)
+    want_rows, want_cols = pair_rows_full(target, resp, factored_slack(target, weights, units))
+    assert kept.tolist() == want_rows.tolist()
+    assert [c.tolist() for c in columns] == [c.tolist() for c in want_cols]
+    mins = np.array([direct_row(target, resp, i).min() for i in range(resp.shape[0])])
     assert set(np.flatnonzero(mins == mins.min()).tolist()) <= set(kept.tolist())
-    return kept
+    for a, cols in zip(kept, columns):
+        obj = direct_row(target, resp, a)
+        assert set(np.flatnonzero(obj == obj.min()).tolist()) <= set(cols.tolist())
+    return kept, columns
 
 
 class TestPairRowsHalfScreen:
@@ -750,6 +803,16 @@ class TestPairRowsHalfScreen:
             target = rng.normal(size=k) + 1j * rng.normal(size=k)
         check_pair_rows(target, weights, units, resp)
 
+    @pytest.mark.parametrize("bad", ["target", "weights", "units"])
+    def test_non_finite_inputs_keep_every_pair(self, bad):
+        rng = np.random.default_rng(0)
+        args = {"target": rng.normal(size=5) + 0j, "weights": rng.normal(size=3) + 0j,
+                "units": rng.normal(size=(4, 5)) + 0j}
+        args[bad].flat[1] = np.nan
+        kept, columns = _pair_rows(**args)
+        assert kept.tolist() == list(range(12))
+        assert [c.tolist() for c in columns] == [list(range(12))] * 12
+
     @pytest.mark.parametrize("model", ["ideal", "pcb"])
     def test_same_rows_on_the_oracle_sublattice(self, model):
         spec = quantization_preset("rfic" if model == "ideal" else "pcb")
@@ -765,8 +828,10 @@ class TestPairRowsHalfScreen:
         resp = _tap_rows(model, rows, grid)
         target = synth_si_channel(SynthChannelSpec(), grid).values
         for t in (target, 0.3 * target, resp[5] + resp[1000]):
-            kept = check_pair_rows(t, gain * turn, units, resp)
-            assert kept.tolist() == pair_rows_full(t, resp).tolist()
+            kept, columns = check_pair_rows(t, gain * turn, units, resp)
+            want_rows, want_cols = pair_rows_full(t, resp)
+            assert kept.tolist() == want_rows.tolist()
+            assert [c.tolist() for c in columns] == [c.tolist() for c in want_cols]
 
 
 def _box(model, taps):
@@ -1372,12 +1437,48 @@ class TestLattice:
             prev = codes
 
 
+class TestKernelCombiner:
+    """A `ModelKernel` builds its model's combiner once, and its kernel and
+    Jacobian stay bitwise those that build the combiner on every call."""
+
+    @pytest.mark.parametrize("model", ["ideal", "pcb"])
+    def test_built_once_per_kernel(self, model, monkeypatch):
+        tm = TAP_MODELS[model]
+        built = []
+
+        def counting(f, board):
+            built.append(f)
+            return tm.combiner(f, board)
+
+        monkeypatch.setitem(TAP_MODELS, model, replace(tm, combiner=counting))
+        kernel = ModelKernel(model, synth_si_channel(SynthChannelSpec(), GRID))
+        lows, span, _ = _box(model, 3)
+        xs = (lows + np.random.default_rng(3).uniform(size=(5, 12)) * span).reshape(5, 3, 4)
+        rows = xs.reshape(-1, 4)
+        f, board = GRID.points, PcbBoardParams()
+        want_taps, want_jac = tm.jacobian(rows, f, board)
+        want_obj = optimizer._residual_objectives(kernel._target, want_taps.reshape(5, 3, -1))[1]
+        for _ in range(3):
+            assert kernel.objective_batch(xs).tobytes() == want_obj.tobytes()
+            r, jac = kernel.residual_jacobian(xs)
+            assert jac.tobytes() == want_jac.reshape(5, 12, -1).tobytes()
+            assert kernel.objective(xs[0]) == want_obj[0]
+        assert len(built) == 1
+
+
 class TestOracleRunRecord:
-    def test_logs_each_oracle_search_at_debug(self, caplog):
+    def test_logs_each_oracle_search_at_debug(self, caplog, monkeypatch):
         spec = quantization_preset("pcb")
         h = synth_si_channel(SynthChannelSpec(), GRID)
         rep = grid_search_oracle("pcb", h, spec, 3, 2)
         assert not [r for r in caplog.records if r.name == "fdecanc"]
+        screens = []
+
+        def spy(*args):
+            screens.append(_pair_rows(*args))
+            return screens[-1]
+
+        monkeypatch.setattr(optimizer, "_pair_rows", spy)
         with caplog.at_level(logging.DEBUG, logger="fdecanc"):
             again = grid_search_oracle("pcb", h, spec, 3, 2)
             one = grid_search_oracle("pcb", h, spec, 3, 1)
@@ -1385,9 +1486,11 @@ class TestOracleRunRecord:
         pair, single = [r for r in caplog.records if r.name == "fdecanc"]
         assert pair.levelno == logging.DEBUG
         assert pair.configs == rep.iterations == 81**2
-        # the screen keeps at least the best pair's row, far from all 81
-        assert 1 <= pair.rows_kept < 81
-        assert pair.scanned == 81 * pair.rows_kept
+        # the screen keeps at least the best pair's row, far from all 81,
+        # and the pairs scored directly are its kept rows' columns
+        (kept, columns), = screens
+        assert 1 <= pair.rows_kept == kept.size < 81
+        assert pair.scanned == sum(c.size for c in columns) <= 81 * pair.rows_kept
         assert (single.configs, single.rows_kept, single.scanned) == (one.iterations, 0, 81)
         assert pair.wall_s > 0 and single.wall_s > 0
         assert pair.getMessage().startswith(f"oracle: 6561 configs, {pair.rows_kept} rows")

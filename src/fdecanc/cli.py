@@ -13,8 +13,11 @@ overflows, above about 6165 dB), the channel spec of `genchannel`
 infinite delay), the solver options of `fit` and `sweep` (a negative `--seed`)
 and the scenario and schedule of `network` (a negative or NaN `--gamma-self`,
 a `--bandwidth-hz` that is not positive and finite, `tdma --users` other than
-2 or 3, fewer `--slots` than `--users`); a `--quantize` preset of the other
-tap model; `tdma --fd` and `--gammas-db` lists whose length is not `--users`
+2 or 3, fewer `--slots` than `--users`); more than 10^7 `tdma --slots` or
+`uldl` surface cells (the product of the three axes' counts); a `model
+--band` of fewer than 3 points, too few for a group delay; a `fit
+--min-sic-db` that is not finite; a `--quantize` preset of the other tap
+model; `tdma --fd` and `--gammas-db` lists whose length is not `--users`
 (`--gammas-db` may also be one value); a dB value of `uldl` or `tdma` that is
 NaN or whose linear value overflows (`-inf` dB is a gamma of 0); a `--band` or
 `sweep --points` that gives no valid frequency grid (fewer than 2 points, not
@@ -29,8 +32,10 @@ syntax, count >= 1. Outputs are deterministic given --seed and written
 atomically (temp file + rename), with the mode the umask gives a new file. A
 `start:stop:count` value that begins with '-' must be attached to its flag
 with '=' (`--gamma-iui-db=-5:5:3`), or argparse reads it as an option.
-One usage error is found only once computed: a `model` response with a 0
-value, which has no phase (a `--q` near 1e290 gives one).
+Two usage errors are found only once computed, and write no file and no
+warning: a `model` response with a 0 value, which has no phase (a `--q` near
+1e290 gives one), and one that is not finite (a `--fc` near 1e-300 or a
+`--cq-pf` near 1e300 overflows it).
 """
 
 from __future__ import annotations
@@ -122,12 +127,15 @@ def _parse_band(text: str) -> FrequencyGrid:
     return _grid(*_parse_span(text, "band"), f"--band {text!r}")
 
 
-def _parse_db_range(text: str) -> list:
-    """A single dB value or a start:stop:count sweep, as Python floats."""
+def _parse_db_range(text: str, cells: int) -> list:
+    """A single dB value or a start:stop:count sweep, as Python floats, for
+    an axis of a surface whose other axes so far have `cells` cells; the
+    surface may have at most MAX_POINTS cells."""
     if ":" in text:
         start, stop, count = _parse_span(text, "range")
-        if count > MAX_POINTS:
-            raise UsageError(f"range {text!r}: count exceeds {MAX_POINTS}")
+        if count * cells > MAX_POINTS:
+            raise UsageError(f"range {text!r} gives a surface of {count * cells} cells, "
+                             f"which exceeds {MAX_POINTS}")
         return np.linspace(start, stop, count).tolist()
     try:
         return [float(text)]
@@ -214,6 +222,8 @@ def _db_linear(db: float, flag: str) -> float:
 
 def cmd_model(args) -> int:
     grid = _parse_band(args.band)
+    if grid.count < 3:
+        raise UsageError(f"--band {args.band!r}: group delay needs at least 3 grid points")
     if args.kind == "ideal":
         if args.fc is None:
             raise UsageError("--fc is required for --kind ideal")
@@ -224,11 +234,16 @@ def cmd_model(args) -> int:
     gain, turn = weight_factors(args.amp_db, args.phase)
     if gain < np.finfo(float).tiny:
         raise UsageError(f"--amp-db {args.amp_db!r} has a linear gain that underflows")
-    if args.kind == "ideal":
-        r = ideal_tap_response(cfg, grid)
-    else:
-        bare = pcb_bpf_response_closed_form(cfg, PcbBoardParams(), grid)
-        r = ComplexResponse(grid, gain * turn * bare.values)
+    # a knob far outside the board's range can overflow the response
+    try:
+        with np.errstate(all="ignore"):
+            if args.kind == "ideal":
+                r = ideal_tap_response(cfg, grid)
+            else:
+                bare = pcb_bpf_response_closed_form(cfg, PcbBoardParams(), grid)
+                r = ComplexResponse(grid, gain * turn * bare.values)
+    except InvalidArgumentError:
+        raise UsageError("the tap's response is not finite at some frequency") from None
     if not r.values.all():
         raise UsageError("the tap's response underflows to 0 at some frequency")
     amp = amplitude_db(r)
@@ -261,6 +276,8 @@ def _load_or_synth(args):
 
 def cmd_fit(args) -> int:
     _check_at_least_one(args, "taps")
+    if not math.isfinite(args.min_sic_db):
+        raise UsageError(f"--min-sic-db {args.min_sic_db!r} is not finite")
     opts, spec = _solver_setup(args)
     h_si = _load_or_synth(args)
     cont, quant = fit_pipeline(args.model, h_si, args.taps, opts, spec)
@@ -333,7 +350,7 @@ def cmd_sweep(args) -> int:
 def cmd_network_uldl(args) -> int:
     axes = []  # (dB values, linear gammas) of ul, dl, iui
     for flag in ("gamma_ul_db", "gamma_dl_db", "gamma_iui_db"):
-        db = _parse_db_range(getattr(args, flag))
+        db = _parse_db_range(getattr(args, flag), math.prod(len(a[0]) for a in axes))
         axes.append((db, [_db_linear(x, "--" + flag.replace("_", "-")) for x in db]))
     # the dB ranges give nonnegative linear gammas; check the scalar flags
     _from_flags(UlDlScenario, 0.0, 0.0, 0.0, args.gamma_self, args.bandwidth_hz)
@@ -368,6 +385,8 @@ def cmd_network_tdma(args) -> int:
         tuple(0.0 if i == j else iui_lin for j in range(n)) for i in range(n)
     )
     slots = args.slots if args.slots is not None else n
+    if slots > MAX_POINTS:
+        raise UsageError(f"--slots {slots} exceeds {MAX_POINTS}")
     s = _from_flags(MultiUserScenario, tuple(gammas), tuple(fd), args.gamma_self,
                     args.bandwidth_hz)
     sched = _from_flags(ScheduleSpec, args.schedule, slots, iui)

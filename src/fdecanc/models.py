@@ -386,13 +386,6 @@ def shunt_admittance(r_ohm: float, l_h: float, c_f: float, f_hz: float) -> compl
     return _rlc_admittance(r_ohm, l_h, c_f, 2.0 * np.pi * f_hz)
 
 
-def _tank_admittances(cfg: PcbTapConfig, params: PcbBoardParams, f: np.ndarray):
-    """Y_F and Y_Q of one PCB tap's tanks on the frequencies f."""
-    x = TAP_MODELS["pcb"].vector([cfg])
-    _, y_f, y_q, _ = _pcb_filter(x[:, 2], x[:, 3], f, params)
-    return y_f[0], y_q[0]
-
-
 def pcb_bpf_response_abcd(
     cfg: PcbTapConfig, params: PcbBoardParams, grid: FrequencyGrid
 ) -> ComplexResponse:
@@ -404,7 +397,9 @@ def pcb_bpf_response_abcd(
     on the whole grid at once, with array-valued matrix entries.
     """
     f = _positive_points(grid, "PCB BPF")
-    y_f, y_q = _tank_admittances(cfg, params, f)
+    w = 2.0 * np.pi * f
+    y_f = _rlc_admittance(params.r_f_ohm, params.l_f_nh * 1e-9, float(cfg.cf_pf) * 1e-12, w)
+    y_q = _rlc_admittance(params.r_q_ohm, params.l_q_nh * 1e-9, float(cfg.cq_pf) * 1e-12, w)
     tl = tline_matrix(params.beta_l_rad, params.z0_ohm)
     m = shunt_matrix(y_q) @ tl @ shunt_matrix(y_f) @ tl @ shunt_matrix(y_q)
     _check_nonsingular(m.c, f)

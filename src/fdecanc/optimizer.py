@@ -26,6 +26,7 @@ import math
 import sys
 import time
 from dataclasses import dataclass, field, fields, replace
+from functools import cached_property
 
 import numpy as np
 
@@ -63,11 +64,28 @@ class KnobSpec:
         if self.bits is not None and self.bits < 1:
             raise InvalidArgumentError("bits must be >= 1")
 
-    def values(self) -> np.ndarray:
+    @cached_property
+    def _values(self) -> np.ndarray:
         if self.bits is not None:
-            return np.linspace(self.min, self.max, 2**self.bits)
-        n = int(math.floor((self.max - self.min) / self.step + 1e-9)) + 1
-        return self.min + np.arange(n) * self.step
+            vals = np.linspace(self.min, self.max, 2**self.bits)
+        else:
+            n = int(math.floor((self.max - self.min) / self.step + 1e-9)) + 1
+            vals = self.min + np.arange(n) * self.step
+        vals.setflags(write=False)
+        return vals
+
+    def values(self) -> np.ndarray:
+        """The ascending grid values: one read-only array, built on first use."""
+        return self._values
+
+    @cached_property
+    def moves(self) -> tuple:
+        """Per code, the tuple of its -1 and +1 codes on the grid, in that
+        order, built once: periodic knobs wrap, bounded ones drop an end."""
+        n = self.values().size
+        if self.periodic:
+            return tuple(((c - 1) % n, (c + 1) % n) for c in range(n))
+        return tuple(tuple(k for k in (c - 1, c + 1) if 0 <= k < n) for c in range(n))
 
     def codes(self, v) -> np.ndarray:
         """Indices into values() of the grid values nearest to each of v;
@@ -104,23 +122,18 @@ def nearest_codes(vals: np.ndarray, v) -> np.ndarray:
 
 @dataclass(frozen=True)
 class QuantizationSpec:
-    """Per-knob discrete grids for one tap model."""
+    """Per-knob discrete grids for one tap model, in knob-vector order."""
 
     amp_db: KnobSpec
     phase_rad: KnobSpec
     center: KnobSpec
     q: KnobSpec
 
-    def knobs(self):
-        return (self.amp_db, self.phase_rad, self.center, self.q)
+    def knobs(self) -> tuple:
+        return tuple(getattr(self, k.name) for k in fields(self))
 
     def bounds(self) -> "BoxBounds":
-        return BoxBounds(
-            amp_db=(self.amp_db.min, self.amp_db.max),
-            phase_rad=(self.phase_rad.min, self.phase_rad.max),
-            center=(self.center.min, self.center.max),
-            q=(self.q.min, self.q.max),
-        )
+        return BoxBounds(*((k.min, k.max) for k in self.knobs()))
 
 
 @dataclass(frozen=True)
@@ -148,14 +161,10 @@ class BoxBounds:
                 )
 
     def lows(self) -> np.ndarray:
-        return np.array(
-            [self.amp_db[0], self.phase_rad[0], self.center[0], self.q[0]]
-        )
+        return np.array([getattr(self, k.name)[0] for k in fields(self)])
 
     def highs(self) -> np.ndarray:
-        return np.array(
-            [self.amp_db[1], self.phase_rad[1], self.center[1], self.q[1]]
-        )
+        return np.array([getattr(self, k.name)[1] for k in fields(self)])
 
 
 def quantization_preset(name: str) -> QuantizationSpec:
@@ -781,12 +790,12 @@ def local_search(
     """Coordinate-wise +/-1-step hill climbing on the quantization lattice.
 
     The start is each knob's nearest lattice code.  A round visits every
-    knob of every tap in order and scores its -1 and +1 codes (periodic knobs
-    wrap) from the current point; the first that strictly lowers the
-    objective is taken.  Once the -1 move is taken, the +1 move from there is
-    the old point, which cannot beat the new objective, so scoring both from
-    the current point takes the same moves as trying them in turn.  The
-    search ends after a round with no move (the report's `stop_reason` is
+    knob of every tap in order and scores its -1 and +1 codes (`KnobSpec.moves`)
+    from the current point; the first that strictly lowers the objective is
+    taken.  Once the -1 move is taken, the +1 move from there is the old
+    point, which cannot beat the new objective, so scoring both from the
+    current point takes the same moves as trying them in turn.  The search
+    ends after a round with no move (the report's `stop_reason` is
     "no_descent"), or after `max_rounds` ("max_iters").
 
     Tap rows come from the cached factors of `_Lattice`: weights from its
@@ -835,8 +844,7 @@ def local_search(
     kernel = ModelKernel(model, h_si)
     target, lat = kernel._target, _Lattice(kernel, spec)
     gain, turn, combine, filters = lat.gain, lat.turn, lat.combine, lat.filters
-    sizes = [v.size for v in lat.values]
-    periodic = [k.periodic for k in spec.knobs()]
+    knob_moves = [k.moves for k in spec.knobs()]
     x = kernel.tap_model.vector(qconfig)
     idx = np.stack([nearest_codes(v, x[:, j]) for j, v in enumerate(lat.values)], axis=1)
     x = lat.point(idx)
@@ -856,21 +864,14 @@ def local_search(
         improved = False
         for i, code in enumerate(idx):
             for j in range(4):
-                moves = []
-                for delta in (-1, 1):
-                    k = code[j] + delta
-                    if periodic[j]:
-                        k %= sizes[j]
-                    elif k < 0 or k >= sizes[j]:
-                        continue
-                    moves.append(k)
+                moves = knob_moves[j][code[j]]
                 if not moves:
                     continue
                 scored += len(moves)
                 if j < 2:
                     a = moves if j == 0 else [code[0]] * len(moves)
                     p = moves if j == 1 else [code[1]] * len(moves)
-                    ws = gain[a] * turn[p]
+                    ws = gain.take(a) * turn.take(p)
                     low = screen.weights(i, ws.tolist())
                 else:
                     keys = [(k, code[3]) if j == 2 else (code[2], k) for k in moves]
@@ -1207,5 +1208,4 @@ def grid_search_oracle(
     run.emit("oracle: %(configs)d configs, %(rows_kept)d rows kept by the pair screen, "
              "%(scanned)d scored directly, %(wall_s).6f s",
              configs=total, rows_kept=kept, scanned=scanned, wall_s=run.lap())
-
     return kernel.report(x, fbest, total, [fbest], quantized=True)

@@ -42,7 +42,7 @@ from fdecanc import (
     uldl_throughputs,
 )
 from fdecanc.cli import main as cli_main
-from fdecanc.models import _tank_admittances
+from fdecanc.models import _rlc_admittance
 from fdecanc.optimizer import fit_pipeline
 
 FIT_GRID = FrequencyGrid.linspace(890e6, 910e6, 101)
@@ -67,7 +67,8 @@ def test_criterion_1_closed_form_matches_cascade():
         worst = max(worst, float(np.max(np.abs(got - ref) / np.abs(ref))))
         # published transcription carries a 0.5 coefficient on the Y_Q^2
         # term; report how far that variant deviates from the cascade
-        _, y_q = _tank_admittances(cfg, board, grid.points)
+        y_q = _rlc_admittance(board.r_q_ohm, board.l_q_nh * 1e-9, cfg.cq_pf * 1e-12,
+                              2.0 * np.pi * grid.points)
         s2z0 = np.sin(2.0 * board.beta_l_rad) * board.z0_ohm
         m_c = 1.0 / (board.r_s_ohm * ref)
         m_variant = m_c - 0.5j * s2z0 * y_q**2

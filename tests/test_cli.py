@@ -82,6 +82,18 @@ class TestModelCommand:
         assert err.startswith("usage error: ") and err.count("\n") == 1
         assert not out.exists()
 
+    @pytest.mark.parametrize("flags", [["--kind", "ideal", "--fc", "1e-300"],
+                                       ["--kind", "pcb", "--cq-pf", "1e300"]])
+    def test_non_finite_response_is_one_line_usage_error(self, tmp_path, capsys, flags):
+        # the response overflows; numpy's warnings, errors under this suite's
+        # settings, stay silent
+        out = tmp_path / "m.csv"
+        rc = main(["model", *flags, "--band", "850e6:950e6:5", "--out", str(out)])
+        assert rc == 1
+        err = capsys.readouterr().err
+        assert err == "usage error: the tap's response is not finite at some frequency\n"
+        assert not out.exists()
+
     @pytest.mark.parametrize("flags", [["--kind", "ideal", "--fc", "9e8"], ["--kind", "pcb"]])
     def test_smallest_normal_gains_work(self, tmp_path, flags):
         out = tmp_path / "m.csv"
@@ -145,6 +157,17 @@ class TestFitCommand:
         # the per-point SIC is the residual the report's average is taken of
         sic = np.array([float(r[1]) for r in rows])
         assert np.mean(sic) == json.loads(out.read_text())["avg_sic_db"]
+
+    @pytest.mark.parametrize("model", ["ideal", "pcb"])
+    def test_channel_file_is_the_synth_channel(self, tmp_path, model):
+        # a channel that genchannel wrote fits as the --synth one of its band
+        band = "880e6:920e6:21"
+        ch = tmp_path / "ch.csv"
+        assert main(["genchannel", "--band", band, "--out", str(ch)]) == 0
+        fit = ["fit", "--model", model, "--taps", "1", *FIT_FAST, "--out-report"]
+        assert main([*fit, str(tmp_path / "a.json"), "--channel", str(ch)]) == 0
+        assert main([*fit, str(tmp_path / "b.json"), "--synth", "--band", band]) == 0
+        assert (tmp_path / "a.json").read_bytes() == (tmp_path / "b.json").read_bytes()
 
     def test_malformed_channel_exit_2(self, tmp_path):
         ch = tmp_path / "ch.csv"
@@ -518,11 +541,26 @@ class TestUsageErrors:
             ["network", "uldl", "--gamma-ul-db", "0:30:100000000000", "--gamma-dl-db", "0"],
             ["network", "uldl", "--gamma-ul-db", "0", "--gamma-dl-db", "0",
              "--gamma-iui-db=0:5:10000001"],
+            # the surface's cells are the product of its three axes' counts
+            ["network", "uldl", "--gamma-ul-db", "0:1:100", "--gamma-dl-db", "0:1:100",
+             "--gamma-iui-db=0:1:1001"],
+            ["network", "uldl", "--gamma-ul-db", "0:1:4000", "--gamma-dl-db", "0:1:4000"],
+            # slots are added one by one: 10^12 of them would take days
+            ["network", "tdma", "--schedule", "rro", "--users", "3",
+             "--slots", "1000000000000"],
+            ["network", "tdma", "--schedule", "iuif", "--slots", "10000001"],
         ],
     )
     def test_point_count_above_the_bound_is_one_line_usage_error(
         self, tmp_path, capsys, monkeypatch, argv
     ):
+        import fdecanc.cli as cli
+
+        def no_compute(*args, **kwargs):
+            raise AssertionError("computation started")
+
+        for name in ("tdma_schedule_eval", "uldl_surface"):
+            monkeypatch.setattr(cli, name, no_compute)
         linspace = np.linspace
 
         def bounded(start, stop, num=50, **kwargs):
@@ -633,6 +671,12 @@ class TestUsageErrors:
             ["model", "--kind", "ideal", "--fc", "9e8", "--band", "850e6:950e6:5",
              "--amp-db=-6466"],
             ["model", "--kind", "pcb", "--band", "850e6:950e6:5", "--amp-db=-6460"],
+            # too few points for a group delay
+            ["model", "--kind", "ideal", "--fc", "9e8", "--band", "850e6:950e6:2"],
+            ["model", "--kind", "pcb", "--band", "850e6:950e6:2"],
+            # no SIC is below a NaN threshold, and every SIC is below +inf
+            *(["fit", "--synth", "--band", "890e6:910e6:21", f"--min-sic-db={v}"]
+              for v in ("nan", "inf", "-inf")),
         ],
     )
     def test_malformed_value_is_one_line_usage_error(

@@ -221,10 +221,12 @@ class TestPcbBpf:
             assert np.max(rel) < 1e-9
 
     def test_cascade_unit_determinant(self):
-        from fdecanc.models import shunt_matrix, _tank_admittances
+        from fdecanc.models import _rlc_admittance, shunt_matrix
 
         params = PcbBoardParams()
-        y_f, y_q = _tank_admittances(DEFAULT_TAP, params, GRID.points)
+        w = 2.0 * np.pi * GRID.points
+        y_f = _rlc_admittance(params.r_f_ohm, params.l_f_nh * 1e-9, DEFAULT_TAP.cf_pf * 1e-12, w)
+        y_q = _rlc_admittance(params.r_q_ohm, params.l_q_nh * 1e-9, DEFAULT_TAP.cq_pf * 1e-12, w)
         tl = tline_matrix(params.beta_l_rad, params.z0_ohm)
         for k in range(0, GRID.count, 10):
             m = (
@@ -235,6 +237,28 @@ class TestPcbBpf:
                 @ shunt_matrix(y_q[k])
             )
             assert abs(m.det() - 1.0) < 1e-9
+
+    @pytest.mark.parametrize(
+        "cfg, expect",
+        [
+            (DEFAULT_TAP, ["(0.07357399825442608-0.004250314875512151j)",
+                           "(0.09712812854599938-0.04009719667840275j)",
+                           "(0.09918278331605111-0.10220303278708653j)"]),
+            (PcbTapConfig(-3.0, 1.0, 0.6, 14.0),
+             ["(-0.1106504738692979-0.08380385826952833j)",
+              "(-0.10424859837724233-0.005759997782600578j)",
+              "(-0.07116004502738286+0.02525557098056765j)"]),
+            (PcbTapConfig(-3.0, 1.0, 2.4, 2.0),
+             ["(0.01691257223992247+0.013417925047767258j)",
+              "(0.022066280683232888+0.014977218818210729j)",
+              "(0.028437608909397696+0.016171988697177713j)"]),
+        ],
+    )
+    def test_cascade_values_are_pinned(self, cfg, expect):
+        # the cascade's values to the last bit, as it gave them while it took
+        # its tank admittances from the closed form's filter terms
+        got = pcb_bpf_response_abcd(cfg, PcbBoardParams(), GRID).values
+        assert [repr(complex(got[k])) for k in (0, 50, 100)] == expect
 
     def test_bandpass_interior_peak(self):
         cfg = PcbTapConfig(0.0, 0.0, 1.5, 11.5)

@@ -104,6 +104,49 @@ class TestKnobSpec:
         assert k.values().tolist() == [0.0]
         assert k.snap(0.7) == 0.0 and k.codes([0.2, 1.0]).tolist() == [0, 0]
 
+    def test_values_built_once_and_read_only(self, monkeypatch):
+        calls = []
+        linspace = np.linspace
+        monkeypatch.setattr(np, "linspace", lambda *a, **kw: calls.append(a) or linspace(*a, **kw))
+        k = KnobSpec(-np.pi, np.pi, bits=8, periodic=True)
+        spec = replace(quantization_preset("rfic"), phase_rad=k)
+        v = k.values()
+        assert k.values() is v and not v.flags.writeable
+        with pytest.raises(ValueError):
+            v[0] = 0.0
+        k.codes([0.1, 3.0])
+        k.snap(-1.0)
+        for _ in range(2):
+            quantize_config([IdealTapConfig(-20.0, 0.5, 9e8, 10.0)], spec)
+        # one table for each knob with a bit depth: phase, center and q
+        assert len(calls) == 3
+        # the table is built on first use: a grid too large to build still
+        # makes a spec
+        KnobSpec(0.0, 1.0, bits=64)
+
+    @pytest.mark.parametrize("knob", [
+        *quantization_preset("rfic").knobs(),
+        *quantization_preset("pcb").knobs(),
+        *(KnobSpec(0.0, 1.0, periodic=periodic, **size)
+          for periodic in (False, True)
+          for size in ({"step": 2.0}, {"step": 1.0}, {"bits": 1})),
+    ])
+    def test_moves_are_the_wrapped_or_bounded_neighbours(self, knob):
+        n = knob.values().size
+        expect = []
+        for code in range(n):
+            moves = []
+            for delta in (-1, 1):
+                k = code + delta
+                if knob.periodic:
+                    k %= n
+                elif k < 0 or k >= n:
+                    continue
+                moves.append(k)
+            expect.append(tuple(moves))
+        assert knob.moves == tuple(expect)
+        assert knob.moves is knob.moves
+
     def test_codes_of_an_array(self):
         k = KnobSpec(-np.pi, np.pi, bits=8, periodic=True)
         v = np.array([[np.pi + 0.1, -np.pi + 0.1], [0.0, np.pi]])
@@ -1310,6 +1353,28 @@ class TestLocalSearchReference:
         assert rep.trace == trace
         assert rep.objective == trace[-1]
         assert rep.iterations == rounds
+        assert config_vector(rep.config).tolist() == x_ref.tolist()
+
+    @pytest.mark.parametrize("knob, grid_knob", [
+        # one code: a bounded knob has no move, a periodic one moves to itself
+        ("q", KnobSpec(0.5, 1.0, step=1.0)),
+        ("phase_rad", KnobSpec(-np.pi, np.pi, step=7.0, periodic=True)),
+        # two codes: a periodic knob's -1 and +1 moves are the same code
+        ("phase_rad", KnobSpec(-np.pi, np.pi, bits=1, periodic=True)),
+        ("amp_db", KnobSpec(-20.0, -10.0, step=10.0)),
+    ])
+    def test_accepts_same_sequence_with_tiny_knobs(self, knob, grid_knob):
+        spec = replace(quantization_preset("rfic"), **{knob: grid_knob})
+        grid = FrequencyGrid.linspace(880e6, 920e6, 31)
+        h = synth_si_channel(SynthChannelSpec(), grid)
+        bounds = spec.bounds()
+        x = np.clip([[-20.0, 0.5, 9e8, 10.0], [-15.0, -2.0, 8.9e8, 1.0]],
+                    bounds.lows(), bounds.highs())
+        start = quantize_config(TAP_MODELS["ideal"].configs(x), spec)
+        rep = local_search(start, "ideal", h, spec)
+        trace, x_ref, rounds = local_search_scalar(start, "ideal", h, spec)
+        assert len(trace) > 1
+        assert rep.trace == trace and rep.iterations == rounds
         assert config_vector(rep.config).tolist() == x_ref.tolist()
 
     def test_logs_each_search_at_debug(self, caplog):

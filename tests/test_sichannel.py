@@ -51,6 +51,24 @@ class TestLoadSave:
             load_si_channel(p)
         assert e.value.line == 4
 
+    @pytest.mark.parametrize(
+        "text, match, line",
+        [
+            ("", "empty file", None),
+            ("freq_hz,re,im\n900e6,0.1,0\n910e6,0.1\n", "expected 3 columns", 3),
+            ("freq_hz,re,im\n900e6,0.1,0,7\n", "expected 3 columns", 2),
+            ("freq_hz,re,im\n", "at least 2 data rows", None),
+            ("freq_hz,re,im\n900e6,0.1,0\n", "at least 2 data rows", None),
+            ("freq_hz,re,im\n900e6,0.1,0\n910e6,0.1,0\n950e6,0.1,0\n", "not uniform", None),
+        ],
+    )
+    def test_malformed_file_names_its_fault(self, tmp_path, text, match, line):
+        p = tmp_path / "ch.csv"
+        p.write_text(text)
+        with pytest.raises(ChannelFormatError, match=match) as e:
+            load_si_channel(p)
+        assert e.value.line == line
+
     def test_format_matches_numpy_scalars(self):
         # the text of each row is that of the float64 scalars it holds
         grid = FrequencyGrid.linspace(850e6, 950e6, 41)

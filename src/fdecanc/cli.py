@@ -36,6 +36,9 @@ Two usage errors are found only once computed, and write no file and no
 warning: a `model` response with a 0 value, which has no phase (a `--q` near
 1e290 gives one), and one that is not finite (a `--fc` near 1e-300 or a
 `--cq-pf` near 1e300 overflows it).
+A computation too large to allocate (`fit --taps 100000`, `--restarts
+1000000000`, `sweep --taps 5000`) is a computation failure: one `error:`
+line naming the allocation that failed, exit 2 and no output file.
 """
 
 from __future__ import annotations
@@ -528,6 +531,9 @@ def main(argv=None) -> int:
         return 1
     except FdecancError as exc:
         print(f"error: {exc}", file=sys.stderr)
+        return 2
+    except MemoryError as exc:
+        print(f"error: {str(exc) or 'out of memory'}", file=sys.stderr)
         return 2
 
 

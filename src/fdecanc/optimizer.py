@@ -38,6 +38,9 @@ from .models import (
 )
 
 LATTICE_CAP = 10**7
+# Which knob of a tap wraps, in knob-vector order: the phase alone.  Every
+# QuantizationSpec must say the same, and the continuous solver wraps these.
+_PERIODIC = (False, True, False, False)
 
 
 # ---------------------------------------------------------------------------
@@ -129,6 +132,14 @@ class QuantizationSpec:
     center: KnobSpec
     q: KnobSpec
 
+    def __post_init__(self):
+        for knob, wraps in zip(fields(self), _PERIODIC):
+            if getattr(self, knob.name).periodic != wraps:
+                raise InvalidArgumentError(
+                    f"{knob.name} must {'' if wraps else 'not '}be periodic: "
+                    "the phase is the one knob that wraps"
+                )
+
     def knobs(self) -> tuple:
         return tuple(getattr(self, k.name) for k in fields(self))
 
@@ -139,7 +150,8 @@ class QuantizationSpec:
 @dataclass(frozen=True)
 class BoxBounds:
     """Continuous box constraints per knob, each a (low, high) pair of
-    finite floats with low < high; phase is treated as periodic."""
+    finite floats with low < high; the knobs of `_PERIODIC` (the phase)
+    are treated as periodic."""
 
     amp_db: tuple
     phase_rad: tuple
@@ -400,14 +412,16 @@ def _descend(kernel, z0, lows, span, periodic, opts, stats=None):
     4 on rejection.  `opts.max_iters` caps the accepted steps.
 
     Each pass gives every running start the trials of its next three damping
-    values lam, 4 lam and 16 lam: one Jacobian call for the starts that
-    moved, one stacked solve and one for the trials that hold a knob, one
-    `objective_batch` call for all candidates and one for all
-    extrapolations.  A start takes its first accepted trial, or stops at its
-    first rejected one that ends the descent; while its point stays put, A
-    and g do not change, so this is the accept/reject sequence of one trial
-    per pass.  A start leaves the batch when it stops, and starts share no
-    state, so each start's result is bitwise the one it gets alone.
+    values lam, 4 lam and 16 lam: one Jacobian call, from which it builds
+    A, g and the padded system afresh, one stacked solve and one for the
+    trials that hold a knob, one `objective_batch` call for all candidates
+    and one for all extrapolations.  A start takes its first accepted trial,
+    or stops at its first rejected one that ends the descent; A and g at a
+    point that stays put are bitwise the same, so this is the accept/reject
+    sequence of one trial per pass.  A start leaves the batch when it stops;
+    the kernels are elementwise and the stacked products and solves treat
+    each start's matrix on its own, so each start's result is bitwise the
+    one it gets alone.
 
     A trial whose damped matrix is singular gets a NaN step, which is not
     scored: its objective is NaN, so the trial is rejected.
@@ -435,62 +449,51 @@ def _descend(kernel, z0, lows, span, periodic, opts, stats=None):
     z = project(z0)
     f0 = f_batch(z)
     passes, scored = 0, len(z0)
-    # the running starts, one batch row each: start index, point, objective,
-    # trace, damping, whether the point moved since the normal equations
-    # were built, and those as a padded system: undamped matrix, the damping
-    # of its diagonal and right-hand side
+    # the running starts, one batch row each, and all a pass hands the next:
+    # start index, point, objective, trace and damping
     ids = np.flatnonzero(np.isfinite(f0))
     z, fz = z[ids], f0[ids]
     traces = [[v] for v in fz.tolist()]
     lam = np.full(ids.size, _LAMBDA0)
-    moved = np.ones(ids.size, dtype=bool)
-    base = np.empty((ids.size, n, n))
-    damp = np.empty((ids.size, n))
-    rhs = np.empty((ids.size, n))
 
     def retire(stops):
-        """Record each start of `stops` (batch row -> stop reason) as done
-        and drop it from the batch."""
-        nonlocal ids, z, fz, traces, lam, moved, base, damp, rhs
+        """Record each start of `stops` (batch row -> stop reason) as done,
+        drop it from the batch and return the mask of the rows kept."""
+        nonlocal ids, z, fz, traces, lam
         for i, reason in stops.items():
             out[ids[i]] = (z[i].copy(), float(fz[i]), traces[i], reason)
         keep = np.ones(ids.size, dtype=bool)
         keep[list(stops)] = False
-        ids, z, fz, lam, moved, base, damp, rhs = (
-            v[keep] for v in (ids, z, fz, lam, moved, base, damp, rhs)
-        )
+        ids, z, fz, lam = ids[keep], z[keep], fz[keep], lam[keep]
         traces = [t for t, k in zip(traces, keep.tolist()) if k]
+        return keep
 
     while ids.size:
         passes += 1
-        if moved.any():
-            sel = slice(None) if moved.all() else np.flatnonzero(moved)
-            zn = z[sel]
-            r, jac = kernel.residual_jacobian(denorm(zn).reshape(-1, m, 4))
-            jz = (jac * span[:, None]).view(np.float64)
-            an = np.matmul(jz, jz.transpose(0, 2, 1))
-            gn = np.matmul(jz, r.view(np.float64)[:, :, None])[:, :, 0]
-            fr = periodic | ~(((zn <= 0.0) & (gn < 0.0)) | ((zn >= 1.0) & (gn > 0.0)))
-            # the padded system: frozen rows and columns become identity with
-            # a zero right-hand side, so frozen knobs get a zero step.  The
-            # damping comes from the free diagonal; a knob with zero curvature
-            # still gets some, so the damped matrix is positive definite.
-            diag = an.diagonal(axis1=1, axis2=2)
-            base[sel] = np.where(fr[:, :, None] & fr[:, None, :], an, eye)
-            rhs[sel] = np.where(fr, gn, 0.0)
-            top = np.where(fr, diag, 0.0).max(axis=1, keepdims=True)
-            damp[sel] = np.where(fr, np.maximum(diag, 1e-15 * top), 0.0)
-            moved[:] = False
-            down = (fr & (gn != 0.0)).any(axis=1)
-            if not (np.isfinite(an).all() and np.isfinite(gn).all() and down.all()):
-                ok = np.isfinite(an).all(axis=(1, 2)) & np.isfinite(gn).all(axis=1)
-                rows = np.arange(ids.size)[sel].tolist()
-                retire({
-                    i: "no_descent" if o else "non_finite"
-                    for i, o, d in zip(rows, ok.tolist(), down.tolist()) if not (o and d)
-                })
-                if not ids.size:
-                    break
+        r, jac = kernel.residual_jacobian(denorm(z).reshape(-1, m, 4))
+        jz = (jac * span[:, None]).view(np.float64)
+        a = np.matmul(jz, jz.transpose(0, 2, 1))
+        g = np.matmul(jz, r.view(np.float64)[:, :, None])[:, :, 0]
+        fr = periodic | ~(((z <= 0.0) & (g < 0.0)) | ((z >= 1.0) & (g > 0.0)))
+        down = (fr & (g != 0.0)).any(axis=1)
+        if not (np.isfinite(a).all() and np.isfinite(g).all() and down.all()):
+            ok = np.isfinite(a).all(axis=(1, 2)) & np.isfinite(g).all(axis=1)
+            keep = retire({
+                i: "no_descent" if o else "non_finite"
+                for i, (o, d) in enumerate(zip(ok.tolist(), down.tolist())) if not (o and d)
+            })
+            if not ids.size:
+                break
+            a, g, fr = a[keep], g[keep], fr[keep]
+        # the padded system: frozen rows and columns become identity with a
+        # zero right-hand side, so frozen knobs get a zero step.  The damping
+        # comes from the free diagonal; a knob with zero curvature still gets
+        # some, so the damped matrix is positive definite.
+        diag = a.diagonal(axis1=1, axis2=2)
+        base = np.where(fr[:, :, None] & fr[:, None, :], a, eye)
+        rhs = np.where(fr, g, 0.0)
+        top = np.where(fr, diag, 0.0).max(axis=1, keepdims=True)
+        damp = np.where(fr, np.maximum(diag, 1e-15 * top), 0.0)
         # the trials of every rung, (R, rungs, n)
         lams = lam[:, None] * _RUNGS
         damped = np.empty(lams.shape + (n, n))
@@ -572,7 +575,6 @@ def _descend(kernel, z0, lows, span, periodic, opts, stats=None):
                     stops[i] = "tol"
                 elif len(traces[i]) > opts.max_iters:
                     stops[i] = "max_iters"
-            moved = accepted
         if stops:
             retire(stops)
     if stats is not None:
@@ -638,7 +640,7 @@ def solve_continuous(
     lows = np.tile(bounds.lows(), num_taps)
     highs = np.tile(bounds.highs(), num_taps)
     span = highs - lows
-    periodic = np.tile(np.array([False, True, False, False]), num_taps)
+    periodic = np.tile(_PERIODIC, num_taps)
     rng = np.random.default_rng(opts.seed)
     starts = [rng.uniform(size=(opts.restarts, 4 * num_taps))]
     for cfgs in init_configs or []:

@@ -84,37 +84,51 @@ def save_si_channel(path, r: ComplexResponse) -> None:
     atomic_write(path, format_si_channel(r))
 
 
-def load_si_channel(path) -> ComplexResponse:
-    """Load a channel CSV; rows must be strictly increasing in frequency."""
+def _channel_rows(reader):
+    """The frequencies and complex values of the data rows of a channel CSV
+    reader, checked row by row."""
     freqs = []
     vals = []
+    try:
+        header = next(reader)
+    except StopIteration:
+        raise ChannelFormatError("empty file") from None
+    if [c.strip().lower() for c in header] != ["freq_hz", "re", "im"]:
+        raise ChannelFormatError("expected header 'freq_hz,re,im'", line=1)
+    for lineno, row in enumerate(reader, start=2):
+        if not row or (len(row) == 1 and not row[0].strip()):
+            continue
+        if len(row) != 3:
+            raise ChannelFormatError("expected 3 columns", line=lineno)
+        try:
+            f = float(row[0])
+            re = float(row[1])
+            im = float(row[2])
+        except ValueError:
+            raise ChannelFormatError("non-numeric field", line=lineno) from None
+        if not (math.isfinite(f) and math.isfinite(re) and math.isfinite(im)):
+            raise ChannelFormatError("non-finite field", line=lineno)
+        if freqs and f <= freqs[-1]:
+            raise ChannelFormatError(
+                "frequencies must be strictly increasing", line=lineno
+            )
+        freqs.append(f)
+        vals.append(complex(re, im))
+    return freqs, vals
+
+
+def load_si_channel(path) -> ComplexResponse:
+    """Load a channel CSV; rows must be strictly increasing in frequency.
+    Text that is not UTF-8, or that the CSV reader rejects (a field over its
+    size limit), is malformed too, with the reader's line where it has one."""
     with open(path, newline="", encoding="utf-8") as fh:
         reader = csv.reader(fh)
         try:
-            header = next(reader)
-        except StopIteration:
-            raise ChannelFormatError("empty file") from None
-        if [c.strip().lower() for c in header] != ["freq_hz", "re", "im"]:
-            raise ChannelFormatError("expected header 'freq_hz,re,im'", line=1)
-        for lineno, row in enumerate(reader, start=2):
-            if not row or (len(row) == 1 and not row[0].strip()):
-                continue
-            if len(row) != 3:
-                raise ChannelFormatError("expected 3 columns", line=lineno)
-            try:
-                f = float(row[0])
-                re = float(row[1])
-                im = float(row[2])
-            except ValueError:
-                raise ChannelFormatError("non-numeric field", line=lineno) from None
-            if not (math.isfinite(f) and math.isfinite(re) and math.isfinite(im)):
-                raise ChannelFormatError("non-finite field", line=lineno)
-            if freqs and f <= freqs[-1]:
-                raise ChannelFormatError(
-                    "frequencies must be strictly increasing", line=lineno
-                )
-            freqs.append(f)
-            vals.append(complex(re, im))
+            freqs, vals = _channel_rows(reader)
+        except UnicodeDecodeError as exc:
+            raise ChannelFormatError(f"not UTF-8 text ({exc.reason})") from None
+        except csv.Error as exc:
+            raise ChannelFormatError(str(exc), line=reader.line_num) from None
     if len(freqs) < 2:
         raise ChannelFormatError("need at least 2 data rows")
     try:

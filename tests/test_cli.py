@@ -169,14 +169,50 @@ class TestFitCommand:
         assert main([*fit, str(tmp_path / "b.json"), "--synth", "--band", band]) == 0
         assert (tmp_path / "a.json").read_bytes() == (tmp_path / "b.json").read_bytes()
 
-    def test_malformed_channel_exit_2(self, tmp_path):
+    def test_malformed_channel_exit_2(self, tmp_path, capsys):
         ch = tmp_path / "ch.csv"
-        ch.write_text("freq_hz,re,im\n900e6,nope,0\n")
-        rc = main(
-            ["fit", "--channel", str(ch), *FIT_FAST,
-             "--out-report", str(tmp_path / "r.json")]
-        )
-        assert rc == 2
+        for content in (
+            b"freq_hz,re,im\n900e6,nope,0\n",
+            # 200 random bytes, not UTF-8 text
+            np.random.default_rng(1).bytes(200),
+            # a field beyond the CSV reader's 131072-character limit
+            b"freq_hz,re,im\n900e6," + b"1" * 200_000 + b",0\n910e6,0.1,0\n",
+        ):
+            ch.write_bytes(content)
+            rc = main(
+                ["fit", "--channel", str(ch), *FIT_FAST,
+                 "--out-report", str(tmp_path / "r.json")]
+            )
+            assert rc == 2
+            err = capsys.readouterr().err
+            assert err.startswith("error: ") and err.count("\n") == 1
+            assert not (tmp_path / "r.json").exists()
+
+    def test_allocation_failure_is_one_line_exit_2(self, tmp_path, capsys, monkeypatch):
+        # numpy raises MemoryError for an array too large to allocate (a huge
+        # --taps or --restarts); whether a real one fails at once depends on
+        # the host's overcommit setting, so the solve raises it here
+        import fdecanc.cli as cli
+
+        def raising(exc):
+            def solve(*args, **kwargs):
+                raise exc
+            return solve
+
+        too_large = MemoryError("Unable to allocate 149. GiB for an array")
+        monkeypatch.setattr(cli, "fit_pipeline", raising(too_large))
+        out = tmp_path / "r.json"
+        fit = ["fit", "--synth", "--band", "880e6:920e6:21", *FIT_FAST, "--out-report"]
+        assert main([*fit, str(out)]) == 2
+        assert capsys.readouterr().err == "error: Unable to allocate 149. GiB for an array\n"
+        assert not out.exists()
+        sweep = ["sweep", "--taps", "2", "--bandwidths-mhz", "20", *FIT_FAST, "--out"]
+        assert main([*sweep, str(out)]) == 2
+        assert capsys.readouterr().err.count("\n") == 1 and not out.exists()
+        # a MemoryError without a message still names its fault
+        monkeypatch.setattr(cli, "fit_pipeline", raising(MemoryError()))
+        assert main([*fit, str(out)]) == 2
+        assert capsys.readouterr().err == "error: out of memory\n"
 
     @pytest.mark.parametrize("name", ["missing.csv", "."])
     def test_unreadable_channel_is_usage_error(

@@ -203,6 +203,16 @@ class TestPresets:
         with pytest.raises(InvalidArgumentError):
             quantization_preset("bogus")
 
+    @pytest.mark.parametrize("preset", ["rfic", "pcb"])
+    @pytest.mark.parametrize("knob, periodic", [("amp_db", True), ("phase_rad", False)])
+    def test_spec_whose_wrap_is_not_the_phase_is_rejected(self, preset, knob, periodic):
+        # the continuous solver wraps the phase alone, so a periodic
+        # amplitude or a bounded phase would be descended with the wrong wrap
+        spec = quantization_preset(preset)
+        bad = replace(getattr(spec, knob), periodic=periodic)
+        with pytest.raises(InvalidArgumentError, match=knob):
+            replace(spec, **{knob: bad})
+
 
 class TestBoxBounds:
     @pytest.mark.parametrize("knob", ["amp_db", "phase_rad", "center", "q"])
@@ -881,7 +891,7 @@ def _box(model, taps):
     bounds = quantization_preset("rfic" if model == "ideal" else "pcb").bounds()
     lows = np.tile(bounds.lows(), taps)
     span = np.tile(bounds.highs(), taps) - lows
-    return lows, span, np.tile(np.array([False, True, False, False]), taps)
+    return lows, span, np.tile(optimizer._PERIODIC, taps)
 
 
 class TestAnalyticJacobian:
@@ -949,21 +959,22 @@ class TestLevenbergMarquardt:
         cfg = IdealTapConfig(-20.0, 0.5, 874.9e6, 10.0)
         kernel = ModelKernel("ideal", ideal_tap_response(cfg, GRID))
         lows, span, periodic = _box("ideal", 1)
-        centers, stacks = [], []
+        blocks, stacks = [], []
         jacobian, solve = kernel.residual_jacobian, optimizer._solve_each
         monkeypatch.setattr(
             kernel, "residual_jacobian",
-            lambda xs: centers.extend(xs[:, :, 2].ravel().tolist()) or jacobian(xs),
+            lambda xs: blocks.append(xs[:, :, 2].ravel().tolist()) or jacobian(xs),
         )
         monkeypatch.setattr(
             optimizer, "_solve_each", lambda mats, rhs: stacks.append(mats.ndim) or solve(mats, rhs)
         )
         z0 = np.array([[0.5, 0.5, 0.0, 0.5]])
-        [(z, fz, trace, reason)] = _descend(kernel, z0, lows, span, periodic, FAST)
-        assert reason == "tol"
-        # a Jacobian at every point the descent accepted but its last
-        assert len(centers) == len(trace) - 1 and z[2] == 0.0
-        assert centers == [875e6] * len(centers)
+        stats = {}
+        [(z, fz, trace, reason)] = _descend(kernel, z0, lows, span, periodic, FAST, stats)
+        assert reason == "tol" and z[2] == 0.0
+        # one Jacobian call per pass, with the one running start's center on
+        # its edge every time
+        assert blocks == [[875e6]] * stats["passes"]
         # some trial held the center and was solved again
         assert 3 in stacks
 
@@ -1128,6 +1139,30 @@ class TestLockstep:
             [alone] = _descend(kernel, z0[i : i + 1], lows, span, periodic, opts)
             ref = descend_one(kernel, z0[i], lows, span, periodic, opts)
             assert _bits(stacked[i]) == _bits(alone) == _bits(ref), i
+
+    def test_start_retired_mid_batch_leaves_the_others_as_alone(self, monkeypatch):
+        # the middle start sits on an exact fit: zero residual, zero gradient,
+        # so the first pass's check retires it while the others run on
+        grid = FrequencyGrid.linspace(885e6, 915e6, 21)
+        lows, span, periodic = _box("ideal", 1)
+        z_fit = np.array([0.4, 0.6, 0.5, 0.2])
+        h = ModelKernel("ideal", flat_channel(0.0, grid)).response_values(lows + z_fit * span)
+        kernel = ModelKernel("ideal", ComplexResponse(grid, h))
+        z0 = np.array([[0.1, 0.3, 0.7, 0.6], z_fit, [0.8, 0.9, 0.2, 0.4]])
+        opts = SolveOptions(max_iters=40)
+        alone = [_descend(kernel, z0[i : i + 1], lows, span, periodic, opts)[0]
+                 for i in range(3)]
+        rows, jacobian = [], kernel.residual_jacobian
+        monkeypatch.setattr(kernel, "residual_jacobian",
+                            lambda xs: rows.append(xs.shape[0]) or jacobian(xs))
+        stats = {}
+        stacked = _descend(kernel, z0, lows, span, periodic, opts, stats)
+        assert [_bits(r) for r in stacked] == [_bits(r) for r in alone]
+        assert (stacked[1][2], stacked[1][3]) == ([0.0], "no_descent")
+        assert len(stacked[0][2]) > 2 and len(stacked[2][2]) > 2
+        # one Jacobian call per pass, one row block per running start: three
+        # in the first pass, then the two that run on
+        assert len(rows) == stats["passes"] and rows[:2] == [3, 2]
 
     @staticmethod
     def _descend_both(kernel, z0, lows, span, periodic, opts, lam_max=1e32):

@@ -60,11 +60,16 @@ class TestLoadSave:
             ("freq_hz,re,im\n", "at least 2 data rows", None),
             ("freq_hz,re,im\n900e6,0.1,0\n", "at least 2 data rows", None),
             ("freq_hz,re,im\n900e6,0.1,0\n910e6,0.1,0\n950e6,0.1,0\n", "not uniform", None),
+            # 200 random bytes: the decoder fails before the reader has a line
+            pytest.param(np.random.default_rng(1).bytes(200), "not UTF-8 text", None,
+                         id="random-bytes"),
+            pytest.param("freq_hz,re,im\n900e6,0.1,0\n910e6," + "1" * 200_000 + ",0\n",
+                         "field larger than field limit", 3, id="huge-field"),
         ],
     )
     def test_malformed_file_names_its_fault(self, tmp_path, text, match, line):
         p = tmp_path / "ch.csv"
-        p.write_text(text)
+        p.write_bytes(text if isinstance(text, bytes) else text.encode())
         with pytest.raises(ChannelFormatError, match=match) as e:
             load_si_channel(p)
         assert e.value.line == line

@@ -695,9 +695,10 @@ class _Lattice:
     """The quantization lattice of `spec` on one model's kernel: the knob
     value tables `values`, the per-code gains `gain` and turns `turn` of
     `weight_factors` (a tap's weight is gain[a] * turn[p]), the model's
-    combiner `combine`, built once, and the filter terms of (center code,
-    q code) keys, memoized in `filters`.  A tap row combine(gain[a] *
-    turn[p], filters[c, q]) is bitwise the kernel's row of its knob values.
+    combiner `combine`, built once, and the memo `entries` fills: for each
+    (center code, q code) key, its filter term, unit row phi = combine(1,
+    term) and |phi|^2, each stored once.  A tap row combine(gain[a] *
+    turn[p], term) is bitwise the kernel's row of its knob values.
     """
 
     def __init__(self, kernel: ModelKernel, spec: QuantizationSpec):
@@ -705,81 +706,45 @@ class _Lattice:
         self.gain, self.turn = weight_factors(self.values[0], self.values[1])
         self._filter, self._f, self._board = kernel.tap_model.filter, kernel._f, kernel.board
         self.combine = kernel._combine
-        self.filters = {}
+        self.memo = {}
 
-    def terms(self, keys) -> np.ndarray:
-        """The filter terms of (center code, q code) keys, computing the new ones."""
-        fresh = [key for key in keys if key not in self.filters]
+    def entries(self, keys) -> list:
+        """The memo entries (term, phi, |phi|^2) of (center code, q code)
+        keys, the fresh ones computed in one filter call."""
+        memo = self.memo
+        fresh = [key for key in dict.fromkeys(keys) if key not in memo]
         if fresh:
             c = self.values[2][[key[0] for key in fresh]]
             q = self.values[3][[key[1] for key in fresh]]
-            self.filters.update(zip(fresh, self._filter(c, q, self._f, self._board)[0]))
-        return np.array([self.filters[key] for key in keys])
+            terms = self._filter(c, q, self._f, self._board)[0]
+            units = self.combine(1.0, terms)
+            phi2 = np.add.reduce(units.real**2 + units.imag**2, axis=1).tolist()
+            memo.update(zip(fresh, zip(terms, units, phi2)))
+        return [memo[key] for key in keys]
 
     def point(self, codes) -> np.ndarray:
         """The (M, 4) knob matrix of an (M, 4) code array."""
         return np.stack([v[codes[:, j]] for j, v in enumerate(self.values)], axis=1)
 
 
-class _MoveScreen:
-    """Lower bounds on the objectives of local-search moves; `local_search`
-    gives the algebra and its rounding bound.
+def _visit_screen(resid, row, keys, memo, norm, coef):
+    """The screen of one `local_search` visit to a tap with row `row`: `resid`
+    is the residual of the last exact score, `keys` the visit's block of
+    keys in the lattice memo `memo`, and `norm` |t| + sum_m |w_m| |phi_m|
+    at the visit's start.  Returns bound(w, key): a lower bound on the
+    objective with the tap's row moved to combine(w, term of key).
+    `local_search` gives the algebra and the slack coef N^2."""
+    g = resid + row
+    g2 = float(np.vdot(g, g).real)
+    cg = dict(zip(keys, (np.array([memo[key][1] for key in keys]) @ np.conj(g)).tolist()))
 
-    For the current point it holds the objective fx and residual e of its
-    last exact score and, per tap, the weight w, the unit row phi =
-    combine(1, filter term), |phi|^2 and, once a move of the tap needs it,
-    <e, phi> = sum_k conj(e_k) phi_k.
-    """
+    def bound(w, key):
+        p2 = memo[key][2]
+        s = norm + abs(w) * math.sqrt(p2)
+        return (g2 - 2.0 * (w * cg[key]).real + (w.real * w.real + w.imag * w.imag) * p2
+                - coef * s * s)
 
-    def __init__(self, target, weights, units, fx, resid):
-        self._coef = 16.0 * (target.size + len(units) + 8) * np.finfo(float).eps
-        self._tau = float(np.linalg.norm(target))
-        self._w, self._units = list(weights), list(units)
-        self._phi2 = [float(np.vdot(u, u).real) for u in units]
-        self._phi = [math.sqrt(p2) for p2 in self._phi2]
-        self._norms = [abs(w) * p for w, p in zip(self._w, self._phi)]
-        self.accept(fx, resid)
-
-    def accept(self, fx, resid, i=None, w=None, unit=None):
-        """Take the exact score (objective fx, residual `resid`) of the new
-        point, at which tap i has weight w or unit row `unit`."""
-        if w is not None:
-            self._w[i] = w
-        if unit is not None:
-            self._units[i] = unit
-            self._phi2[i] = float(np.vdot(unit, unit).real)
-            self._phi[i] = math.sqrt(self._phi2[i])
-        if i is not None:
-            self._norms[i] = abs(self._w[i]) * self._phi[i]
-        self.fx, self._e = fx, resid
-        self._norm = self._tau + sum(self._norms)
-        self._c = [None] * len(self._w)
-
-    def weights(self, i, ws) -> list:
-        """Lower bounds on the objectives with tap i's weight moved to each
-        of ws: |e - D phi|^2 = fx - 2 Re(D <e, phi>) + |D|^2 |phi|^2, D = w' - w."""
-        c = self._c[i]
-        if c is None:
-            c = self._c[i] = complex(np.vdot(self._e, self._units[i]))
-        fx, w, p, p2 = self.fx, self._w[i], self._phi[i], self._phi2[i]
-        out = []
-        for wn in ws:
-            d = wn - w
-            n = self._norm + abs(wn) * p
-            out.append(fx - 2.0 * (d * c).real + (d.real * d.real + d.imag * d.imag) * p2
-                       - self._coef * n * n)
-        return out
-
-    def rows(self, row, new) -> list:
-        """Lower bounds on the objectives with a tap's row `row` replaced by
-        each row r' of `new`: |g - r'|^2, g = e + row."""
-        out = []
-        for v in (self._e + row) - new:
-            s = float(np.vdot(v, v).real)
-            # |r'| <= |g| + |g - r'| <= 2 (|t| + sum_m |r_m|) + |g - r'|
-            n = 3.0 * self._norm + math.sqrt(s)
-            out.append(s - self._coef * n * n)
-        return out
+    return bound
 
 
 def local_search(
@@ -800,44 +765,58 @@ def local_search(
     ends after a round with no move (the report's `stop_reason` is
     "no_descent"), or after `max_rounds` ("max_iters").
 
-    Tap rows come from the cached factors of `_Lattice`: weights from its
-    gain and turn tables, filter terms memoized by (center code, q code), so
-    a move computes only the moved tap's candidate rows, and an amplitude or
-    phase move no filter term.  Candidates are scored as
-    `ModelKernel.objective_batch` scores configs, so every objective is
-    bitwise the kernel's.
+    Tap rows come from `_Lattice`: weights from its gain and turn tables,
+    filter terms and unit rows from its memo of (center code, q code) keys.
+    Candidates are scored as `ModelKernel.objective_batch` scores configs,
+    so every objective is bitwise the kernel's.  A tap's key moves only in
+    its own visit, so each round looks up every tap's block (below) at once,
+    and the memo computes the round's fresh keys in one filter call.
 
     Screen.  A tap's row is r = w phi up to rounding, with w its weight and
-    phi = combine(1, filter term) its unit row.  Let e be the residual of
-    the current point's exact score.  A move of tap i to weight w' has
-    objective |e - D phi_i|^2, D = w' - w, which `_MoveScreen` expands into
-    scalars from <e, phi_i> and |phi_i|^2.  A move of its filter knobs has
-    objective |g - r'|^2, g = e + r_i, from the candidate row r' that its
-    exact score needs anyway: one subtraction and one K-term dot product per
-    candidate.  A candidate is scored exactly only if its screened value
-    minus a slack is below fx; the others cannot beat fx, so the search
-    accepts the same moves, in the same order, with the same objectives as
-    one that scores every candidate exactly.
+    phi = combine(1, filter term) its unit row.  A visit to tap i starts
+    from e, the residual of the last exact score, and g = e + r_i: the
+    target less the other taps' rows, which stay put while tap i moves, so
+    g serves the whole visit.  A candidate moves r_i to w' phi', with a new
+    weight w' for an amplitude or phase move and a new unit row phi' for a
+    center or q move, and its objective is
 
-    Rounding bound.  Let eps be the machine epsilon, K the grid points, M the
-    taps and N = |t| + sum_m |r_m| + |r'|, 2-norms over the grid, with r' the
-    candidate row: N bounds every vector the values are built from.  An
-    exact score (a sum over taps, a subtraction, K squares and their sum) is
-    within (K + 2M + 4) eps N^2 of its value in exact arithmetic on the same
-    rows, and so is fx; e is within (M + 1) eps N of t - sum_m r_m.  A row
-    combine(w, term) differs from w phi by at most 16 eps |r| (up to three
-    complex products or a division on each side).  A screened value adds to
-    these its K-term dot product, |phi|^2 and the few products and sums that
-    assemble it, so it is within (7K + 6M + 100) eps N^2 of the candidate's
-    exact score.  The slack 16 (K + M + 8) eps N^2 exceeds that, with N
-    taken from |w| |phi|, within a few eps of |r|, or for a filter move from
-    the triangle bound |r'| <= |g| + |g - r'|.
+        |g - w' phi'|^2 = |g|^2 - 2 Re(w' <g, phi'>) + |w'|^2 |phi'|^2,
+
+    with <g, phi> = sum_k conj(g_k) phi_k.  A knob moves at most once per
+    visit, so every key a candidate can reach lies in the 3x3 block of
+    (center +/-1, q +/-1) keys around the tap's key at the visit's start.
+    The visit computes g, |g|^2 and, in one product, <g, phi> over that
+    block; each candidate is then a few scalar operations.  It is scored
+    exactly only if its screened value minus a slack is below fx; the
+    others cannot beat fx, so the search accepts the same moves, in the
+    same order, with the same objectives as one that scores every candidate
+    exactly.
+
+    Rounding bound.  Let eps be the machine epsilon, K the grid points, M
+    the taps, t the target and N = |t| + sum_m |r_m| + |r'|, 2-norms over
+    the grid, with r_m the rows at the visit's start and r' the candidate's
+    row: N bounds every vector the values are built from.  Let g* = t -
+    sum_{m != i} r_m.  The candidate's exact score (a sum over taps, a
+    subtraction, K squares and their sum) is within (K + 2M + 4) eps N^2 of
+    |g* - r'|^2 in exact arithmetic on the same rows.  e is within (M + 1)
+    eps N of its value in exact arithmetic, so g is within (M + 2) eps N of
+    g*, which moves |g - r'|^2 by at most (2M + 5) eps N^2; accepted moves
+    of tap i since the visit's start leave g* as it was.  A row combine(w',
+    term') differs from w' phi' by at most 16 eps |r'| (up to three complex
+    products or a division on each side), which moves the objective by at
+    most 33 eps N^2.  The screened value's |g|^2, K-term dot product,
+    |phi'|^2 and the few products and sums that assemble them add at most
+    (3K + 20) eps N^2.
+    In all, the screened value is within (4K + 4M + 62) eps N^2 of the
+    candidate's exact score, below the slack 16 (K + M + 8) eps N^2, with N
+    taken from |t|, the |w_m| |phi_m| of the visit's start and |w'| |phi'|,
+    each within a few eps of its row's norm.
 
     Each call logs rounds, accepted moves, candidates scored (screened),
-    candidates scored exactly, filter rows computed and reused, the stop
-    reason and wall time (rounds, accepted, scored, exact, filters_computed,
-    filters_reused, stop_reason, wall_s) at DEBUG on the "fdecanc" logger,
-    also as record attributes.
+    candidates scored exactly, the memo's keys computed and its lookups of
+    keys already there, the stop reason and wall time (rounds, accepted,
+    scored, exact, filters_computed, filters_reused, stop_reason, wall_s)
+    at DEBUG on the "fdecanc" logger, also as record attributes.
     """
     qconfig = list(qconfig)
     if not qconfig:
@@ -845,77 +824,67 @@ def local_search(
     run = _RunRecord()
     kernel = ModelKernel(model, h_si)
     target, lat = kernel._target, _Lattice(kernel, spec)
-    gain, turn, combine, filters = lat.gain, lat.turn, lat.combine, lat.filters
+    gain, turn, combine, memo = lat.gain.tolist(), lat.turn.tolist(), lat.combine, lat.memo
     knob_moves = [k.moves for k in spec.knobs()]
+    center_moves, q_moves = knob_moves[2:]
     x = kernel.tap_model.vector(qconfig)
     idx = np.stack([nearest_codes(v, x[:, j]) for j, v in enumerate(lat.values)], axis=1)
-    x = lat.point(idx)
-
-    terms = lat.terms([(c, q) for c, q in idx[:, 2:].tolist()])
-    weights = gain[idx[:, 0]] * turn[idx[:, 1]]
-    rows = combine(weights[:, None], terms)
-    fx = kernel.objective(x)
-    screen = _MoveScreen(target, weights.tolist(), combine(1.0, terms), fx,
-                         target - rows.sum(axis=0))
+    fx = kernel.objective(lat.point(idx))
     idx = idx.tolist()
+    weights = [gain[a] * turn[p] for a, p, _, _ in idx]
+    start = lat.entries([(c, q) for _, _, c, q in idx])
+    rows = combine(np.array(weights)[:, None], np.array([e[0] for e in start]))
+    resid = target - rows.sum(axis=0)
+    norms = [abs(w) * math.sqrt(e[2]) for w, e in zip(weights, start)]
+    tau = float(np.linalg.norm(target))
+    coef = 16.0 * (target.size + len(idx) + 8) * np.finfo(float).eps
     trace = [fx]
-    rounds = scored = exact = reused = 0
+    rounds = scored = exact = 0
+    looked = len(idx)
     reason = "max_iters"
     for _ in range(max_rounds):
         rounds += 1
         improved = False
+        # a tap's block moves only in its own visit, so the memo computes
+        # the fresh keys of every tap's block in one filter call a round
+        blocks = [[(u, v) for u in (c, *center_moves[c]) for v in (q, *q_moves[q])]
+                  for _, _, c, q in idx]
+        looked += len(lat.entries([key for keys in blocks for key in keys]))
         for i, code in enumerate(idx):
+            bound = _visit_screen(resid, rows[i], blocks[i], memo, tau + sum(norms), coef)
             for j in range(4):
                 moves = knob_moves[j][code[j]]
-                if not moves:
-                    continue
                 scored += len(moves)
-                if j < 2:
-                    a = moves if j == 0 else [code[0]] * len(moves)
-                    p = moves if j == 1 else [code[1]] * len(moves)
-                    ws = gain.take(a) * turn.take(p)
-                    low = screen.weights(i, ws.tolist())
-                else:
-                    keys = [(k, code[3]) if j == 2 else (code[2], k) for k in moves]
-                    before = len(filters)
-                    cand_terms = lat.terms(keys)
-                    reused += len(keys) - (len(filters) - before)
-                    cand_rows = combine(weights[i], cand_terms)
-                    low = screen.rows(rows[i], cand_rows)
-                for m, v in enumerate(low):
-                    if not v < fx:
+                for k in moves:
+                    a, p, c, q = code[:j] + [k] + code[j + 1:]
+                    w = gain[a] * turn[p]
+                    if not bound(w, (c, q)) < fx:
                         continue
                     exact += 1
                     cand = rows.copy()
-                    if j < 2:
-                        cand[i] = combine(ws[m], filters[code[2], code[3]])
-                    else:
-                        cand[i] = cand_rows[m]
-                    resid, fc = _residual_objectives(target, cand)
+                    cand[i] = combine(w, memo[c, q][0])
+                    e, fc = _residual_objectives(target, cand)
                     fc = float(fc)
                     if fc < fx:
-                        code[j] = moves[m]
-                        rows = cand
-                        if j < 2:
-                            weights[i] = ws[m]
-                            screen.accept(fc, resid, i, w=complex(ws[m]))
-                        else:
-                            screen.accept(fc, resid, i, unit=combine(1.0, cand_terms[m]))
-                        fx = fc
+                        code[j] = k
+                        rows, resid, fx = cand, e, fc
                         trace.append(fx)
                         improved = True
                         break
+            a, p, c, q = code
+            norms[i] = abs(gain[a] * turn[p]) * math.sqrt(memo[c, q][2])
         if not improved:
             reason = "no_descent"
             break
     x = lat.point(np.array(idx))
+    computed = len(memo)
     run.emit("local search: %(rounds)d rounds, %(accepted)d moves accepted, "
              "%(scored)d candidates scored, %(exact)d exactly, filter rows "
              "%(filters_computed)d computed and %(filters_reused)d reused, stop "
              "%(stop_reason)s, %(wall_s).6f s",
              rounds=rounds, accepted=len(trace) - 1, scored=scored, exact=exact,
-             filters_computed=len(filters), filters_reused=reused, stop_reason=reason,
-             wall_s=run.lap())
+             filters_computed=computed, filters_reused=looked - computed,
+             stop_reason=reason, wall_s=run.lap())
     return kernel.report(x, fx, rounds, trace, quantized=True, stop_reason=reason)
 
 
@@ -1180,7 +1149,8 @@ def grid_search_oracle(
     # terms[i % n_cq]: the first n_cq points hold every (center, q) code
     # pair once, and their filter terms repeat for each (amp, phase) weight
     n_cq = sub[2].size * sub[3].size
-    terms = lat.terms(list(map(tuple, codes[:n_cq, 2:].tolist())))
+    cq = lat.entries(list(map(tuple, codes[:n_cq, 2:].tolist())))
+    terms = np.array([e[0] for e in cq])
     weights = (lat.gain[sub[0], None] * lat.turn[sub[1]]).ravel()
     target = h_si.values
 
@@ -1195,7 +1165,7 @@ def grid_search_oracle(
         kept, scanned = 0, per_tap
     else:
         fbest, best = np.inf, [0, 0]
-        rows, columns = _pair_rows(target, weights, lat.combine(1.0, terms))
+        rows, columns = _pair_rows(target, weights, np.array([e[1] for e in cq]))
         points = np.unique(np.concatenate([rows, *columns]))
         resp = tap_rows(points)
         for i, cols in zip(rows.tolist(), columns):

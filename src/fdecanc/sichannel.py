@@ -119,9 +119,11 @@ def _channel_rows(reader):
 
 def load_si_channel(path) -> ComplexResponse:
     """Load a channel CSV; rows must be strictly increasing in frequency.
-    Text that is not UTF-8, or that the CSV reader rejects (a field over its
-    size limit), is malformed too, with the reader's line where it has one."""
-    with open(path, newline="", encoding="utf-8") as fh:
+    A leading UTF-8 byte-order mark, as spreadsheet programs save one, is
+    skipped.  Text that is not UTF-8, or that the CSV reader rejects (a
+    field over its size limit), is malformed too, with the reader's line
+    where it has one."""
+    with open(path, newline="", encoding="utf-8-sig") as fh:
         reader = csv.reader(fh)
         try:
             freqs, vals = _channel_rows(reader)

@@ -169,6 +169,13 @@ class TestFitCommand:
         assert main([*fit, str(tmp_path / "b.json"), "--synth", "--band", band]) == 0
         assert (tmp_path / "a.json").read_bytes() == (tmp_path / "b.json").read_bytes()
 
+    def test_channel_with_byte_order_mark(self, tmp_path):
+        ch = tmp_path / "ch.csv"
+        ch.write_bytes(b"\xef\xbb\xbffreq_hz,re,im\n900e6,0.1,0\n910e6,0.1,0\n920e6,0.1,0\n")
+        report = tmp_path / "r.json"
+        assert main(["fit", "--channel", str(ch), *FIT_FAST, "--out-report", str(report)]) == 0
+        assert json.loads(report.read_text())["config"]
+
     def test_malformed_channel_exit_2(self, tmp_path, capsys):
         ch = tmp_path / "ch.csv"
         for content in (

@@ -1428,12 +1428,16 @@ class TestLocalSearchReference:
         assert rec.levelno == logging.DEBUG
         assert (rec.rounds, rec.accepted) == (rep.iterations, len(rep.trace) - 1)
         assert rec.stop_reason == rep.stop_reason and rec.stop_reason in STOP_REASONS
-        # each round scores one or two codes of each of the 8 knobs; the
-        # filter rows of the two start taps are computed, and every filter
-        # candidate's row is computed or reused
+        # each round scores one or two codes of each of the 8 knobs.  The
+        # memo is looked up for the two start keys, then each round for
+        # each tap's block of (center +/-1, q +/-1) keys: 3x3, or 2x2 at a
+        # corner of the box.  A block holds keys that no candidate scores,
+        # so its keys are not bounded by the candidates; each holds its
+        # tap's key, looked up before, so every round reuses two at least.
         assert 8 * rec.rounds <= rec.scored <= 16 * rec.rounds
-        assert rec.filters_computed >= 2 and rec.filters_reused > 0
-        assert rec.filters_computed - 2 + rec.filters_reused <= rec.scored
+        looked = rec.filters_computed + rec.filters_reused
+        assert 2 + 8 * rec.rounds <= looked <= 2 + 18 * rec.rounds
+        assert rec.filters_reused >= 2 * rec.rounds and rec.filters_computed >= 2
         # every accepted move was scored exactly, and the screen ruled out
         # most of the other candidates
         assert rec.accepted <= rec.exact < rec.scored / 2
@@ -1441,9 +1445,39 @@ class TestLocalSearchReference:
         assert rec.getMessage().startswith(f"local search: {rec.rounds} rounds")
 
 
-class TestMoveScreen:
-    """`_MoveScreen`'s value for a move is never above the move's exact
-    objective, along a walk of accepted moves."""
+class TestBenchmarkShapedSearch:
+    """Random 4-tap starts on 101-point grids with 50 rounds, as the
+    benchmark's lattice searches: walks of hundreds of moves, far past the
+    property test's 12 rounds, take the reference search's moves."""
+
+    @pytest.mark.parametrize("model", ["ideal", "pcb"])
+    def test_long_walks_match_the_reference(self, model):
+        spec = quantization_preset(TAP_MODELS[model].preset)
+        bounds = spec.bounds()
+        rng = np.random.default_rng(2101)
+        walks = []
+        for bandwidth in (20e6, 80e6):
+            grid = FrequencyGrid.linspace(900e6 - bandwidth / 2, 900e6 + bandwidth / 2, 101)
+            h = synth_si_channel(SynthChannelSpec(
+                isolation_db=float(rng.uniform(-30.0, -15.0)),
+                base_delay_s=float(rng.uniform(5e-9, 15e-9)),
+            ), grid)
+            x = rng.uniform(bounds.lows(), bounds.highs(), size=(4, 4))
+            start = quantize_config(TAP_MODELS[model].configs(x), spec)
+            rep = local_search(start, model, h, spec, max_rounds=50)
+            trace, x_ref, rounds = local_search_scalar(start, model, h, spec, 50)
+            assert rep.trace == trace
+            assert rep.iterations == rounds
+            assert config_vector(rep.config).tolist() == x_ref.tolist()
+            walks.append(len(trace) - 1)
+        assert min(walks) >= 100
+
+
+class TestVisitScreen:
+    """The screen of a visit to a tap bounds every candidate's objective from
+    below, along a walk of moves that need not improve: g is computed once
+    at the visit's start and kept through the visit's own moves, as
+    `local_search` keeps it."""
 
     @settings(max_examples=40, deadline=None)
     @given(
@@ -1451,53 +1485,52 @@ class TestMoveScreen:
         taps=st.integers(1, 4),
         seed=st.integers(0, 2**32 - 1),
         phase_edges=st.booleans(),
-        points=st.sampled_from([3, 31]),
+        points=st.sampled_from([3, 31, 101]),
     )
     def test_never_rules_out_an_improving_move(self, model, taps, seed, phase_edges, points):
-        spec = quantization_preset("rfic" if model == "ideal" else "pcb")
-        tm, board = TAP_MODELS[model], PcbBoardParams()
+        spec = quantization_preset(TAP_MODELS[model].preset)
         grid = FrequencyGrid.linspace(880e6, 920e6, points)
-        f, target = grid.points, synth_si_channel(SynthChannelSpec(), grid).values
-        vals = [k.values() for k in spec.knobs()]
-        gain, turn = weight_factors(vals[0], vals[1])
-        combine = tm.combiner(f, board)
+        kernel = ModelKernel(model, synth_si_channel(SynthChannelSpec(), grid))
+        target, lat = kernel._target, optimizer._Lattice(kernel, spec)
+        gain, turn = lat.gain.tolist(), lat.turn.tolist()
+        moves = [k.moves for k in spec.knobs()]
         rng = np.random.default_rng(seed)
-        codes = np.array([[rng.integers(v.size) for v in vals] for _ in range(taps)])
+        codes = [[int(rng.integers(v.size)) for v in lat.values] for _ in range(taps)]
         if phase_edges:
             # phase codes 0 and 255 are -pi and pi: a move across them
             # changes the objective by rounding only
-            codes[:, 1] = rng.choice([0, vals[1].size - 1], size=taps)
+            for code in codes:
+                code[1] = int(rng.choice([0, lat.values[1].size - 1]))
+        coef = 16.0 * (points + taps + 8) * np.finfo(float).eps
+        tau = float(np.linalg.norm(target))
 
-        def tap_rows(c):
-            w = gain[c[:, 0]] * turn[c[:, 1]]
-            terms = tm.filter(vals[2][c[:, 2]], vals[3][c[:, 3]], f, board)[0]
-            return w, terms, combine(w[:, None], terms)
+        def rows_of(codes):
+            w = [gain[a] * turn[p] for a, p, _, _ in codes]
+            entries = lat.entries([(c, q) for _, _, c, q in codes])
+            return w, entries, lat.combine(np.array(w)[:, None], np.array([e[0] for e in entries]))
 
-        w, terms, rows = tap_rows(codes)
-        resid, fx = optimizer._residual_objectives(target, rows)
-        screen = optimizer._MoveScreen(target, w.tolist(), combine(1.0, terms), float(fx), resid)
-        for _ in range(4):
+        w, entries, rows = rows_of(codes)
+        resid = optimizer._residual_objectives(target, rows)[0]
+        for _ in range(3):
             for i in range(taps):
+                c, q = codes[i][2:]
+                keys = [(u, v) for u in (c, *moves[2][c]) for v in (q, *moves[3][q])]
+                lat.entries(keys)
+                norm = tau + sum(abs(wm) * np.sqrt(e[2]) for wm, e in zip(w, entries))
+                bound = optimizer._visit_screen(resid, rows[i], keys, lat.memo, norm, coef)
                 for j in range(4):
-                    for delta in (-1, 1):
-                        cand = codes.copy()
-                        cand[i, j] = (cand[i, j] + delta) % vals[j].size
-                        cw, _, crows = tap_rows(cand)
+                    options = moves[j][codes[i][j]]
+                    for k in options:
+                        cand = [list(code) for code in codes]
+                        cand[i][j] = k
+                        cw, _, crows = rows_of(cand)
                         fc = float(optimizer._residual_objectives(target, crows)[1])
-                        if j < 2:
-                            [low] = screen.weights(i, [complex(cw[i])])
-                        else:
-                            [low] = screen.rows(rows[i], crows[i : i + 1])
-                        assert low <= fc
-            # take a random move, better or not, as the search takes a better one
-            i, j = rng.integers(taps), rng.integers(4)
-            codes[i, j] = (codes[i, j] + rng.choice([-1, 1])) % vals[j].size
-            w, terms, rows = tap_rows(codes)
-            resid, fx = optimizer._residual_objectives(target, rows)
-            if j < 2:
-                screen.accept(float(fx), resid, i, w=complex(w[i]))
-            else:
-                screen.accept(float(fx), resid, i, unit=combine(1.0, terms[i]))
+                        assert bound(cw[i], tuple(cand[i][2:])) <= fc
+                    # a random move of the knob or none, better or not; g stays
+                    if options and rng.uniform() < 0.7:
+                        codes[i][j] = int(rng.choice(options))
+                        w, entries, rows = rows_of(codes)
+                        resid = optimizer._residual_objectives(target, rows)[0]
 
 
 class TestLattice:
@@ -1521,20 +1554,69 @@ class TestLattice:
             if prev is not None:
                 codes[2:4, 2:] = prev[[0, 4], 2:]
             keys = list(map(tuple, codes[:, 2:].tolist()))
-            hits = [key in lat.filters for key in keys]
-            terms = lat.terms(keys)
+            hits = [key in lat.memo for key in keys]
+            entries = lat.entries(keys)
             seen.update(keys)
-            assert len(lat.filters) == len(seen)
+            assert len(lat.memo) == len(seen)
             assert (prev is None) == (not any(hits))
             x = lat.point(codes)
             assert x.tolist() == [[v[c] for v, c in zip(lat.values, row)] for row in codes]
             want = kernel._kernel(x, kernel._f, kernel.board)
             weights = lat.gain[codes[:, 0]] * lat.turn[codes[:, 1]]
+            terms = np.array([e[0] for e in entries])
             assert lat.combine(weights[:, None], terms).tobytes() == want.tobytes()
             for (a, p, c, q), row in zip(codes.tolist(), want):
-                got = lat.combine(lat.gain[a] * lat.turn[p], lat.filters[c, q])
+                got = lat.combine(lat.gain[a] * lat.turn[p], lat.memo[c, q][0])
                 assert got.tobytes() == row.tobytes()
             prev = codes
+
+    @pytest.mark.parametrize("model", ["ideal", "pcb"])
+    def test_memo_holds_unit_rows_once(self, model):
+        grid = FrequencyGrid.linspace(880e6, 920e6, 31)
+        kernel = ModelKernel(model, synth_si_channel(SynthChannelSpec(), grid))
+        lat = optimizer._Lattice(kernel, quantization_preset(TAP_MODELS[model].preset))
+        lat.entries([(3, 4), (5, 6)])
+        # hits, misses and a key twice in one call
+        keys = [(5, 6), (7, 8), (3, 4), (7, 8), (9, 1)]
+        entries = lat.entries(keys)
+        assert list(lat.memo) == [(3, 4), (5, 6), (7, 8), (9, 1)]
+        assert [lat.memo[key] for key in keys] == entries
+        for term, unit, phi2 in entries:
+            assert unit.tobytes() == lat.combine(1.0, term).tobytes()
+            assert phi2 == pytest.approx(float(np.vdot(unit, unit).real), rel=1e-13)
+        # each term and unit row is stored once: the memo's arrays are rows
+        # of the filter calls' outputs, which hold nothing else
+        held = {id(a.base): a.base.nbytes for e in lat.memo.values() for a in e[:2]}
+        assert sum(held.values()) == len(lat.memo) * 2 * grid.count * 16
+
+    @pytest.mark.parametrize("preset", ["rfic", "pcb"])
+    def test_python_weights_are_numpys(self, preset):
+        # local_search multiplies gains and turns as Python numbers
+        vals = [k.values() for k in quantization_preset(preset).knobs()]
+        gain, turn = weight_factors(vals[0], vals[1])
+        products = [g * t for g in gain.tolist() for t in turn.tolist()]
+        assert np.array(products).tobytes() == (gain[:, None] * turn).tobytes()
+
+    @pytest.mark.parametrize("model", ["ideal", "pcb"])
+    def test_oracle_screens_the_memos_unit_rows(self, model, monkeypatch):
+        spec = quantization_preset(TAP_MODELS[model].preset)
+        h = synth_si_channel(SynthChannelSpec(), GRID)
+        calls = []
+
+        def spy(target, weights, units):
+            calls.append(units)
+            return _pair_rows(target, weights, units)
+
+        monkeypatch.setattr(optimizer, "_pair_rows", spy)
+        rep = grid_search_oracle(model, h, spec, 3, 2)
+        (units,) = calls
+        rows = _sublattice(spec, 3)
+        filt = TAP_MODELS[model].filter(rows[:9, 2], rows[:9, 3], GRID.points, PcbBoardParams())
+        combine = TAP_MODELS[model].combiner(GRID.points, PcbBoardParams())
+        assert units.tobytes() == combine(1.0, filt[0]).tobytes()
+        fbest, (i, j) = brute_force_pair(h.values, _tap_rows(model, rows, GRID))
+        assert rep.objective == fbest
+        assert config_vector(rep.config).tolist() == rows[[i, j]].tolist()
 
 
 class TestKernelCombiner:

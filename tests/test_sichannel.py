@@ -98,6 +98,18 @@ class TestLoadSave:
         assert np.array_equal(r.grid.points, r2.grid.points)
         assert np.array_equal(r.values, r2.values)
 
+    def test_byte_order_mark_is_skipped(self, tmp_path):
+        # spreadsheet programs save CSV with a UTF-8 byte-order mark
+        grid = FrequencyGrid.linspace(850e6, 950e6, 21)
+        plain, marked = tmp_path / "plain.csv", tmp_path / "marked.csv"
+        save_si_channel(plain, synth_si_channel(SynthChannelSpec(), grid))
+        text = plain.read_bytes()
+        assert not text.startswith(b"\xef\xbb\xbf")
+        marked.write_bytes(b"\xef\xbb\xbf" + text)
+        want, got = load_si_channel(plain), load_si_channel(marked)
+        assert got.grid.points.tobytes() == want.grid.points.tobytes()
+        assert got.values.tobytes() == want.values.tobytes()
+
     def test_save_mode_follows_umask(self, tmp_path):
         grid = FrequencyGrid.linspace(850e6, 950e6, 11)
         p = tmp_path / "ch.csv"

@@ -1001,6 +1001,57 @@ def fit_pipeline(
 
 
 _SCREEN_ROWS = 64
+_SEED_ROWS = 32
+
+
+class _PairScreen(tuple):
+    """What `_pair_rows` returns: the pair (rows, columns), and `bounded`,
+    the number of rows its row bound left for the GEMM screen."""
+
+    def __new__(cls, rows, columns, bounded: int):
+        screen = super().__new__(cls, (rows, columns))
+        screen.bounded = bounded
+        return screen
+
+
+def _row_bounds(features, gram, tu, g2, slack):
+    """The lower bound LB_a of `_pair_rows` on each row's pair values, rows
+    in weight-major order, with the rounding allowance of each projection.
+
+    `features` holds (Re w_i, Im w_i, |w_i|^2, 1) for each of the P weights,
+    `gram` the Gram matrix gram[alpha, beta] = <phi_beta, phi_alpha> of the
+    n unit rows, `tu` the values conj <phi_beta, t>, `g2` the P n values
+    |g_a|^2 = |t|^2 + u_a, and `slack` is the screen's.  With V[beta] =
+    <phi_beta, t> / sqrt(C_beta,beta) and G[alpha, beta] = gram[alpha, beta]
+    / sqrt(C_beta,beta), the projection of g_a = t - w_i phi_alpha on
+    phi_beta has
+
+        Q[a, beta] = |<phi_beta, g_a>|^2 / C_beta,beta
+                   = |V[beta] - w_i G[alpha, beta]|^2
+                   = |V|^2 - 2 Re(w_i conj(V) G) + |w_i|^2 |G|^2,
+
+    so all P n^2 values come from one real product of `features` with 4
+    coefficient rows over the n^2 (alpha, beta).  Each Q[a, beta] is raised
+    by its allowance slack sqrt(max C / C_beta,beta) before the max over
+    beta.  A unit row whose C_beta,beta is 0 gives no usable projection: its
+    allowance is infinite, so every LB_a is -inf and no row is dropped.
+    Each returned LB_a is at most row a's smallest direct value plus slack
+    (`_pair_rows` gives the rounding bound).
+    """
+    n = gram.shape[0]
+    diag = gram.diagonal().real
+    scale = np.zeros(n)
+    np.divide(1.0, np.sqrt(diag), out=scale, where=diag > 0)
+    allowance = np.where(diag > 0, slack * (np.sqrt(diag.max()) * scale), np.inf)
+    v = np.conj(tu) * scale
+    g = gram.T * scale[:, None]
+    vg = np.conj(v)[:, None] * g
+    terms = np.stack((-2.0 * vg.real, 2.0 * vg.imag, g.real**2 + g.imag**2,
+                      np.broadcast_to((v.real**2 + v.imag**2 + allowance)[:, None], (n, n))),
+                     axis=2)
+    # Q in (beta, alpha, weight) order: the max over beta runs over whole rows
+    q = (terms.reshape(-1, 4) @ features.T).reshape(n, n, -1)
+    return g2 - q.max(axis=0).T.ravel()
 
 
 def _pair_rows(target: np.ndarray, weights: np.ndarray, units: np.ndarray):
@@ -1008,7 +1059,8 @@ def _pair_rows(target: np.ndarray, weights: np.ndarray, units: np.ndarray):
     len(units), that can be the best pair: each of the P weights times each
     of the n unit rows, in weight-major order.  Returns the ascending
     indices a of every row that can hold the best pair, and for each of
-    them the ascending columns b that can be its best pair.
+    them the ascending columns b that can be its best pair, as a
+    `_PairScreen`.
 
     The pair objective |t - r_a - r_b|^2 expands, with the real float views
     R_a = (Re r_a1, Im r_a1, ..., Re r_aK, Im r_aK) and T of t, to
@@ -1016,23 +1068,43 @@ def _pair_rows(target: np.ndarray, weights: np.ndarray, units: np.ndarray):
         obj(a, b) = |T|^2 + u_a + u_b + 2 R_a.R_b,   u_a = |R_a|^2 - 2 T.R_a.
 
     With w_a and phi_a the weight and unit row of r_a, R_a.R_b = Re(conj(w_a)
-    w_b C_ab) for the Gram matrix C_ab = <phi_a, phi_b> of the unit rows.
-    A Cholesky factorization of conj(C) with diagonal pivoting, stopped once
-    every pivot left is at most n eps times the largest diagonal entry,
-    gives F with conj(C) = F F^H + S: filter rows of nearby knobs are nearly
-    dependent, so F has d columns, far below n (5-7 for the pcb sublattice
-    of 36 rows, 12-22 for rfic, on 101-point grids).  Then R_a.R_b =
-    Re <s_a, s_b>, a real dot product of 2d floats, for s_a = w_a F_a, and
-    u_a = |w_a|^2 C_aa - 2 Re(w_a <t, phi_a>).  One GEMM of the rows (2 s_a,
+    w_b C_ab) for the Gram matrix C_ab = <phi_a, phi_b> of the unit rows, and
+    u_a = |w_a|^2 C_aa - 2 Re(w_a <t, phi_a>).
+
+    Row bound.  For row a = (i, alpha) and g_a = t - w_i phi_alpha, every
+    pair value of row a is |g_a - w_j phi_beta|^2 for a partner b = (j,
+    beta), at least the best value over any complex partner weight:
+
+        LB_a = |g_a|^2 - max_beta |<phi_beta, g_a>|^2 / C_beta,beta
+
+    (a projection on each unit row), with |g_a|^2 = |T|^2 + u_a and
+    <phi_beta, g_a> = <phi_beta, t> - w_i C_beta,alpha, so the P n^2 terms
+    come from the Gram matrix in one product (`_row_bounds`).  The
+    incumbent is the smallest pair value over the full rows of the
+    _SEED_ROWS rows of smallest u_a, the best single taps, each value |T|^2
+    + u_a + u_b + 2 Re(conj(w_a) w_b C_ab) from one product of the same
+    weight features.  Rows whose bound exceeds the incumbent by more than
+    10 slack cannot hold the best pair, nor complete a pair the screen below
+    keeps, and are dropped; the factor rows below are built only for the
+    rows left.
+
+    GEMM screen.  A Cholesky factorization of conj(C) with diagonal
+    pivoting, stopped once every pivot left is at most n eps times the
+    largest diagonal entry, gives F with conj(C) = F F^H + S: filter rows of
+    nearby knobs are nearly dependent, so F has d columns, far below n (5-7
+    for the pcb sublattice of 36 rows, 12-22 for rfic, on 101-point grids).
+    Then R_a.R_b = Re <s_a, s_b>, a real dot product of 2d floats, for s_a =
+    w_a F_a.  For the rows left by the bound, one GEMM of the rows (2 s_a,
     u_a, 1) and (s_b, 1, u_b) gives obj(a, b) - |T|^2, so every row minimum
-    m_a = min_b obj(a, b) comes from real GEMMs 2d + 2 wide, not 2K, with no
-    Pn x Pn matrix kept.
+    m_a = min_b obj(a, b) over those rows comes from real GEMMs 2d + 2 wide,
+    not 2K, with no Pn x Pn matrix kept.
     The pair value is symmetric, so only the blocks on or above the diagonal
     are computed: each block updates the minima of its rows and of its
     columns, so the screened value of (a, b) may come from the (b, a)
     product.  The columns of a kept row a come from one more product of its
-    row (2 s_a, u_a, 1) with every (s_b, 1, u_b): those whose screened value
-    is within 2 slack of that row's own screened minimum.
+    row (2 s_a, u_a, 1) with every (s_b, 1, u_b) of the rows left: those
+    whose screened value is within 2 slack of that row's own screened
+    minimum.
 
     Rounding bound.  Let eps be the machine epsilon, tau = |t|, omega =
     max |w_a|, psi = max |phi_a| and S = (tau + 2 omega psi)^2.  The caller's
@@ -1047,16 +1119,40 @@ def _pair_rows(target: np.ndarray, weights: np.ndarray, units: np.ndarray):
     below n^2 eps psi^2 with a modest constant.  Forming s and the
     (2d + 2)-term dot products adds (2n + 8) eps S, and u and |T|^2 add
     (2K + 40) eps S.
-    In all, the screened value of (a, b) is within (3K + n^2 + n + 120) eps
-    S of the caller's direct value sum_k |(t_k - r_ak) - r_bk|^2, which is
-    below slack = 16 (K + n^2 + 8) eps S, and so are the screened row minimum
-    m_a and the direct one.  A row whose direct minimum ties the smallest
-    therefore has m_a <= min(m) + 2 slack, and every such row is returned;
-    by the same argument on one row, a column whose direct value ties the
-    row's direct minimum has a screened value within 2 slack of the row's
-    screened minimum, and every such column is returned.  The caller's
-    strict-< scan over these rows, each over its columns in ascending order,
-    then picks the same (a, b) and objective as a scan over all pairs.
+    In all, the screened value of (a, b), from either product, is within
+    (3K + n^2 + n + 120) eps S of the caller's direct values of (a, b) and
+    (b, a), which is below slack = 16 (K + n^2 + 8) eps S.  The incumbent's
+    values skip the factor: the Gram entries, u and their products put each
+    within (4K + 130) eps S of its pair's direct value, also below slack.
+    In the bound, <phi_beta, t> and the Gram entries are off by at most 2K
+    eps psi tau and 2K eps psi^2.  Divided by sqrt(C_beta,beta), a sum of
+    squares good to K eps, these absolute errors grow by psi /
+    sqrt(C_beta,beta) = sqrt(max C / C_beta,beta): V and G are off by at
+    most (3K + 2) eps tau and (3K + 2) eps psi times that factor.  With
+    |V - w_i G| <= tau + omega psi and the product's few roundings, Q[a,
+    beta] is off by at most (6K + 16) eps S sqrt(max C / C_beta,beta), below
+    the allowance `_row_bounds` adds.  So the computed LB_a is at most the
+    exact bound plus the (2K + 40) eps S of |g_a|^2, which is at most row
+    a's smallest value in exact arithmetic, and so at most its smallest
+    direct value plus slack.
+    Why the rows left give the full screen's output: let D* be the
+    smallest direct value.  The full screen keeps a row a with m_a <= min(m)
+    + 2 slack, and min(m) <= D* + slack, so row a's direct minimum is at most
+    D* + 4 slack; a column b it keeps for row a has a screened value within
+    2 slack of that row's minimum, so the direct value of (b, a) is at most
+    D* + 8 slack, and so is that of the partner that gives a kept row its
+    minimum.  Each such row has LB at most D* + 9 slack, and the incumbent
+    is at least D* - slack, so its LB is at most the incumbent plus 10 slack
+    and it is not dropped: the rows left hold the smallest row minimum,
+    every kept row's minimum and every kept column, and the screen over
+    them keeps the full screen's rows and columns.
+    A row whose direct minimum ties the smallest has m_a <= min(m) + 2
+    slack, and every such row is returned; by the same argument on one row,
+    a column whose direct value ties the row's direct minimum has a screened
+    value within 2 slack of the row's screened minimum, and every such
+    column is returned.  The caller's strict-< scan over these rows, each
+    over its columns in ascending order, then picks the same (a, b) and
+    objective as a scan over all pairs.
     Non-finite inputs keep every row and every column.
     """
     n, k = units.shape
@@ -1064,9 +1160,24 @@ def _pair_rows(target: np.ndarray, weights: np.ndarray, units: np.ndarray):
     if not (np.isfinite(units).all() and np.isfinite(weights).all()
             and np.isfinite(target).all()):
         every = np.arange(p)
-        return every, [every] * p
+        return _PairScreen(every, [every] * p, p)
     gram = units @ np.conj(units).T
     diag = gram.diagonal().real
+    tu = units @ np.conj(target)
+    u = (np.abs(weights)[:, None] ** 2 * diag - 2.0 * (weights[:, None] * tu).real).ravel()
+    t2 = float(np.vdot(target, target).real)
+    rho = np.abs(weights).max() * np.sqrt(diag.max())
+    slack = 16.0 * (k + n * n + 8) * np.finfo(float).eps * (np.sqrt(t2) + 2.0 * rho) ** 2
+    features = np.stack((weights.real, weights.imag, weights.real**2 + weights.imag**2,
+                         np.ones(weights.size)), axis=1)
+    bound = _row_bounds(features, gram, tu, t2 + u, slack)
+    # the incumbent: the full rows of the best single taps, in Gram form
+    seeds = np.argpartition(u, min(p, _SEED_ROWS) - 1)[:_SEED_ROWS]
+    x = 2.0 * (weights[seeds // n, None] * gram[seeds % n] - np.conj(tu))
+    terms = np.stack((x.real, x.imag, np.broadcast_to(diag, x.shape),
+                      np.broadcast_to(u[seeds, None], x.shape)))
+    incumbent = t2 + (features @ terms.reshape(4, -1)).min()
+    alive = np.flatnonzero(~(bound > incumbent + 10.0 * slack))
     # pivoted Cholesky: each step takes the largest pivot of the Schur
     # complement left and stops at pivots of the factorization's own rounding
     schur, cols = gram.copy(), []
@@ -1079,31 +1190,26 @@ def _pair_rows(target: np.ndarray, weights: np.ndarray, units: np.ndarray):
         schur -= np.outer(col, np.conj(col))
         cols.append(col)
     factor = np.array(cols).T.reshape(n, len(cols))
-    u = (np.abs(weights)[:, None] ** 2 * diag
-         - 2.0 * (weights[:, None] * (units @ np.conj(target))).real).ravel()
-    # rows (2 s_a, u_a, 1) and (s_b, 1, u_b): their dot product is the pair
-    # value 2 s_a.s_b + u_a + u_b, the factor 2 exact
-    s = (weights[:, None, None] * factor).reshape(p, -1)
-    u, one = u[:, None], np.ones((p, 1))
+    # rows (2 s_a, u_a, 1) and (s_b, 1, u_b) of the rows left: their dot
+    # product is the pair value 2 s_a.s_b + u_a + u_b, the factor 2 exact
+    s = weights[alive // n, None] * factor[alive % n]
+    u, one = u[alive, None], np.ones((alive.size, 1))
     lhs = np.hstack((2.0 * s.real, 2.0 * s.imag, u, one))
     rhs = np.hstack((s.real, s.imag, one, u))
-    row_min = np.full(p, np.inf)
-    for b0 in range(0, p, _SCREEN_ROWS):
-        b1 = min(b0 + _SCREEN_ROWS, p)
+    row_min = np.full(alive.size, np.inf)
+    for b0 in range(0, alive.size, _SCREEN_ROWS):
+        b1 = min(b0 + _SCREEN_ROWS, alive.size)
         g = lhs[b0:b1] @ rhs[b0:].T
         np.minimum(row_min[b0:b1], g.min(axis=1), out=row_min[b0:b1])
         np.minimum(row_min[b0:], g.min(axis=0), out=row_min[b0:])
-    t2 = float(np.vdot(target, target).real)
     row_min += t2
-    rho = np.abs(weights).max() * np.sqrt(diag.max())
-    slack = 16.0 * (k + n * n + 8) * np.finfo(float).eps * (np.sqrt(t2) + 2.0 * rho) ** 2
     rows = np.flatnonzero(~(row_min > np.min(row_min) + 2.0 * slack))
     columns = []
     for b0 in range(0, rows.size, _SCREEN_ROWS):
         g = lhs[rows[b0:b0 + _SCREEN_ROWS]] @ rhs.T
         g += t2
-        columns.extend(np.flatnonzero(~(v > np.min(v) + 2.0 * slack)) for v in g)
-    return rows, columns
+        columns.extend(alive[np.flatnonzero(~(v > np.min(v) + 2.0 * slack))] for v in g)
+    return _PairScreen(alive[rows], columns, alive.size)
 
 
 def grid_search_oracle(
@@ -1124,9 +1230,11 @@ def grid_search_oracle(
     kept rows and their columns in ascending order with a strict < picks
     the same pair and objective as a scan over all pairs.
 
-    Each call logs the configs, the rows the pair screen kept, the pairs
-    scored directly and the wall time (configs, rows_kept, scanned, wall_s)
-    at DEBUG on the "fdecanc" logger, also as record attributes.
+    Each call logs the configs, the rows the pair screen's row bound left
+    for its GEMM screen (0 for one tap), the rows the screen kept, the pairs
+    scored directly and the wall time (configs, rows_bounded, rows_kept,
+    scanned, wall_s) at DEBUG on the "fdecanc" logger, also as record
+    attributes.
     """
     if num_taps not in (1, 2):
         raise InvalidArgumentError("oracle supports 1 or 2 taps")
@@ -1162,10 +1270,11 @@ def grid_search_oracle(
         obj = _residual_objectives(target, tap_rows(np.arange(per_tap))[:, None, :])[1]
         best = [int(np.argmin(obj))]
         fbest = float(obj[best[0]])
-        kept, scanned = 0, per_tap
+        bounded, kept, scanned = 0, 0, per_tap
     else:
         fbest, best = np.inf, [0, 0]
-        rows, columns = _pair_rows(target, weights, np.array([e[1] for e in cq]))
+        screen = _pair_rows(target, weights, np.array([e[1] for e in cq]))
+        rows, columns = screen
         points = np.unique(np.concatenate([rows, *columns]))
         resp = tap_rows(points)
         for i, cols in zip(rows.tolist(), columns):
@@ -1175,9 +1284,11 @@ def grid_search_oracle(
             if obj[j] < fbest:
                 fbest = float(obj[j])
                 best = [i, int(cols[j])]
-        kept, scanned = rows.size, sum(cols.size for cols in columns)
+        bounded, kept, scanned = screen.bounded, rows.size, sum(cols.size for cols in columns)
     x = lat.point(codes[best])
-    run.emit("oracle: %(configs)d configs, %(rows_kept)d rows kept by the pair screen, "
-             "%(scanned)d scored directly, %(wall_s).6f s",
-             configs=total, rows_kept=kept, scanned=scanned, wall_s=run.lap())
+    run.emit("oracle: %(configs)d configs, %(rows_kept)d rows kept by the pair screen "
+             "(%(rows_bounded)d left by its row bound), %(scanned)d scored directly, "
+             "%(wall_s).6f s",
+             configs=total, rows_bounded=bounded, rows_kept=kept, scanned=scanned,
+             wall_s=run.lap())
     return kernel.report(x, fbest, total, [fbest], quantized=True)

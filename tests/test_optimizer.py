@@ -39,6 +39,7 @@ from fdecanc.optimizer import (
     ModelKernel,
     _descend,
     _pair_rows,
+    _row_bounds,
     config_vector,
     default_bounds,
     fit_pipeline,
@@ -866,6 +867,18 @@ class TestPairRowsHalfScreen:
         assert kept.tolist() == list(range(12))
         assert [c.tolist() for c in columns] == [list(range(12))] * 12
 
+    @pytest.mark.parametrize("scales", [(1.0, 1.0, 1e150), (1e-150, 1.0, 1e150),
+                                        (1e150, 1e-150, 1e150), (1e-100, 1e-100, 1e-100)])
+    def test_extreme_magnitudes(self, scales):
+        # unit rows near 1e150 put the slack near 1e289: the bound's
+        # allowances must not overflow on the way
+        t_scale, w_scale, u_scale = scales
+        rng = np.random.default_rng(3)
+        weights = w_scale * (rng.normal(size=4) + 1j * rng.normal(size=4))
+        units = u_scale * (rng.normal(size=(5, 7)) + 1j * rng.normal(size=(5, 7)))
+        target = t_scale * (rng.normal(size=7) + 1j * rng.normal(size=7))
+        check_pair_rows(target, weights, units, (weights[:, None, None] * units).reshape(-1, 7))
+
     @pytest.mark.parametrize("model", ["ideal", "pcb"])
     def test_same_rows_on_the_oracle_sublattice(self, model):
         spec = quantization_preset("rfic" if model == "ideal" else "pcb")
@@ -885,6 +898,109 @@ class TestPairRowsHalfScreen:
             want_rows, want_cols = pair_rows_full(t, resp)
             assert kept.tolist() == want_rows.tolist()
             assert [c.tolist() for c in columns] == [c.tolist() for c in want_cols]
+
+    @settings(max_examples=40, deadline=None)
+    @given(
+        n_amp=st.integers(1, 4),
+        n=st.integers(1, 12),
+        k=st.integers(1, 12),
+        seed=st.integers(0, 2**32 - 1),
+        planted=st.booleans(),
+    )
+    def test_phases_at_both_ends_of_the_knob(self, n_amp, n, k, seed, planted):
+        # the oracle's 6-point sublattice takes phase codes 0 and 255, -pi and
+        # pi: two weights of each amplitude that differ only in rounding
+        rng = np.random.default_rng(seed)
+        phase = quantization_preset("rfic").phase_rad.values()
+        gain, turn = weight_factors(rng.uniform(-40.0, -10.0, n_amp), phase[[0, 51, 204, 255]])
+        weights = (gain[:, None] * turn).ravel()
+        units = rng.normal(size=(n, k)) + 1j * rng.normal(size=(n, k))
+        resp = (weights[:, None, None] * units).reshape(-1, k)
+        if planted:
+            a, b = rng.integers(resp.shape[0], size=2)
+            target = resp[a] + resp[b]
+        else:
+            target = 0.01 * (rng.normal(size=k) + 1j * rng.normal(size=k))
+        check_pair_rows(target, weights, units, resp)
+
+    @settings(max_examples=40, deadline=None)
+    @given(
+        shape=st.sampled_from([(1, 1), (1, 2), (2, 1), (1, 3), (3, 1)]),
+        k=st.integers(1, 12),
+        seed=st.integers(0, 2**32 - 1),
+        planted=st.booleans(),
+    )
+    def test_fewer_rows_than_the_incumbents_seeds(self, shape, k, seed, planted):
+        # p = 1-3 rows: the incumbent's seeds are every row
+        n_w, n = shape
+        rng = np.random.default_rng(seed)
+        weights = rng.normal(size=n_w) + 1j * rng.normal(size=n_w)
+        units = rng.normal(size=(n, k)) + 1j * rng.normal(size=(n, k))
+        resp = (weights[:, None, None] * units).reshape(-1, k)
+        target = resp[-1] + resp[0] if planted else rng.normal(size=k) + 1j * rng.normal(size=k)
+        check_pair_rows(target, weights, units, resp)
+
+
+def row_bound_inputs(target, weights, units):
+    """`_row_bounds`' inputs as `_pair_rows` forms them: weight features,
+    Gram matrix, conj <phi, t>, |g_a|^2 and the slack."""
+    gram = units @ np.conj(units).T
+    tu = units @ np.conj(target)
+    u = np.abs(weights)[:, None] ** 2 * gram.diagonal().real - 2.0 * (weights[:, None] * tu).real
+    features = np.stack((weights.real, weights.imag, np.abs(weights) ** 2,
+                         np.ones(weights.size)), axis=1)
+    g2 = np.vdot(target, target).real + u.ravel()
+    return features, gram, tu, g2, factored_slack(target, weights, units)
+
+
+class TestRowBounds:
+    """`_row_bounds` bounds each row's pair values from below by the best
+    value a partner of any complex weight could give."""
+
+    @settings(max_examples=80, deadline=None)
+    @given(
+        n_w=st.integers(1, 10),
+        n=st.integers(1, 12),
+        k=st.integers(1, 12),
+        seed=st.integers(0, 2**32 - 1),
+        planted=st.booleans(),
+        repeats=st.booleans(),
+        odd_row=st.sampled_from([None, "weak", "zero"]),
+    )
+    def test_below_every_row_minimum(self, n_w, n, k, seed, planted, repeats, odd_row):
+        rng = np.random.default_rng(seed)
+        weights = rng.normal(size=n_w) + 1j * rng.normal(size=n_w)
+        units = rng.normal(size=(n, k)) + 1j * rng.normal(size=(n, k))
+        if repeats:
+            weights = weights[rng.integers(max(1, n_w // 3), size=n_w)]
+            units = units[rng.integers(max(1, n // 3), size=n)]
+        if odd_row == "weak":
+            # a unit row 10^6 times weaker than the largest
+            big = np.max(np.linalg.norm(units, axis=1))
+            units[-1] *= 1e-6 * big / np.linalg.norm(units[-1])
+        elif odd_row == "zero":
+            units[-1] = 0.0
+        resp = (weights[:, None, None] * units).reshape(-1, k)
+        if planted:
+            a, b = rng.integers(resp.shape[0], size=2)
+            target = resp[a] + resp[b]
+        else:
+            target = rng.normal(size=k) + 1j * rng.normal(size=k)
+        *inputs, slack = row_bound_inputs(target, weights, units)
+        bound = _row_bounds(*inputs, slack)
+        mins = np.array([direct_row(target, resp, a).min() for a in range(resp.shape[0])])
+        assert (bound <= mins + slack).all()
+        if odd_row == "zero":
+            assert (bound == -np.inf).all()
+            return
+        # and it is the relaxed bound, up to the allowance it adds: every
+        # unit row's least-squares fit to g_a = t - r_a, taken directly
+        g = target - resp
+        norm2 = np.sum(np.abs(units) ** 2, axis=1)
+        proj = np.abs(g @ np.conj(units).T) ** 2 / norm2
+        relaxed = np.sum(np.abs(g) ** 2, axis=1) - proj.max(axis=1)
+        allowance = slack * np.sqrt(norm2.max() / norm2.min())
+        assert (np.abs(bound - relaxed) <= 2.0 * allowance + slack).all()
 
 
 def _box(model, taps):
@@ -1672,7 +1788,11 @@ class TestOracleRunRecord:
         # and the pairs scored directly are its kept rows' columns
         (kept, columns), = screens
         assert 1 <= pair.rows_kept == kept.size < 81
+        # the row bound leaves the GEMM screen at least the rows it keeps
+        assert pair.rows_kept <= pair.rows_bounded <= 81
+        assert pair.rows_bounded == screens[0].bounded
         assert pair.scanned == sum(c.size for c in columns) <= 81 * pair.rows_kept
-        assert (single.configs, single.rows_kept, single.scanned) == (one.iterations, 0, 81)
+        assert (single.configs, single.rows_bounded, single.rows_kept, single.scanned) == (
+            one.iterations, 0, 0, 81)
         assert pair.wall_s > 0 and single.wall_s > 0
         assert pair.getMessage().startswith(f"oracle: 6561 configs, {pair.rows_kept} rows")

@@ -52,37 +52,66 @@ class UlDlScenario:
         _check_bandwidth(self.bandwidth_hz)
 
 
-def uldl_surface(gammas_ul, gammas_dl, gammas_iui, gamma_self=1.0, bandwidth_hz=1.0):
+# cells of the surface one block of (ul, dl) pairs holds, at least one pair's
+_BLOCK_CELLS = 1 << 12
+
+
+def uldl_blocks(gammas_ul, gammas_dl, gammas_iui, gamma_self=1.0, bandwidth_hz=1.0):
     """HD TDMA rate, FD simultaneous rate and their ratio over a UL x DL x IUI
-    grid of linear gammas: (hd, fd, gain) with hd[i][j] of (gammas_ul[i],
-    gammas_dl[j]) and fd[i][j][k], gain[i][j][k] of that pair and
-    gammas_iui[k].
+    grid of linear gammas, a block of (ul, dl) pairs at a time.
 
     hd = (B/2) log2(1+g_ul) + (B/2) log2(1+g_dl)
     fd = B log2(1 + g_ul/(1+g_self)) + B log2(1 + g_dl/(1+g_iui))
 
-    Each rate term depends on one axis, or on (dl, iui), and is computed once;
-    a cell adds the same terms in the same order as a one-cell grid.  A zero
-    hd anywhere raises UndefinedGainError.
+    Checks the grid and computes each rate term, which depends on one axis or
+    on (dl, iui), once, by :func:`shannon_rate`; a zero hd anywhere raises
+    UndefinedGainError here.  Returns an iterator over blocks, in row-major
+    (ul, dl) order, of about 4096 cells and at least one pair: (i, j, hd, fd,
+    gain) with i and j the ul and dl indices of the block's pairs, hd[p] the
+    rate of pair p, and fd[p][k], gain[p][k] those of that pair and
+    gammas_iui[k].  A cell adds the same terms in the same order as a
+    one-cell grid, so it is bitwise that grid's.
     """
     for name, values in (("gamma_ul", gammas_ul), ("gamma_dl", gammas_dl),
                          ("gamma_iui", gammas_iui), ("gamma_self", (gamma_self,))):
         _check_nonnegative(name, values)
     _check_bandwidth(bandwidth_hz)
     b = bandwidth_hz
-    r_ul = [shannon_rate(g, b) for g in gammas_ul]
-    r_dl = [shannon_rate(g, b) for g in gammas_dl]
-    hd = [[0.5 * ru + 0.5 * rd for rd in r_dl] for ru in r_ul]
-    if any(h == 0 for row in hd for h in row):
+    half_ul = 0.5 * np.array([shannon_rate(g, b) for g in gammas_ul])
+    half_dl = 0.5 * np.array([shannon_rate(g, b) for g in gammas_dl])
+    # a sum of two nonnegative halves is zero only where both are
+    if (half_ul == 0).any() and (half_dl == 0).any():
         raise UndefinedGainError("half-duplex baseline rate is zero")
-    r_ul_fd = [shannon_rate(g / (1.0 + gamma_self), b) for g in gammas_ul]
-    r_dl_fd = [[shannon_rate(g / (1.0 + q), b) for q in gammas_iui] for g in gammas_dl]
-    fd = [[[ru + rd for rd in row] for row in r_dl_fd] for ru in r_ul_fd]
-    gain = [
-        [[f / h for f in fd_ij] for fd_ij, h in zip(fd_i, hd_i)]
-        for fd_i, hd_i in zip(fd, hd)
-    ]
-    return hd, fd, gain
+    r_ul_fd = np.array([shannon_rate(g / (1.0 + gamma_self), b) for g in gammas_ul])
+    n_dl, n_iui = len(gammas_dl), len(gammas_iui)
+    r_dl_fd = np.fromiter(
+        (shannon_rate(g / (1.0 + q), b) for g in gammas_dl for q in gammas_iui),
+        float, count=n_dl * n_iui,
+    ).reshape(n_dl, n_iui)
+    pairs, step = half_ul.size * n_dl, max(1, _BLOCK_CELLS // max(n_iui, 1))
+
+    def block(start):
+        i, j = np.divmod(np.arange(start, min(start + step, pairs)), n_dl)
+        # a rate of inf (an infinite gamma) gives an inf or NaN cell, as floats do
+        with np.errstate(all="ignore"):
+            hd = half_ul[i] + half_dl[j]
+            fd = r_ul_fd[i][:, None] + r_dl_fd[j]
+            return i, j, hd, fd, fd / hd[:, None]
+
+    return map(block, range(0, pairs, step))
+
+
+def uldl_surface(gammas_ul, gammas_dl, gammas_iui, gamma_self=1.0, bandwidth_hz=1.0):
+    """:func:`uldl_blocks` as nested lists: (hd, fd, gain) with hd[i][j] of
+    (gammas_ul[i], gammas_dl[j]) and fd[i][j][k], gain[i][j][k] of that pair
+    and gammas_iui[k]."""
+    blocks = uldl_blocks(gammas_ul, gammas_dl, gammas_iui, gamma_self, bandwidth_hz)
+    shape = (len(gammas_ul), len(gammas_dl))
+    hd = np.empty(shape)
+    fd, gain = np.empty(shape + (len(gammas_iui),)), np.empty(shape + (len(gammas_iui),))
+    for i, j, hd_b, fd_b, gain_b in blocks:
+        hd[i, j], fd[i, j], gain[i, j] = hd_b, fd_b, gain_b
+    return hd.tolist(), fd.tolist(), gain.tolist()
 
 
 def uldl_throughputs(s: UlDlScenario):
@@ -164,10 +193,32 @@ class ScheduleSpec:
         return self.iui_matrix[tx][rx]
 
 
-def tdma_schedule_eval(s: MultiUserScenario, sched: ScheduleSpec) -> dict:
-    """Slot-by-slot evaluation of RRO and IUI-F schedules.
+# terms np.add.accumulate sums at a time: the memory of a sum is bounded
+_SUM_CHUNK = 1 << 15
 
-    Slot t makes user u = t mod n the primary transmitter.
+
+def _sum_in_order(cycle, count) -> float:
+    """0.0 + x_1 + ... + x_count, added left to right, of the sequence that
+    repeats `cycle`: bitwise the loop that adds one term at a time.  Each
+    chunk of whole cycles is accumulated behind the running sum so far."""
+    reps = min(max(1, _SUM_CHUNK // len(cycle)), -(-count // len(cycle)))
+    terms = np.empty(1 + reps * len(cycle))
+    terms[1:] = np.tile(cycle, reps)
+    sums = np.empty_like(terms)
+    total = 0.0
+    for start in range(0, count, terms.size - 1):
+        stop = min(terms.size, count - start + 1)
+        terms[0] = total
+        total = np.add.accumulate(terms[:stop], out=sums[:stop])[-1]
+    return float(total)
+
+
+def tdma_schedule_eval(s: MultiUserScenario, sched: ScheduleSpec) -> dict:
+    """Slot-level evaluation of RRO and IUI-F schedules.
+
+    Slot t makes user u = t mod n the primary transmitter.  Each user's
+    rates are summed in slot order, bitwise the loop that adds one slot at a
+    time, by a chunked accumulate.
 
     RRO: an FD-capable primary runs a duplex slot (UL and its own DL, both at
     gamma_u/(1+gamma_self)).  An HD primary sends UL while the base station
@@ -207,12 +258,15 @@ def tdma_schedule_eval(s: MultiUserScenario, sched: ScheduleSpec) -> dict:
             ))
         else:
             adds.append(((u, alone[u]),))
-    # repeated addition is not k * rate: add slot by slot
-    per_user = [0.0] * n
-    for t in range(sched.slots):
-        for w, rate in adds[t % n]:
-            per_user[w] += rate
-    per_user = [r / sched.slots for r in per_user]
+    # repeated addition is not k * rate: sum each user's rates in slot order
+    cycles, rest = divmod(sched.slots, n)
+    per_user = []
+    for w in range(n):
+        # w's rates in the order one cycle of n slots adds them, and how many
+        # the last `rest` slots add
+        cycle = [rate for u in range(n) for v, rate in adds[u] if v == w]
+        tail = sum(v == w for u in range(rest) for v, _ in adds[u])
+        per_user.append(_sum_in_order(cycle, cycles * len(cycle) + tail) / sched.slots)
     total = sum(per_user)
     baseline = sum(r / n for r in alone)
     return {

@@ -63,16 +63,18 @@ def format_si_channel(r: ComplexResponse) -> str:
     return "".join(rows)
 
 
-def atomic_write(path, text: str) -> None:
-    """Write `text` to `path` via a temp file beside it and a rename; the file
-    gets the mode `open(path, "w")` gives a new file, 0o666 less the umask."""
+def atomic_write(path, text) -> None:
+    """Write `text`, a string or an iterable of string chunks written as they
+    come, to `path` via a temp file beside it and a rename; the file gets the
+    mode `open(path, "w")` gives a new file, 0o666 less the umask.  A chunk
+    iterator that raises leaves `path` as it was."""
     tmp = os.path.join(
         os.path.dirname(os.path.abspath(path)), f".tmp-{os.urandom(6).hex()}.part"
     )
     fh = open(tmp, "x", encoding="utf-8", newline="")
     try:
         with fh:
-            fh.write(text)
+            fh.writelines((text,) if isinstance(text, str) else text)
         os.replace(tmp, path)
     except BaseException:
         os.unlink(tmp)
@@ -117,24 +119,73 @@ def _channel_rows(reader):
     return freqs, vals
 
 
+_HEADER = "freq_hz,re,im\n"
+_NOT_SEPARATOR = bytes(sorted(set(range(256)) - set(b",\n")))
+
+
+def _plain_columns(text: str):
+    """The frequency, real and imaginary columns of a channel CSV in the form
+    :func:`save_si_channel` writes, as float64 arrays, or None for any other
+    text.  Plain text has the header exactly, no quote or carriage return, 3
+    fields on every line and none over the CSV reader's field size limit, so
+    the reader would split each line at its commas; its fields must parse to
+    finite values at strictly increasing frequencies.  Anything else, every
+    malformed file included, is for :func:`_channel_rows` to read and name."""
+    if not text.startswith(_HEADER) or '"' in text or "\r" in text:
+        return None
+    body = text[len(_HEADER):]
+    if body.endswith("\n"):
+        body = body[:-1]
+    seps = body.encode().translate(None, _NOT_SEPARATOR)
+    rows = seps.count(b"\n") + 1
+    if seps != b",,\n" * (rows - 1) + b",,":
+        return None
+    fields = body.replace("\n", ",").split(",")
+    limit = csv.field_size_limit()
+    if len(body) > limit and max(map(len, fields)) > limit:
+        return None
+    try:
+        cols = [np.fromiter(map(float, fields[k::3]), float, count=rows) for k in range(3)]
+    except ValueError:
+        return None
+    if not all(np.isfinite(c).all() for c in cols) or not (cols[0][1:] > cols[0][:-1]).all():
+        return None
+    return cols
+
+
 def load_si_channel(path) -> ComplexResponse:
     """Load a channel CSV; rows must be strictly increasing in frequency.
     A leading UTF-8 byte-order mark, as spreadsheet programs save one, is
     skipped.  Text that is not UTF-8, or that the CSV reader rejects (a
     field over its size limit), is malformed too, with the reader's line
-    where it has one."""
-    with open(path, newline="", encoding="utf-8-sig") as fh:
-        reader = csv.reader(fh)
-        try:
-            freqs, vals = _channel_rows(reader)
-        except UnicodeDecodeError as exc:
-            raise ChannelFormatError(f"not UTF-8 text ({exc.reason})") from None
-        except csv.Error as exc:
-            raise ChannelFormatError(str(exc), line=reader.line_num) from None
+    where it has one.
+
+    A file in the plain form this package writes is converted column by
+    column (:func:`_plain_columns`); any other file is read again row by
+    row (:func:`_channel_rows`), which names the fault of a malformed one.
+    Both give the same values, bit for bit."""
+    try:
+        with open(path, newline="", encoding="utf-8-sig") as fh:
+            cols = _plain_columns(fh.read())
+    except UnicodeDecodeError:
+        cols = None
+    if cols is None:
+        with open(path, newline="", encoding="utf-8-sig") as fh:
+            reader = csv.reader(fh)
+            try:
+                freqs, vals = _channel_rows(reader)
+            except UnicodeDecodeError as exc:
+                raise ChannelFormatError(f"not UTF-8 text ({exc.reason})") from None
+            except csv.Error as exc:
+                raise ChannelFormatError(str(exc), line=reader.line_num) from None
+        freqs, vals = np.array(freqs), np.array(vals)
+    else:
+        freqs, vals = cols[0], np.empty(cols[0].size, dtype=complex)
+        vals.real, vals.imag = cols[1], cols[2]
     if len(freqs) < 2:
         raise ChannelFormatError("need at least 2 data rows")
     try:
-        grid = FrequencyGrid(np.array(freqs))
+        grid = FrequencyGrid(freqs)
     except InvalidArgumentError as exc:
         raise ChannelFormatError(str(exc)) from None
-    return ComplexResponse(grid, np.array(vals))
+    return ComplexResponse(grid, vals)

@@ -3,6 +3,9 @@ import math
 import os
 import subprocess
 import sys
+import tempfile
+import tracemalloc
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -19,7 +22,7 @@ from fdecanc import (
     save_si_channel,
     synth_si_channel,
 )
-from fdecanc import UndefinedGainError, uldl_surface
+from fdecanc import UndefinedGainError, network, uldl_surface
 from fdecanc.cli import UsageError, _db_linear, build_parser, main
 from fdecanc.core import ComplexResponse, FrequencyGrid
 
@@ -416,6 +419,79 @@ class TestUldlBytes:
         assert list(tmp_path.iterdir()) == []
 
 
+_ULDL_HEADER = "gamma_ul_db,gamma_dl_db,gamma_iui_db,hd_bps,fd_bps,gain"
+
+
+def _uldl_csv_reference(ul, dl, iui, gamma_self, b):
+    """The bytes of `network uldl` from a nested-loop writer, or None where
+    it writes nothing (a zero hd): each axis's rate terms as a list, hd as
+    nested lists, then one line appended per cell by three nested loops."""
+    def rate(g):
+        return b * math.log2(1.0 + g)
+
+    g_ul, g_dl, g_iui = ([_db_linear(x, "--gamma-db") for x in a] for a in (ul, dl, iui))
+    r_ul, r_dl = [rate(g) for g in g_ul], [rate(g) for g in g_dl]
+    hd = [[0.5 * ru + 0.5 * rd for rd in r_dl] for ru in r_ul]
+    if any(h == 0 for row in hd for h in row):
+        return None
+    r_ul_fd = [rate(g / (1.0 + gamma_self)) for g in g_ul]
+    r_dl_fd = [[rate(g / (1.0 + q)) for q in g_iui] for g in g_dl]
+    lines = [_ULDL_HEADER]
+    for u, ru_fd, hd_u in zip(ul, r_ul_fd, hd):
+        for d, rd_fd_d, h in zip(dl, r_dl_fd, hd_u):
+            for q, rd_fd in zip(iui, rd_fd_d):
+                f = ru_fd + rd_fd
+                lines.append("%.17g,%.17g,%.17g,%.17g,%.17g,%.17g" % (u, d, q, h, f, f / h))
+    return ("\n".join(lines) + "\n").encode()
+
+
+# a dB axis flag: one value (-inf and -4000 dB are a linear gamma of 0) or a
+# short start:stop:count range
+db_flag = st.one_of(
+    st.sampled_from(["-inf", "-4000", "0", "-300", "300"]),
+    db_value.map(repr),
+    st.tuples(st.floats(-300.0, 300.0), st.floats(-300.0, 300.0), st.integers(1, 5))
+    .map(lambda t: f"{t[0]!r}:{t[1]!r}:{t[2]}"),
+)
+
+
+class TestUldlStreamed:
+    @settings(max_examples=150, deadline=None)
+    @given(db_flag, db_flag, db_flag, st.floats(0.0, 1e3), st.floats(1e-3, 1e9),
+           st.one_of(st.none(), st.integers(1, 9)))
+    def test_csv_is_the_nested_loop_writer(self, ul, dl, iui, gamma_self, b, block):
+        # a small block puts many block boundaries in a small surface
+        expect = _uldl_csv_reference(*(_db_axis(a).tolist() for a in (ul, dl, iui)),
+                                     gamma_self, b)
+        with tempfile.TemporaryDirectory() as tmp, \
+                mock.patch.object(network, "_BLOCK_CELLS", block or network._BLOCK_CELLS):
+            out = os.path.join(tmp, "u.csv")
+            rc = main(["network", "uldl", f"--gamma-ul-db={ul}", f"--gamma-dl-db={dl}",
+                       f"--gamma-iui-db={iui}", "--gamma-self", repr(gamma_self),
+                       "--bandwidth-hz", repr(b), "--out", out])
+            if expect is None:
+                assert rc == 2 and os.listdir(tmp) == []
+            else:
+                assert rc == 0
+                with open(out, "rb") as fh:
+                    assert fh.read() == expect
+
+    def test_surface_streams_in_bounded_memory(self, tmp_path):
+        # 10^5 cells; the surface as nested lists took about 47 MB
+        out = tmp_path / "u.csv"
+        argv = ["network", "uldl", "--gamma-ul-db", "0:30:100", "--gamma-dl-db", "0:30:100",
+                "--gamma-iui-db=-10:10:10", "--out", str(out)]
+        tracemalloc.start()
+        try:
+            rc = main(argv)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert rc == 0
+        assert peak < 8e6
+        assert out.read_bytes().count(b"\n") == 1 + 10**5
+
+
 class TestNetworkTdma:
     def run(self, tmp_path, schedule, extra=()):
         out = tmp_path / f"{schedule}.csv"
@@ -588,7 +664,7 @@ class TestUsageErrors:
             ["network", "uldl", "--gamma-ul-db", "0:1:100", "--gamma-dl-db", "0:1:100",
              "--gamma-iui-db=0:1:1001"],
             ["network", "uldl", "--gamma-ul-db", "0:1:4000", "--gamma-dl-db", "0:1:4000"],
-            # slots are added one by one: 10^12 of them would take days
+            # each user's rates are summed slot by slot: 10^12 slots would take hours
             ["network", "tdma", "--schedule", "rro", "--users", "3",
              "--slots", "1000000000000"],
             ["network", "tdma", "--schedule", "iuif", "--slots", "10000001"],
@@ -602,7 +678,7 @@ class TestUsageErrors:
         def no_compute(*args, **kwargs):
             raise AssertionError("computation started")
 
-        for name in ("tdma_schedule_eval", "uldl_surface"):
+        for name in ("tdma_schedule_eval", "uldl_blocks"):
             monkeypatch.setattr(cli, name, no_compute)
         linspace = np.linspace
 
@@ -731,7 +807,7 @@ class TestUsageErrors:
             raise AssertionError("computation started")
 
         for name in ("fit_pipeline", "synth_si_channel", "tdma_schedule_eval",
-                     "uldl_surface", "ideal_tap_response", "pcb_bpf_response_closed_form"):
+                     "uldl_blocks", "ideal_tap_response", "pcb_bpf_response_closed_form"):
             monkeypatch.setattr(cli, name, no_compute)
         # `fit` has no --out; a bare --out would be an ambiguous option
         out_flag = "--out-report" if argv[0] == "fit" else "--out"
@@ -763,7 +839,7 @@ class TestUsageErrors:
         def no_compute(*args, **kwargs):
             raise AssertionError("computation started")
 
-        for name in ("fit_pipeline", "synth_si_channel", "uldl_surface",
+        for name in ("fit_pipeline", "synth_si_channel", "uldl_blocks",
                      "tdma_schedule_eval", "pcb_bpf_response_closed_form"):
             monkeypatch.setattr(cli, name, no_compute)
         paths = {"bad": str(tmp_path / "missing" / "o.csv"),

@@ -1,9 +1,12 @@
 import math
+import tracemalloc
+from unittest import mock
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from fdecanc import network
 from fdecanc import (
     InvalidArgumentError,
     MultiUserScenario,
@@ -106,9 +109,9 @@ class TestUlDlSurface:
             uldl_surface([1.0, 0.0], [2.0, 0.0], [0.0])
 
 
-def _tdma_per_user_reference(s, sched):
-    """The slot loop `tdma_schedule_eval` had before it computed each user's
-    rates once: every slot recomputes the rates it adds."""
+def _tdma_slot_loop(s, sched):
+    """`tdma_schedule_eval` as a slot loop: every slot recomputes the rates
+    its primary adds and adds them one at a time."""
     n = s.n_users
     b = s.bandwidth_hz
     per_user = [0.0] * n
@@ -122,7 +125,15 @@ def _tdma_per_user_reference(s, sched):
             per_user[v] += shannon_rate(s.gammas[v] / (1.0 + sched.iui(u, v)), b)
         else:
             per_user[u] += shannon_rate(s.gammas[u], b)
-    return [r / sched.slots for r in per_user]
+    per_user = [r / sched.slots for r in per_user]
+    total = sum(per_user)
+    baseline = sum(shannon_rate(g, b) / n for g in s.gammas)
+    return {
+        "per_user": per_user,
+        "total": total,
+        "gain": total / baseline if baseline > 0 else math.nan,
+        "jfi": jain_fairness(per_user) if total > 0 else math.nan,
+    }
 
 
 @st.composite
@@ -139,25 +150,40 @@ def tdma_cases(draw):
                             for i in range(n))
         ),
     ))
-    # a slot count that is not a multiple of the user count
-    slots = n * draw(st.integers(1, 1200)) + draw(st.integers(1, n - 1))
+    # one slot per user, or a slot count that is not a multiple of the user count
+    slots = draw(st.one_of(st.just(n), st.builds(lambda k, r: n * k + r,
+                                                 st.integers(1, 1200), st.integers(1, n - 1))))
     kind = draw(st.sampled_from(["rro", "iuif"]))
     return MultiUserScenario(gammas, fd, gamma_self, b), ScheduleSpec(kind, slots, iui)
 
 
 class TestTdmaPerUserRates:
-    @settings(max_examples=60, deadline=None)
-    @given(tdma_cases())
-    def test_bitwise_the_per_slot_loop(self, case):
+    @settings(max_examples=150, deadline=None)
+    @given(tdma_cases(), st.one_of(st.none(), st.integers(1, 9)))
+    def test_bitwise_the_per_slot_loop(self, case, chunk):
+        # a small chunk puts many chunk boundaries, each carrying a running sum
         s, sched = case
-        got = tdma_schedule_eval(s, sched)
-        expect = _tdma_per_user_reference(s, sched)
-        assert got["per_user"] == expect
-        assert got["total"] == sum(expect)
-        if sum(expect) > 0:
-            assert got["jfi"] == jain_fairness(expect)
-        else:
-            assert math.isnan(got["jfi"])
+        with mock.patch.object(network, "_SUM_CHUNK", chunk or network._SUM_CHUNK):
+            got = tdma_schedule_eval(s, sched)
+        expect = _tdma_slot_loop(s, sched)
+        assert list(got) == list(expect)
+        for key in expect:
+            assert repr(got[key]) == repr(expect[key]), key
+
+    def test_slots_summed_in_bounded_memory(self):
+        # about 10^6 slots, a whole number of rounds: an accumulate over every
+        # slot at once would hold two arrays of about 5 MB each
+        s = MultiUserScenario((10.0, 100.0, 3.0), (True, False, False), 1.0, 1.0)
+        sched = ScheduleSpec("rro", 999_999, ((0, 2, 2), (2, 0, 2), (2, 2, 0)))
+        tracemalloc.start()
+        try:
+            res = tdma_schedule_eval(s, sched)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak < 2e6
+        assert math.isclose(res["total"], tdma_schedule_eval(
+            s, ScheduleSpec("rro", 3, sched.iui_matrix))["total"], rel_tol=1e-9)
 
 
 # gammas with zero and underflowing rates: log2(1 + g) rounds to 0 below

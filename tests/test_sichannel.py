@@ -1,7 +1,12 @@
+import csv
+import io
+import math
 import os
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from fdecanc import sichannel
 from fdecanc import (
@@ -138,6 +143,130 @@ class TestLoadSave:
             save_si_channel(p, synth_si_channel(SynthChannelSpec(), grid))
         assert p.read_bytes() == b"freq_hz,re,im\n1,2,3\n"
         assert os.listdir(tmp_path) == ["ch.csv"]
+
+
+def _row_reader(path):
+    """The frequencies and values the row-by-row reader gives a channel file."""
+    with open(path, newline="", encoding="utf-8-sig") as fh:
+        freqs, vals = sichannel._channel_rows(csv.reader(fh))
+    return np.array(freqs), np.array(vals)
+
+
+def _extreme_channel(count=8):
+    """A channel whose values hold signed zeros, subnormals and magnitudes
+    near the largest float."""
+    grid = FrequencyGrid.linspace(850e6, 950e6, count)
+    vals = np.empty(count, dtype=complex)
+    vals.real = np.resize([-0.0, 0.0, 5e-324, -2.2250738585072014e-308,
+                           1.7976931348623157e308, -1e300, 1e-310, 3.0], count)
+    vals.imag = np.resize([0.0, -0.0, -5e-324, 1e308, -1.7976931348623157e308,
+                           4.9e-324, -0.0, -1e-300], count)
+    return ComplexResponse(grid, vals)
+
+
+class TestPlainFiles:
+    def test_round_trip_is_bitwise_for_extreme_values(self, tmp_path, monkeypatch):
+        r = _extreme_channel()
+        p = tmp_path / "ch.csv"
+        save_si_channel(p, r)
+
+        def no_rows(reader):
+            raise AssertionError("read row by row")
+
+        # the form save_si_channel writes is converted column by column
+        monkeypatch.setattr(sichannel, "_channel_rows", no_rows)
+        got = load_si_channel(p)
+        assert got.grid.points.tobytes() == r.grid.points.tobytes()
+        assert got.values.tobytes() == r.values.tobytes()
+
+    @pytest.mark.parametrize("variant", [
+        "crlf", "quoted", "blank-lines", "no-final-newline", "spaced-header", "cr",
+    ])
+    def test_other_forms_load_to_the_row_readers_values(self, tmp_path, variant):
+        text = sichannel.format_si_channel(_extreme_channel(21))
+        if variant == "crlf":
+            text = text.replace("\n", "\r\n")
+        elif variant == "quoted":
+            lines = text.split("\n")
+            lines[3] = ",".join(f'"{v}"' for v in lines[3].split(","))
+            text = "\n".join(lines)
+        elif variant == "blank-lines":
+            text = text.replace("\n", "\n\n", 3) + "\n"
+        elif variant == "no-final-newline":
+            text = text[:-1]
+        elif variant == "spaced-header":
+            text = text.replace("freq_hz,re,im", " FREQ_HZ, re ,Im", 1)
+        else:
+            text = text.replace("\n", "\r")
+        p = tmp_path / "ch.csv"
+        p.write_bytes(text.encode())
+        freqs, vals = _row_reader(p)
+        got = load_si_channel(p)
+        assert got.grid.points.tobytes() == freqs.tobytes()
+        assert got.values.tobytes() == vals.tobytes()
+
+    def test_long_finite_field_is_the_field_limit_error(self, tmp_path):
+        # 200,000 characters that parse to a finite value are still too long
+        field = "0." + "0" * 199_997 + "1"
+        assert len(field) == 200_000 and math.isfinite(float(field))
+        p = tmp_path / "ch.csv"
+        p.write_text(f"freq_hz,re,im\n900e6,0.1,0\n910e6,{field},0\n920e6,0.1,0\n")
+        with pytest.raises(ChannelFormatError, match="field larger than field limit") as e:
+            load_si_channel(p)
+        assert e.value.line == 3
+
+
+_FORMATS = ("%.17g", "%r", "%.3e", "%.0f", " %.17g ")
+
+
+@st.composite
+def channel_texts(draw):
+    """The text of a channel CSV: plain rows of increasing frequencies in
+    assorted number formats, sometimes with one row broken."""
+    n = draw(st.integers(0, 6))
+    freqs = sorted(draw(st.lists(st.floats(-1e12, 1e12), min_size=n, max_size=n, unique=True)))
+    value = st.one_of(st.floats(allow_nan=False, allow_infinity=False),
+                      st.sampled_from([-0.0, 5e-324, -1.7976931348623157e308]))
+    rows = [[draw(st.sampled_from(_FORMATS)) % x for x in (f, draw(value), draw(value))]
+            for f in freqs]
+    if rows and draw(st.booleans()):
+        row = rows[draw(st.integers(0, len(rows) - 1))]
+        broken = draw(st.sampled_from(
+            ["drop", "extra", "nan", "inf", "junk", "underscore", "blank", "empty"]))
+        if broken == "drop":
+            row.pop()
+        elif broken == "extra":
+            row.append("0")
+        elif broken == "blank":
+            row[:] = [" "]
+        elif broken == "empty":
+            row[:] = []
+        else:
+            row[draw(st.integers(0, 2))] = {"nan": "nan", "inf": "-inf", "junk": "1x",
+                                            "underscore": "1_0"}[broken]
+    body = "".join(",".join(row) + "\n" for row in rows)
+    if body and draw(st.booleans()):
+        body = body[:-1]
+    return "freq_hz,re,im\n" + body
+
+
+class TestPlainColumns:
+    @settings(max_examples=300, deadline=None)
+    @given(channel_texts())
+    def test_plain_columns_are_the_row_readers_values(self, text):
+        # plain text converts to the row reader's values, bit for bit, and
+        # every text the row reader rejects is left to it
+        cols = sichannel._plain_columns(text)
+        try:
+            freqs, vals = sichannel._channel_rows(csv.reader(io.StringIO(text, newline="")))
+        except ChannelFormatError:
+            assert cols is None
+            return
+        if cols is not None:
+            vals = np.array(vals, dtype=complex)
+            assert cols[0].tobytes() == np.array(freqs, dtype=float).tobytes()
+            assert cols[1].tobytes() == vals.real.tobytes()
+            assert cols[2].tobytes() == vals.imag.tobytes()
 
 
 class TestSynth:

@@ -176,11 +176,12 @@ def _reflection(tok: str) -> tuple:
     return float(a), float(d) * 1e-9
 
 
-def _from_flags(cls, *args, **kwargs):
-    """`cls(*args, **kwargs)` of a value object built from flag values; a
-    value that the object rejects is a usage error."""
+def _from_flags(make, *args, **kwargs):
+    """`make(*args, **kwargs)` of a value object, or of a function that checks
+    its arguments before it computes, built from flag values; a value that
+    it rejects is a usage error."""
     try:
-        return cls(*args, **kwargs)
+        return make(*args, **kwargs)
     except InvalidArgumentError as exc:
         raise UsageError(str(exc)) from None
 
@@ -364,9 +365,10 @@ def cmd_network_uldl(args) -> int:
     for flag in ("gamma_ul_db", "gamma_dl_db", "gamma_iui_db"):
         db = _parse_db_range(getattr(args, flag), math.prod(len(a[0]) for a in axes))
         axes.append((db, [_db_linear(x, "--" + flag.replace("_", "-")) for x in db]))
-    # the dB ranges give nonnegative linear gammas; check the scalar flags
-    _from_flags(UlDlScenario, 0.0, 0.0, 0.0, args.gamma_self, args.bandwidth_hz)
-    blocks = uldl_blocks(*(lin for _, lin in axes), args.gamma_self, args.bandwidth_hz)
+    # the dB ranges give nonnegative linear gammas; uldl_blocks checks the
+    # scalar flags before it computes
+    blocks = _from_flags(uldl_blocks, *(lin for _, lin in axes), args.gamma_self,
+                         args.bandwidth_hz)
     ul, dl, iui = (["%.17g" % x for x in db] for db, _ in axes)
 
     def chunks():
@@ -448,9 +450,9 @@ def build_parser() -> _Parser:
     sub = p.add_subparsers(dest="command", required=True)
     solver_flags = argparse.ArgumentParser(add_help=False)  # of `fit` and `sweep`
     solver_flags.add_argument("--model", choices=list(TAP_MODELS), default="ideal")
-    solver_flags.add_argument("--seed", type=int, default=0)
-    solver_flags.add_argument("--restarts", type=int, default=16)
-    solver_flags.add_argument("--max-iters", type=int, default=500)
+    solver_flags.add_argument("--seed", type=int, default=SolveOptions.seed)
+    solver_flags.add_argument("--restarts", type=int, default=SolveOptions.restarts)
+    solver_flags.add_argument("--max-iters", type=int, default=SolveOptions.max_iters)
     presets = {tm.preset: tm.name for tm in TAP_MODELS.values()}
     owners = " or ".join(f"{preset} ({model})" for preset, model in presets.items())
     solver_flags.add_argument("--quantize", choices=list(presets),
@@ -497,27 +499,27 @@ def build_parser() -> _Parser:
     pu.add_argument("--gamma-ul-db", required=True, help=_RANGE_HELP)
     pu.add_argument("--gamma-dl-db", required=True, help=_RANGE_HELP)
     pu.add_argument("--gamma-iui-db", default="0", help=_RANGE_HELP)
-    pu.add_argument("--gamma-self", type=float, default=1.0)
-    pu.add_argument("--bandwidth-hz", type=float, default=1.0)
+    pu.add_argument("--gamma-self", type=float, default=UlDlScenario.gamma_self)
+    pu.add_argument("--bandwidth-hz", type=float, default=UlDlScenario.bandwidth_hz)
     pu.add_argument("--out", default="uldl.csv")
     pu.set_defaults(func=cmd_network_uldl)
 
     pt = nsub.add_parser("tdma", help="slot-level schedule evaluation")
     pt.add_argument("--users", type=int, default=3)
-    pt.add_argument("--schedule", choices=["rro", "iuif"], required=True)
+    pt.add_argument("--schedule", choices=list(ScheduleSpec.KINDS), required=True)
     pt.add_argument("--gammas-db", default="10")
     pt.add_argument("--fd", default=None, help="comma list of 0/1 flags")
-    pt.add_argument("--gamma-self", type=float, default=1.0)
+    pt.add_argument("--gamma-self", type=float, default=MultiUserScenario.gamma_self)
     pt.add_argument("--iui-db", type=float, default=0.0)
     pt.add_argument("--slots", type=int, default=None)
-    pt.add_argument("--bandwidth-hz", type=float, default=1.0)
+    pt.add_argument("--bandwidth-hz", type=float, default=MultiUserScenario.bandwidth_hz)
     pt.add_argument("--out", default="tdma.csv")
     pt.set_defaults(func=cmd_network_tdma)
 
     pg = sub.add_parser("genchannel", help="write a synthetic SI-channel CSV")
     pg.add_argument("--band", required=True)
-    pg.add_argument("--isolation-db", type=float, default=-20.0)
-    pg.add_argument("--base-delay-ns", type=float, default=10.0)
+    pg.add_argument("--isolation-db", type=float, default=SynthChannelSpec.isolation_db)
+    pg.add_argument("--base-delay-ns", type=float, default=SynthChannelSpec.base_delay_s * 1e9)
     pg.add_argument(
         "--reflections", default=None,
         help="ampdb:delayns,... (a list that begins with '-' needs '=': "

@@ -115,12 +115,12 @@ def uldl_surface(gammas_ul, gammas_dl, gammas_iui, gamma_self=1.0, bandwidth_hz=
 
 
 def uldl_throughputs(s: UlDlScenario):
-    """HD TDMA rate, FD simultaneous rate, and their ratio: the one-cell
-    :func:`uldl_surface`."""
-    hd, fd, gain = uldl_surface(
+    """HD TDMA rate, FD simultaneous rate, and their ratio: the one cell of
+    the one block of :func:`uldl_blocks`."""
+    ((_, _, hd, fd, gain),) = uldl_blocks(
         (s.gamma_ul,), (s.gamma_dl,), (s.gamma_iui,), s.gamma_self, s.bandwidth_hz
     )
-    return hd[0][0], fd[0][0][0], gain[0][0][0]
+    return hd.item(), fd.item(), gain.item()
 
 
 @dataclass(frozen=True)
@@ -172,10 +172,12 @@ class ScheduleSpec:
     kind: str
     slots: int
     iui_matrix: tuple = ()
+    # the kinds a spec takes, also `fdecanc network tdma --schedule`'s choices
+    KINDS = ("rro", "iuif")
 
     def __post_init__(self):
-        if self.kind not in ("rro", "iuif"):
-            raise InvalidArgumentError("kind must be 'rro' or 'iuif'")
+        if self.kind not in self.KINDS:
+            raise InvalidArgumentError("kind must be " + " or ".join(map(repr, self.KINDS)))
         if self.slots < 1:
             raise InvalidArgumentError("slots must be >= 1")
         m = tuple(tuple(float(v) for v in row) for row in self.iui_matrix)

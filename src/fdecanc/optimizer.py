@@ -1004,16 +1004,6 @@ _SCREEN_ROWS = 64
 _SEED_ROWS = 32
 
 
-class _PairScreen(tuple):
-    """What `_pair_rows` returns: the pair (rows, columns), and `bounded`,
-    the number of rows its row bound left for the GEMM screen."""
-
-    def __new__(cls, rows, columns, bounded: int):
-        screen = super().__new__(cls, (rows, columns))
-        screen.bounded = bounded
-        return screen
-
-
 def _row_bounds(features, gram, tu, g2, slack):
     """The lower bound LB_a of `_pair_rows` on each row's pair values, rows
     in weight-major order, with the rounding allowance of each projection.
@@ -1057,10 +1047,11 @@ def _row_bounds(features, gram, tu, g2, slack):
 def _pair_rows(target: np.ndarray, weights: np.ndarray, units: np.ndarray):
     """The pairs (a, b) of rows r_a = weights[a // n] * units[a % n], n =
     len(units), that can be the best pair: each of the P weights times each
-    of the n unit rows, in weight-major order.  Returns the ascending
-    indices a of every row that can hold the best pair, and for each of
-    them the ascending columns b that can be its best pair, as a
-    `_PairScreen`.
+    of the n unit rows, in weight-major order.  Returns (rows, columns,
+    bounded): the ascending indices a of every row that can hold the best
+    pair, for each of them the ascending columns b that can be its best
+    pair, and the number of rows the row bound below left for the GEMM
+    screen.
 
     The pair objective |t - r_a - r_b|^2 expands, with the real float views
     R_a = (Re r_a1, Im r_a1, ..., Re r_aK, Im r_aK) and T of t, to
@@ -1160,7 +1151,7 @@ def _pair_rows(target: np.ndarray, weights: np.ndarray, units: np.ndarray):
     if not (np.isfinite(units).all() and np.isfinite(weights).all()
             and np.isfinite(target).all()):
         every = np.arange(p)
-        return _PairScreen(every, [every] * p, p)
+        return every, [every] * p, p
     gram = units @ np.conj(units).T
     diag = gram.diagonal().real
     tu = units @ np.conj(target)
@@ -1209,7 +1200,7 @@ def _pair_rows(target: np.ndarray, weights: np.ndarray, units: np.ndarray):
         g = lhs[rows[b0:b0 + _SCREEN_ROWS]] @ rhs.T
         g += t2
         columns.extend(alive[np.flatnonzero(~(v > np.min(v) + 2.0 * slack))] for v in g)
-    return _PairScreen(alive[rows], columns, alive.size)
+    return alive[rows], columns, alive.size
 
 
 def grid_search_oracle(
@@ -1273,8 +1264,7 @@ def grid_search_oracle(
         bounded, kept, scanned = 0, 0, per_tap
     else:
         fbest, best = np.inf, [0, 0]
-        screen = _pair_rows(target, weights, np.array([e[1] for e in cq]))
-        rows, columns = screen
+        rows, columns, bounded = _pair_rows(target, weights, np.array([e[1] for e in cq]))
         points = np.unique(np.concatenate([rows, *columns]))
         resp = tap_rows(points)
         for i, cols in zip(rows.tolist(), columns):
@@ -1284,7 +1274,7 @@ def grid_search_oracle(
             if obj[j] < fbest:
                 fbest = float(obj[j])
                 best = [i, int(cols[j])]
-        bounded, kept, scanned = screen.bounded, rows.size, sum(cols.size for cols in columns)
+        kept, scanned = rows.size, sum(cols.size for cols in columns)
     x = lat.point(codes[best])
     run.emit("oracle: %(configs)d configs, %(rows_kept)d rows kept by the pair screen "
              "(%(rows_bounded)d left by its row bound), %(scanned)d scored directly, "

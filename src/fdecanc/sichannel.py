@@ -18,6 +18,7 @@ from .core import ComplexResponse, FrequencyGrid, db_to_linear
 from .errors import ChannelFormatError, InvalidArgumentError
 
 DEFAULT_REFLECTIONS = ((-10.0, 20e-9), (-16.0, 45e-9))
+_HEADER = "freq_hz,re,im\n"
 
 
 @dataclass(frozen=True)
@@ -57,7 +58,7 @@ def synth_si_channel(spec: SynthChannelSpec, grid: FrequencyGrid) -> ComplexResp
 
 def format_si_channel(r: ComplexResponse) -> str:
     """The canonical CSV text; values at 17 significant digits round-trip."""
-    rows = ["freq_hz,re,im\n"]
+    rows = [_HEADER]
     for row in zip(r.grid.points.tolist(), r.values.real.tolist(), r.values.imag.tolist()):
         rows.append("%.17g,%.17g,%.17g\n" % row)
     return "".join(rows)
@@ -95,8 +96,8 @@ def _channel_rows(reader):
         header = next(reader)
     except StopIteration:
         raise ChannelFormatError("empty file") from None
-    if [c.strip().lower() for c in header] != ["freq_hz", "re", "im"]:
-        raise ChannelFormatError("expected header 'freq_hz,re,im'", line=1)
+    if [c.strip().lower() for c in header] != _HEADER.strip().split(","):
+        raise ChannelFormatError(f"expected header {_HEADER.strip()!r}", line=1)
     for lineno, row in enumerate(reader, start=2):
         if not row or (len(row) == 1 and not row[0].strip()):
             continue
@@ -119,7 +120,6 @@ def _channel_rows(reader):
     return freqs, vals
 
 
-_HEADER = "freq_hz,re,im\n"
 _NOT_SEPARATOR = bytes(sorted(set(range(256)) - set(b",\n")))
 
 

@@ -22,7 +22,10 @@ from fdecanc import (
     save_si_channel,
     synth_si_channel,
 )
-from fdecanc import UndefinedGainError, network, uldl_surface
+from fdecanc import (
+    MultiUserScenario, ScheduleSpec, SolveOptions, UlDlScenario, UndefinedGainError, network,
+    uldl_surface,
+)
 from fdecanc.cli import UsageError, _db_linear, build_parser, main
 from fdecanc.core import ComplexResponse, FrequencyGrid
 
@@ -807,8 +810,10 @@ class TestUsageErrors:
             raise AssertionError("computation started")
 
         for name in ("fit_pipeline", "synth_si_channel", "tdma_schedule_eval",
-                     "uldl_blocks", "ideal_tap_response", "pcb_bpf_response_closed_form"):
+                     "ideal_tap_response", "pcb_bpf_response_closed_form"):
             monkeypatch.setattr(cli, name, no_compute)
+        # uldl_blocks checks --gamma-self and --bandwidth-hz before its rates
+        monkeypatch.setattr(network, "shannon_rate", no_compute)
         # `fit` has no --out; a bare --out would be an ambiguous option
         out_flag = "--out-report" if argv[0] == "fit" else "--out"
         rc = main([*argv, out_flag, str(tmp_path / "o.csv")])
@@ -869,3 +874,47 @@ class TestParser:
             got = vars(build_parser().parse_args([command]))
             got.pop("func")
             assert got == want
+
+    def test_defaults_are_their_value_objects(self):
+        def parse(*argv):
+            return vars(build_parser().parse_args(argv))
+
+        opts = SolveOptions()
+        for command in ("fit", "sweep"):
+            got = parse(command)
+            assert (got["seed"], got["restarts"], got["max_iters"]) == (
+                opts.seed, opts.restarts, opts.max_iters)
+        for owner, argv in ((UlDlScenario(1.0, 1.0), ("uldl", "--gamma-ul-db", "0",
+                                                      "--gamma-dl-db", "0")),
+                            (MultiUserScenario((1.0, 1.0), (True, False)),
+                             ("tdma", "--schedule", "rro"))):
+            got = parse("network", *argv)
+            assert (got["gamma_self"], got["bandwidth_hz"]) == (
+                owner.gamma_self, owner.bandwidth_hz)
+        spec, got = SynthChannelSpec(), parse("genchannel", "--band", "1:2:3")
+        assert got["isolation_db"] == spec.isolation_db
+        assert got["base_delay_ns"] * 1e-9 == spec.base_delay_s
+        for kind in ScheduleSpec.KINDS:
+            assert parse("network", "tdma", "--schedule", kind)["schedule"] == kind
+        with pytest.raises(UsageError):
+            parse("network", "tdma", "--schedule", "rr")
+
+    @pytest.mark.parametrize("flags, message", [
+        (["--gamma-self=-1"], "gamma_self must be nonnegative"),
+        (["--gamma-self", "nan"], "gamma_self must be nonnegative"),
+        (["--bandwidth-hz", "0"], "bandwidth_hz must be positive and finite"),
+        (["--bandwidth-hz", "inf"], "bandwidth_hz must be positive and finite"),
+    ], ids=["gamma-self-negative", "gamma-self-nan", "bandwidth-zero", "bandwidth-inf"])
+    def test_uldl_scalar_flags_checked_without_a_scenario(
+        self, tmp_path, capsys, monkeypatch, flags, message
+    ):
+        def built(self):
+            raise AssertionError("UlDlScenario constructed")
+
+        monkeypatch.setattr(UlDlScenario, "__post_init__", built)
+        out = tmp_path / "u.csv"
+        rc = main(["network", "uldl", "--gamma-ul-db", "0", "--gamma-dl-db", "0", *flags,
+                   "--out", str(out)])
+        assert rc == 1
+        assert capsys.readouterr().err == f"usage error: {message}\n"
+        assert not out.exists()

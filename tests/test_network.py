@@ -3,7 +3,7 @@ import tracemalloc
 from unittest import mock
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from fdecanc import network
@@ -82,11 +82,42 @@ class TestUlDl:
         assert all(a >= b for a, b in zip(gains, gains[1:]))
 
 
+# gammas of 0, subnormal, ordinary, large and infinite, and a few invalid
+_GAMMAS = st.one_of(
+    st.sampled_from([0.0, 5e-324, 2.2e-308, 1.0, 1e300, 1.7976931348623157e308, math.inf,
+                     -5e-324, math.nan]),
+    st.floats(0.0, allow_infinity=True),
+)
+
+
 class TestUlDlSurface:
-    def test_one_cell_is_uldl_throughputs(self):
-        s = UlDlScenario(7.0, 3.0, 2.0, gamma_self=0.5, bandwidth_hz=20e6)
-        hd, fd, gain = uldl_surface([7.0], [3.0], [2.0], 0.5, 20e6)
-        assert (hd[0][0], fd[0][0][0], gain[0][0][0]) == uldl_throughputs(s)
+    @settings(max_examples=300, deadline=None)
+    @given(
+        gammas=st.lists(_GAMMAS, min_size=3, max_size=3),
+        gamma_self=st.one_of(st.just(0.0), _GAMMAS),
+        bandwidth_hz=st.one_of(st.sampled_from([1.0, 20e6, 0.0, math.inf, math.nan]),
+                               st.floats(1e-300, 1e300)),
+    )
+    @example(gammas=[7.0, 3.0, 2.0], gamma_self=0.5, bandwidth_hz=20e6)
+    def test_one_cell_is_uldl_throughputs(self, gammas, gamma_self, bandwidth_hz):
+        # bitwise, errors included: an inf gamma_self with an inf gamma_ul
+        # makes a NaN effective SNR, an error of the rate, not the scenario
+        ul, dl, iui = gammas
+
+        def outcome(evaluate):
+            try:
+                return evaluate()
+            except (InvalidArgumentError, UndefinedGainError) as exc:
+                return type(exc), str(exc)
+
+        cell = outcome(lambda: uldl_throughputs(
+            UlDlScenario(ul, dl, iui, gamma_self, bandwidth_hz)))
+        surface = outcome(lambda: uldl_surface([ul], [dl], [iui], gamma_self, bandwidth_hz))
+        if isinstance(surface, tuple) and isinstance(surface[0], list):
+            hd, fd, gain = surface
+            surface = hd[0][0], fd[0][0][0], gain[0][0][0]
+            assert all(type(x) is float for x in cell)
+        assert repr(cell) == repr(surface)
 
     def test_shape(self):
         hd, fd, gain = uldl_surface([1.0, 2.0], [3.0, 4.0, 5.0], [0.0, 1.0, 2.0, 3.0])

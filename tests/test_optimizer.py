@@ -814,7 +814,8 @@ def check_pair_rows(target, weights, units, resp):
     slack and, for each, that screen's columns; among them every row whose
     direct minimum ties the smallest, and every column that reaches its
     row's direct minimum."""
-    kept, columns = _pair_rows(target, weights, units)
+    kept, columns, bounded = _pair_rows(target, weights, units)
+    assert kept.size <= bounded <= weights.size * units.shape[0]
     want_rows, want_cols = pair_rows_full(target, resp, factored_slack(target, weights, units))
     assert kept.tolist() == want_rows.tolist()
     assert [c.tolist() for c in columns] == [c.tolist() for c in want_cols]
@@ -863,8 +864,8 @@ class TestPairRowsHalfScreen:
         args = {"target": rng.normal(size=5) + 0j, "weights": rng.normal(size=3) + 0j,
                 "units": rng.normal(size=(4, 5)) + 0j}
         args[bad].flat[1] = np.nan
-        kept, columns = _pair_rows(**args)
-        assert kept.tolist() == list(range(12))
+        kept, columns, bounded = _pair_rows(**args)
+        assert kept.tolist() == list(range(12)) and bounded == 12
         assert [c.tolist() for c in columns] == [list(range(12))] * 12
 
     @pytest.mark.parametrize("scales", [(1.0, 1.0, 1e150), (1e-150, 1.0, 1e150),
@@ -1786,11 +1787,11 @@ class TestOracleRunRecord:
         assert pair.configs == rep.iterations == 81**2
         # the screen keeps at least the best pair's row, far from all 81,
         # and the pairs scored directly are its kept rows' columns
-        (kept, columns), = screens
+        (kept, columns, bounded), = screens
         assert 1 <= pair.rows_kept == kept.size < 81
         # the row bound leaves the GEMM screen at least the rows it keeps
         assert pair.rows_kept <= pair.rows_bounded <= 81
-        assert pair.rows_bounded == screens[0].bounded
+        assert pair.rows_bounded == bounded
         assert pair.scanned == sum(c.size for c in columns) <= 81 * pair.rows_kept
         assert (single.configs, single.rows_bounded, single.rows_kept, single.scanned) == (
             one.iterations, 0, 0, 81)

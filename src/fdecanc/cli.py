@@ -12,8 +12,9 @@ overflows, above about 6165 dB), the channel spec of `genchannel`
 (`--isolation-db` or an echo amplitude not negative and finite, a negative or
 infinite delay), the solver options of `fit` and `sweep` (a negative `--seed`)
 and the scenario and schedule of `network` (a negative or NaN `--gamma-self`,
-a `--bandwidth-hz` that is not positive and finite, `tdma --users` other than
-2 or 3, fewer `--slots` than `--users`); more than 10^7 `tdma --slots` or
+a `--bandwidth-hz` that is not positive and finite or exceeds 1e150, above
+which rates at the largest gammas overflow, `tdma --users` other than 2 or 3,
+fewer `--slots` than `--users`); more than 10^7 `tdma --slots` or
 `uldl` surface cells (the product of the three axes' counts); a `model
 --band` of fewer than 3 points, too few for a group delay; a `fit
 --min-sic-db` that is not finite; a `--quantize` preset of the other tap

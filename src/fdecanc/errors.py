@@ -49,4 +49,6 @@ class LatticeTooLargeError(FdecancError):
 
 
 class UndefinedGainError(FdecancError):
-    """A throughput gain is undefined because the baseline rate is zero."""
+    """A throughput gain or SINR is undefined: the gain over a zero or an
+    infinite half-duplex baseline rate, or the SINR of an infinite gamma
+    under infinite interference."""

@@ -180,28 +180,30 @@ def _ideal_derivatives(x: np.ndarray, f: np.ndarray, t, filtered, board=None):
     return d_fc, 1j * ratio * t_d
 
 
-def _pcb_filter(center, q, f, board: PcbBoardParams):
-    """Filter terms 1/(R_S M_C) (M, K) of M PCB taps from their C_F and C_Q
-    in pF, with the tank admittances Y_F, Y_Q and the cascade's C-entry M_C
-    that the derivatives reuse.  With a = cos(beta*l), s2 = sin(2*beta*l):
+def _pcb_coefficients(board: PcbBoardParams) -> tuple:
+    """The board's coefficients (k1, ..., k5) of the cascade's C-entry, with
+    s2 = sin(2 beta l):
 
-        M_C = j s2 Z0 Y_F Y_Q + a^2 Y_F + 2 cos(2 beta l) Y_Q
-              + j s2 / Z0 + j s2 Z0 Y_Q^2 - sin^2(beta l) Z0^2 Y_F Y_Q^2
+        M_C = k1 Y_F Y_Q + k2 Y_F + k3 Y_Q + k4 + k1 Y_Q^2 - k5 Y_F Y_Q^2,
+        k1 = j s2 Z0,  k2 = cos^2(beta l),  k3 = 2 cos(2 beta l),
+        k4 = j s2 / Z0,  k5 = sin^2(beta l) Z0^2.
     """
-    w = 2.0 * np.pi * f
-    y_f = _rlc_admittance(board.r_f_ohm, board.l_f_nh * 1e-9, center[:, None] * 1e-12, w)
-    y_q = _rlc_admittance(board.r_q_ohm, board.l_q_nh * 1e-9, q[:, None] * 1e-12, w)
     bl = board.beta_l_rad
     z0 = board.z0_ohm
     s2 = np.sin(2.0 * bl)
-    m_c = (
-        1j * s2 * z0 * y_f * y_q
-        + np.cos(bl) ** 2 * y_f
-        + 2.0 * np.cos(2.0 * bl) * y_q
-        + 1j * s2 / z0
-        + 1j * s2 * z0 * y_q * y_q
-        - np.sin(bl) ** 2 * z0 * z0 * y_f * y_q * y_q
-    )
+    return (1j * s2 * z0, np.cos(bl) ** 2, 2.0 * np.cos(2.0 * bl), 1j * s2 / z0,
+            np.sin(bl) ** 2 * z0 * z0)
+
+
+def _pcb_filter(center, q, f, board: PcbBoardParams):
+    """Filter terms 1/(R_S M_C) (M, K) of M PCB taps from their C_F and C_Q
+    in pF, with the tank admittances Y_F, Y_Q and the cascade's C-entry M_C
+    (`_pcb_coefficients`) that the derivatives reuse."""
+    w = 2.0 * np.pi * f
+    y_f = _rlc_admittance(board.r_f_ohm, board.l_f_nh * 1e-9, center[:, None] * 1e-12, w)
+    y_q = _rlc_admittance(board.r_q_ohm, board.l_q_nh * 1e-9, q[:, None] * 1e-12, w)
+    k1, k2, k3, k4, k5 = _pcb_coefficients(board)
+    m_c = k1 * y_f * y_q + k2 * y_f + k3 * y_q + k4 + k1 * y_q * y_q - k5 * y_f * y_q * y_q
     return 1.0 / (board.r_s_ohm * m_c), y_f, y_q, m_c
 
 
@@ -215,19 +217,13 @@ def _pcb_combiner(f, board: PcbBoardParams):
 
 def _pcb_derivatives(x: np.ndarray, f: np.ndarray, t, filtered, board: PcbBoardParams):
     """dT/d(C_F) and dT/d(C_Q) (M, K) of M PCB taps with responses T; by the
-    chain rule through Y = ... + jwC*1e-12, dT/dC = -T/M_C * dM_C/dY * jw*1e-12."""
+    chain rule through Y = ... + jwC*1e-12, dT/dC = -T/M_C * dM_C/dY * jw*1e-12,
+    with dM_C/dY_F = k1 Y_Q + k2 - k5 Y_Q^2 and dM_C/dY_Q = k1 Y_F + k3
+    + 2 k1 Y_Q - 2 k5 Y_F Y_Q."""
     _, y_f, y_q, m_c = filtered
-    bl = board.beta_l_rad
-    z0 = board.z0_ohm
-    s2 = np.sin(2.0 * bl)
-    sin2_z0z0 = np.sin(bl) ** 2 * z0 * z0
-    dm_dyf = 1j * s2 * z0 * y_q + np.cos(bl) ** 2 - sin2_z0z0 * y_q * y_q
-    dm_dyq = (
-        1j * s2 * z0 * y_f
-        + 2.0 * np.cos(2.0 * bl)
-        + 2j * s2 * z0 * y_q
-        - 2.0 * sin2_z0z0 * y_f * y_q
-    )
+    k1, k2, k3, _, k5 = _pcb_coefficients(board)
+    dm_dyf = k1 * y_q + k2 - k5 * y_q * y_q
+    dm_dyq = k1 * y_f + k3 + 2.0 * k1 * y_q - 2.0 * k5 * y_f * y_q
     dy_dc = -t / m_c * (1j * 2.0 * np.pi * f * 1e-12)[None, :]
     return dm_dyf * dy_dc, dm_dyq * dy_dc
 

@@ -2,8 +2,8 @@
 
 All rates are Shannon capacities; gamma values are linear (not dB) ratios.
 gamma_self is the residual self-interference-to-noise ratio (XINR) an FD link
-sees after cancellation, and defaults to 1 everywhere (a 3 dB effective-SNR
-loss).
+sees after cancellation; `UlDlScenario` states its default, 1 (a 3 dB
+effective-SNR loss), and bandwidth_hz's.  Every SINR is `_sinr`'s.
 """
 
 from __future__ import annotations
@@ -16,10 +16,17 @@ import numpy as np
 from .errors import InvalidArgumentError, UndefinedGainError
 
 
+# the largest bandwidth; at 1e151 Hz the rates of gammas near 1.8e308 overflow
+# the square of their sum in Jain's index
+MAX_BANDWIDTH_HZ = 1e150
+
+_ZERO_BASELINE = "half-duplex baseline rate is zero"
+_INFINITE_BASELINE = "gain over an infinite half-duplex baseline rate is undefined"
+
+
 def shannon_rate(gamma: float, b_hz: float) -> float:
     """r = B * log2(1 + gamma), bits per second."""
-    if not (gamma >= 0):
-        raise InvalidArgumentError("gamma must be nonnegative")
+    _check_nonnegative("gamma", (gamma,))
     _check_bandwidth(b_hz)
     return b_hz * math.log2(1.0 + gamma)
 
@@ -34,6 +41,17 @@ def _check_nonnegative(name: str, values) -> None:
 def _check_bandwidth(b_hz: float) -> None:
     if not (0 < b_hz < math.inf):
         raise InvalidArgumentError("bandwidth_hz must be positive and finite")
+    if b_hz > MAX_BANDWIDTH_HZ:
+        raise InvalidArgumentError(f"bandwidth_hz must be at most {MAX_BANDWIDTH_HZ:g}")
+
+
+def _sinr(gamma, interference):
+    """gamma / (1 + interference), a link's SINR; an infinite gamma under
+    infinite interference has none."""
+    if gamma == math.inf and interference == math.inf:
+        raise UndefinedGainError("SINR of an infinite gamma under infinite interference "
+                                 "is undefined")
+    return gamma / (1.0 + interference)
 
 
 @dataclass(frozen=True)
@@ -56,7 +74,7 @@ class UlDlScenario:
 _BLOCK_CELLS = 1 << 12
 
 
-def uldl_blocks(gammas_ul, gammas_dl, gammas_iui, gamma_self=1.0, bandwidth_hz=1.0):
+def uldl_blocks(gammas_ul, gammas_dl, gammas_iui, gamma_self, bandwidth_hz):
     """HD TDMA rate, FD simultaneous rate and their ratio over a UL x DL x IUI
     grid of linear gammas, a block of (ul, dl) pairs at a time.
 
@@ -64,13 +82,13 @@ def uldl_blocks(gammas_ul, gammas_dl, gammas_iui, gamma_self=1.0, bandwidth_hz=1
     fd = B log2(1 + g_ul/(1+g_self)) + B log2(1 + g_dl/(1+g_iui))
 
     Checks the grid and computes each rate term, which depends on one axis or
-    on (dl, iui), once, by :func:`shannon_rate`; a zero hd anywhere raises
-    UndefinedGainError here.  Returns an iterator over blocks, in row-major
-    (ul, dl) order, of about 4096 cells and at least one pair: (i, j, hd, fd,
-    gain) with i and j the ul and dl indices of the block's pairs, hd[p] the
-    rate of pair p, and fd[p][k], gain[p][k] those of that pair and
-    gammas_iui[k].  A cell adds the same terms in the same order as a
-    one-cell grid, so it is bitwise that grid's.
+    on (dl, iui), once, by :func:`shannon_rate`; an undefined SINR, or a zero
+    or infinite hd, anywhere raises UndefinedGainError here.  Returns an
+    iterator over blocks, in row-major (ul, dl) order, of about 4096 cells
+    and at least one pair: (i, j, hd, fd, gain) with i and j the ul and dl
+    indices of the block's pairs, hd[p] the rate of pair p, and fd[p][k],
+    gain[p][k] those of that pair and gammas_iui[k].  A cell adds the same
+    terms in the same order as a one-cell grid, so it is bitwise that grid's.
     """
     for name, values in (("gamma_ul", gammas_ul), ("gamma_dl", gammas_dl),
                          ("gamma_iui", gammas_iui), ("gamma_self", (gamma_self,))):
@@ -79,29 +97,31 @@ def uldl_blocks(gammas_ul, gammas_dl, gammas_iui, gamma_self=1.0, bandwidth_hz=1
     b = bandwidth_hz
     half_ul = 0.5 * np.array([shannon_rate(g, b) for g in gammas_ul])
     half_dl = 0.5 * np.array([shannon_rate(g, b) for g in gammas_dl])
-    # a sum of two nonnegative halves is zero only where both are
-    if (half_ul == 0).any() and (half_dl == 0).any():
-        raise UndefinedGainError("half-duplex baseline rate is zero")
-    r_ul_fd = np.array([shannon_rate(g / (1.0 + gamma_self), b) for g in gammas_ul])
+    r_ul_fd = np.array([shannon_rate(_sinr(g, gamma_self), b) for g in gammas_ul])
     n_dl, n_iui = len(gammas_dl), len(gammas_iui)
     r_dl_fd = np.fromiter(
-        (shannon_rate(g / (1.0 + q), b) for g in gammas_dl for q in gammas_iui),
+        (shannon_rate(_sinr(g, q), b) for g in gammas_dl for q in gammas_iui),
         float, count=n_dl * n_iui,
     ).reshape(n_dl, n_iui)
+    # a sum of two nonnegative halves is zero only where both are, and
+    # infinite where either is; elsewhere every cell is finite
+    if (half_ul == 0).any() and (half_dl == 0).any():
+        raise UndefinedGainError(_ZERO_BASELINE)
+    if np.isinf(half_ul).any() or np.isinf(half_dl).any():
+        raise UndefinedGainError(_INFINITE_BASELINE)
     pairs, step = half_ul.size * n_dl, max(1, _BLOCK_CELLS // max(n_iui, 1))
 
     def block(start):
         i, j = np.divmod(np.arange(start, min(start + step, pairs)), n_dl)
-        # a rate of inf (an infinite gamma) gives an inf or NaN cell, as floats do
-        with np.errstate(all="ignore"):
-            hd = half_ul[i] + half_dl[j]
-            fd = r_ul_fd[i][:, None] + r_dl_fd[j]
-            return i, j, hd, fd, fd / hd[:, None]
+        hd = half_ul[i] + half_dl[j]
+        fd = r_ul_fd[i][:, None] + r_dl_fd[j]
+        return i, j, hd, fd, fd / hd[:, None]
 
     return map(block, range(0, pairs, step))
 
 
-def uldl_surface(gammas_ul, gammas_dl, gammas_iui, gamma_self=1.0, bandwidth_hz=1.0):
+def uldl_surface(gammas_ul, gammas_dl, gammas_iui, gamma_self=UlDlScenario.gamma_self,
+                 bandwidth_hz=UlDlScenario.bandwidth_hz):
     """:func:`uldl_blocks` as nested lists: (hd, fd, gain) with hd[i][j] of
     (gammas_ul[i], gammas_dl[j]) and fd[i][j][k], gain[i][j][k] of that pair
     and gammas_iui[k]."""
@@ -129,8 +149,8 @@ class MultiUserScenario:
 
     gammas: tuple
     fd_capable: tuple
-    gamma_self: float = 1.0
-    bandwidth_hz: float = 1.0
+    gamma_self: float = UlDlScenario.gamma_self
+    bandwidth_hz: float = UlDlScenario.bandwidth_hz
 
     def __post_init__(self):
         g = tuple(float(x) for x in self.gammas)
@@ -148,10 +168,6 @@ class MultiUserScenario:
     @property
     def n_users(self) -> int:
         return len(self.gammas)
-
-
-def _fd_snr(gamma, gamma_self):
-    return gamma / (1.0 + gamma_self)
 
 
 def jain_fairness(throughputs) -> float:
@@ -235,10 +251,11 @@ def tdma_schedule_eval(s: MultiUserScenario, sched: ScheduleSpec) -> dict:
 
     Returns per-user rates, their total, the gain of that total over the
     half-duplex baseline sum_u shannon_rate(gamma_u, B)/n (NaN when the
-    baseline is zero) and Jain's index of the per-user rates (NaN when the
-    total is zero).  This is the one evaluator of per-user rates:
-    :func:`multi_user_throughputs` and :func:`three_node_throughputs` build
-    on it.
+    baseline is zero or, with an infinite gamma, infinite) and Jain's index
+    of the per-user rates (NaN when the total is zero or infinite).  An
+    undefined SINR raises UndefinedGainError.  This is the one evaluator of
+    per-user rates: :func:`multi_user_throughputs` and
+    :func:`three_node_throughputs` build on it.
     """
     if sched.slots < s.n_users:
         raise InvalidArgumentError("need at least one slot per user")
@@ -251,12 +268,12 @@ def tdma_schedule_eval(s: MultiUserScenario, sched: ScheduleSpec) -> dict:
     adds = []
     for u, g in enumerate(s.gammas):
         if s.fd_capable[u]:
-            adds.append(((u, 2.0 * shannon_rate(_fd_snr(g, s.gamma_self), b)),))
+            adds.append(((u, 2.0 * shannon_rate(_sinr(g, s.gamma_self), b)),))
         elif sched.kind == "rro":
             v = (u + 1) % n
             adds.append((
-                (u, shannon_rate(_fd_snr(g, s.gamma_self), b)),
-                (v, shannon_rate(s.gammas[v] / (1.0 + sched.iui(u, v)), b)),
+                (u, shannon_rate(_sinr(g, s.gamma_self), b)),
+                (v, shannon_rate(_sinr(s.gammas[v], sched.iui(u, v)), b)),
             ))
         else:
             adds.append(((u, alone[u]),))
@@ -284,11 +301,13 @@ def multi_user_throughputs(s: MultiUserScenario) -> dict:
 
     Each user gets a 1/n time share; an FD user transmits and receives
     throughout its share at gamma/(1+gamma_self), doubling its per-share
-    rate.  A zero half-duplex baseline raises UndefinedGainError.
+    rate.  A zero or infinite half-duplex baseline raises UndefinedGainError.
     """
     res = tdma_schedule_eval(s, ScheduleSpec("iuif", s.n_users))
     if math.isnan(res["gain"]):
-        raise UndefinedGainError("half-duplex baseline rate is zero")
+        # the baseline is infinite exactly when a gamma is
+        raise UndefinedGainError(
+            _INFINITE_BASELINE if math.inf in s.gammas else _ZERO_BASELINE)
     return res
 
 

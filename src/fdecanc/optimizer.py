@@ -227,9 +227,7 @@ class ModelKernel:
         return self._kernel(x, self._f, self.board, self._combine).sum(axis=0)
 
     def objective(self, x: np.ndarray) -> float:
-        x = np.asarray(x, dtype=float).reshape(-1, 4)
-        taps = self._kernel(x, self._f, self.board, self._combine)
-        return float(_residual_objectives(self._target, taps)[1])
+        return float(self.objective_batch(np.asarray(x, dtype=float).reshape(1, -1, 4))[0])
 
     def objective_batch(self, xs: np.ndarray) -> np.ndarray:
         """Objectives for a batch of configs; xs has shape (P, M, 4)."""
@@ -763,7 +761,8 @@ def local_search(
     point, which cannot beat the new objective, so scoring both from the
     current point takes the same moves as trying them in turn.  The search
     ends after a round with no move (the report's `stop_reason` is
-    "no_descent"), or after `max_rounds` ("max_iters").
+    "no_descent"), or after `max_rounds` ("max_iters"; 0 rounds return the
+    start).
 
     Tap rows come from `_Lattice`: weights from its gain and turn tables,
     filter terms and unit rows from its memo of (center code, q code) keys.
@@ -821,6 +820,8 @@ def local_search(
     qconfig = list(qconfig)
     if not qconfig:
         raise InvalidArgumentError("need at least one tap")
+    if max_rounds < 0:
+        raise InvalidArgumentError("max_rounds must be >= 0")
     run = _RunRecord()
     kernel = ModelKernel(model, h_si)
     target, lat = kernel._target, _Lattice(kernel, spec)
@@ -914,7 +915,8 @@ def iterative_heuristic(model: str, h_si: ComplexResponse, canc_freqs) -> SolveR
     """Fit taps one at a time to the running residual around given frequencies.
 
     Each tap is fit on a 3-point window of the grid centered on its
-    cancellation frequency; every frequency is checked before any tap is fit.
+    cancellation frequency; every frequency is checked, and at least one is
+    needed, before any tap is fit.
     """
     f = h_si.grid.points
     windows = []
@@ -926,6 +928,8 @@ def iterative_heuristic(model: str, h_si: ComplexResponse, canc_freqs) -> SolveR
         j = int(np.argmin(np.abs(f - fc)))
         j = min(max(j, 1), f.size - 2)
         windows.append(slice(j - 1, j + 2))
+    if not windows:
+        raise InvalidArgumentError("need at least one tap")
     kernel = ModelKernel(model, h_si)
     configs = _fit_taps(kernel, [], windows, default_bounds(model), 0)
     x = kernel.tap_model.vector(configs)
@@ -941,9 +945,11 @@ def greedy_extend(
     bounds: BoxBounds | None = None,
     seed: int = 0,
 ):
-    """Extend a tap list to `num_taps` by repeatedly fitting one tap to the
-    running residual on the whole grid; used to warm-start a larger joint
-    solve from a smaller one's solution."""
+    """Extend a tap list to `num_taps` (at least 1) by repeatedly fitting one
+    tap to the running residual on the whole grid; used to warm-start a
+    larger joint solve from a smaller one's solution."""
+    if num_taps < 1:
+        raise InvalidArgumentError("num_taps must be >= 1")
     cfg = list(config)[:num_taps]
     kernel = ModelKernel(model, h_si)
     windows = [slice(None)] * (num_taps - len(cfg))

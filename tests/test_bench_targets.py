@@ -42,25 +42,32 @@ WORKLOADS = TRACING.with_name("workloads.py")
 
 def _library_uses():
     """What `bench/workloads.py` uses of the package: the modules it imports
-    from it by name, and (module, attr, keywords) for each `mod.attr` of
-    those modules, with the keyword names of a call to it, and for each name
-    it imports from a package module."""
+    from it by name, and (module, attr, call) for each `mod.attr` of those
+    modules and each name it imports from a package module.  `call` is the
+    positional count and keyword names of a call to it, or None where the
+    use is not a call or the call unpacks `*args` or `**kwargs`."""
     tree = ast.parse(WORKLOADS.read_text())
-    modules, uses = {}, []
+    modules, names, uses = {}, {}, []
     for node in ast.walk(tree):
         if isinstance(node, ast.ImportFrom) and (node.module or "").startswith("fdecanc"):
             for alias in node.names:
                 if node.module == "fdecanc":
                     modules[alias.asname or alias.name] = f"fdecanc.{alias.name}"
                 else:
-                    uses.append((node.module, alias.name, ()))
+                    names[alias.asname or alias.name] = (node.module, alias.name)
+                    uses.append((node.module, alias.name, None))
     called = {}
     for node in ast.walk(tree):
         if isinstance(node, ast.Call):
-            called[id(node.func)] = tuple(k.arg for k in node.keywords if k.arg)
+            unpacked = any(isinstance(a, ast.Starred) for a in node.args) or any(
+                k.arg is None for k in node.keywords)
+            called[id(node.func)] = None if unpacked else (
+                len(node.args), tuple(k.arg for k in node.keywords))
     for node in ast.walk(tree):
         if isinstance(node, ast.Attribute) and getattr(node.value, "id", None) in modules:
-            uses.append((modules[node.value.id], node.attr, called.get(id(node), ())))
+            uses.append((modules[node.value.id], node.attr, called.get(id(node))))
+        elif isinstance(node, ast.Name) and node.id in names and id(node) in called:
+            uses.append((*names[node.id], called[id(node)]))
     return modules, uses
 
 
@@ -68,10 +75,20 @@ def test_every_library_name_the_workloads_use_resolves():
     modules, uses = _library_uses()
     assert set(modules) == {"cli", "metrics", "models", "optimizer", "sichannel"}
     assert len({attr for _, attr, _ in uses}) > 20
-    assert any(keywords for _, _, keywords in uses)
-    for module, attr, keywords in uses:
-        owner = importlib.import_module(module)
-        assert hasattr(owner, attr), f"{module}.{attr} does not resolve"
-        params = inspect.signature(getattr(owner, attr)).parameters
-        for name in keywords:
-            assert name in params, f"{module}.{attr} takes no {name}="
+    assert any(call and call[1] for _, _, call in uses)
+    for module, attr, _ in uses:
+        assert hasattr(importlib.import_module(module), attr), f"{module}.{attr} does not resolve"
+
+
+def test_every_library_call_the_workloads_make_binds():
+    # a call binds to the signature with placeholder values: a parameter
+    # renamed, removed or moved breaks a call that passes it, by name or place
+    _, uses = _library_uses()
+    calls = [(module, attr, call) for module, attr, call in uses if call is not None]
+    assert len(calls) > 20
+    for module, attr, (npos, keywords) in calls:
+        sig = inspect.signature(getattr(importlib.import_module(module), attr))
+        try:
+            sig.bind(*[None] * npos, **dict.fromkeys(keywords))
+        except TypeError as exc:
+            raise AssertionError(f"{module}.{attr}{sig}: {exc}") from None

@@ -918,3 +918,36 @@ class TestParser:
         assert rc == 1
         assert capsys.readouterr().err == f"usage error: {message}\n"
         assert not out.exists()
+
+
+class TestBandwidthCap:
+    """`--bandwidth-hz` up to 1e150 keeps every rate, sum and Jain's index
+    finite at the largest gammas a dB flag accepts; above it is a usage
+    error."""
+
+    @pytest.mark.parametrize("argv", [
+        ["uldl", "--gamma-ul-db", "3082", "--gamma-dl-db=-400:3082:3",
+         "--gamma-iui-db=-400:3082:3", "--gamma-self", "0"],
+        ["tdma", "--schedule", "iuif", "--gammas-db", "3082", "--fd", "1,1,1",
+         "--gamma-self", "0", "--slots", "10000000"],
+        ["tdma", "--schedule", "rro", "--gammas-db", "3082", "--fd", "0,0,1",
+         "--gamma-self", "0", "--iui-db=-400", "--slots", "10000000"],
+    ], ids=["uldl", "tdma-iuif", "tdma-rro"])
+    def test_largest_gammas_at_the_cap(self, tmp_path, capsys, argv):
+        out = tmp_path / "n.csv"
+        assert main(["network", *argv, "--bandwidth-hz", "1e150", "--out", str(out)]) == 0
+        assert capsys.readouterr().err == ""
+        _, rows = read_rows(out)
+        assert all(math.isfinite(float(v)) for row in rows for v in row[2:] if v)
+
+    @pytest.mark.parametrize("argv", [
+        ["uldl", "--gamma-ul-db", "10", "--gamma-dl-db", "10", "--bandwidth-hz", "1e308"],
+        ["tdma", "--schedule", "iuif", "--gammas-db", "30", "--bandwidth-hz", "1e307"],
+        ["tdma", "--schedule", "rro", "--users", "2", "--gammas-db", "300",
+         "--bandwidth-hz", "1.0000000000000001e150"],
+    ], ids=["uldl", "tdma-iuif", "tdma-rro"])
+    def test_above_the_cap_is_a_usage_error(self, tmp_path, capsys, argv):
+        out = tmp_path / "n.csv"
+        assert main(["network", *argv, "--out", str(out)]) == 1
+        assert capsys.readouterr().err == "usage error: bandwidth_hz must be at most 1e+150\n"
+        assert not out.exists()

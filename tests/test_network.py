@@ -1,4 +1,5 @@
 import math
+import sys
 import tracemalloc
 from unittest import mock
 
@@ -101,7 +102,7 @@ class TestUlDlSurface:
     @example(gammas=[7.0, 3.0, 2.0], gamma_self=0.5, bandwidth_hz=20e6)
     def test_one_cell_is_uldl_throughputs(self, gammas, gamma_self, bandwidth_hz):
         # bitwise, errors included: an inf gamma_self with an inf gamma_ul
-        # makes a NaN effective SNR, an error of the rate, not the scenario
+        # has no SINR, an error of the SINR, not of the scenario
         ul, dl, iui = gammas
 
         def outcome(evaluate):
@@ -359,6 +360,28 @@ class TestScenarioValidation:
         with pytest.raises(InvalidArgumentError):
             uldl_surface([1.0], [1.0], [0.0], bandwidth_hz=b)
 
+    @pytest.mark.parametrize("b", [math.nextafter(network.MAX_BANDWIDTH_HZ, math.inf), 1e308])
+    def test_bandwidth_above_the_cap(self, b):
+        message = "^bandwidth_hz must be at most 1e\\+150$"
+        for build in (lambda: MultiUserScenario((1.0, 1.0), (True, True), bandwidth_hz=b),
+                      lambda: UlDlScenario(1.0, 1.0, bandwidth_hz=b),
+                      lambda: shannon_rate(1.0, b),
+                      lambda: uldl_surface([1.0], [1.0], [0.0], bandwidth_hz=b)):
+            with pytest.raises(InvalidArgumentError, match=message):
+                build()
+
+    def test_largest_gammas_at_the_cap_are_finite(self):
+        # the rates of the largest finite gamma, with no interference, at the
+        # largest bandwidth: every output and Jain's index stay finite
+        g, b = sys.float_info.max, network.MAX_BANDWIDTH_HZ
+        assert all(map(math.isfinite, uldl_throughputs(UlDlScenario(g, g, 0.0, 0.0, b))))
+        for fd in ((True,) * 3, (False, False, True), (False,) * 3):
+            s = MultiUserScenario((g,) * 3, fd, 0.0, b)
+            for kind in ScheduleSpec.KINDS:
+                res = tdma_schedule_eval(s, ScheduleSpec(kind, 10**7 + 1))
+                assert all(map(math.isfinite, [*res["per_user"], res["total"], res["gain"],
+                                                res["jfi"]]))
+
 
 class TestJain:
     def test_perfect_equity(self):
@@ -480,3 +503,87 @@ class TestScheduleSpec:
 
     def test_default_iui_is_zero(self):
         assert ScheduleSpec("rro", 2).iui(0, 1) == 0.0
+
+
+_SINR_UNDEFINED = (UndefinedGainError,
+                   "SINR of an infinite gamma under infinite interference is undefined")
+_ZERO_BASELINE = (UndefinedGainError, "half-duplex baseline rate is zero")
+_INFINITE_BASELINE = (UndefinedGainError,
+                      "gain over an infinite half-duplex baseline rate is undefined")
+
+# linear ratios with zero and infinite rates: log2(1 + 1e-300) rounds to 0
+_ratios = st.sampled_from([0.0, 1e-300, 1.0, 1e300, math.inf])
+_bandwidths = st.sampled_from([1.0, 20e6, network.MAX_BANDWIDTH_HZ])
+
+
+def _error(evaluate):
+    """(type, message) of the error `evaluate()` raises, or None."""
+    try:
+        evaluate()
+    except (InvalidArgumentError, UndefinedGainError) as exc:
+        return type(exc), str(exc)
+    return None
+
+
+def _baseline_error(gammas, b):
+    """The error of a gain over the half-duplex rates of `gammas`: zero where
+    every rate is, infinite where a gamma is."""
+    if all(shannon_rate(g, b) == 0 for g in gammas):
+        return _ZERO_BASELINE
+    return _INFINITE_BASELINE if math.inf in gammas else None
+
+
+class TestUndefinedQuantities:
+    """Every entry point names an undefined SINR or gain by the same error
+    and message; "zero" names only a zero half-duplex baseline."""
+
+    @settings(max_examples=300, deadline=None)
+    @given(_ratios, _ratios, _ratios, _ratios, _bandwidths)
+    def test_uldl(self, ul, dl, iui, gamma_self, b):
+        if ul == gamma_self == math.inf or dl == iui == math.inf:
+            expect = _SINR_UNDEFINED
+        else:
+            expect = _baseline_error((ul, dl), b)
+        assert _error(lambda: uldl_throughputs(UlDlScenario(ul, dl, iui, gamma_self, b))) \
+            == expect
+        assert _error(lambda: uldl_surface([ul], [dl], [iui], gamma_self, b)) == expect
+
+    @settings(max_examples=300, deadline=None)
+    @given(st.lists(_ratios, min_size=2, max_size=3), st.lists(st.booleans(), min_size=3,
+           max_size=3), _ratios, _ratios, _bandwidths)
+    def test_multi_user(self, gammas, fd, gamma_self, iui, b):
+        n = len(gammas)
+        s = MultiUserScenario(gammas, fd[:n], gamma_self, b)
+
+        def sinr_undefined(caps, kind):
+            # an FD user's link, or under rro an HD primary's UL and its DL
+            # to the next user, faces interference
+            for u, g in enumerate(gammas):
+                if (caps[u] or kind == "rro") and g == gamma_self == math.inf:
+                    return True
+                if not caps[u] and kind == "rro" and gammas[(u + 1) % n] == iui == math.inf:
+                    return True
+            return False
+
+        iui_matrix = tuple(tuple(0.0 if i == j else iui for j in range(n)) for i in range(n))
+        for kind in ScheduleSpec.KINDS:
+            sched = ScheduleSpec(kind, n, iui_matrix)
+            if sinr_undefined(s.fd_capable, kind):
+                assert _error(lambda: tdma_schedule_eval(s, sched)) == _SINR_UNDEFINED
+            else:
+                # the evaluator itself gives an undefined gain as NaN
+                gain = tdma_schedule_eval(s, sched)["gain"]
+                assert math.isnan(gain) == (_baseline_error(gammas, b) is not None)
+
+        def multi_user_error(caps):
+            if sinr_undefined(caps, "iuif"):
+                return _SINR_UNDEFINED
+            return _baseline_error(gammas, b)
+
+        assert _error(lambda: multi_user_throughputs(s)) == multi_user_error(s.fd_capable)
+        if n == 2:
+            # the cases run in order; the first undefined quantity is raised
+            first = next(filter(None, map(multi_user_error, [(False, False), (True, False),
+                                                             (False, True), (True, True)])),
+                         None)
+            assert _error(lambda: three_node_throughputs(s)) == first

@@ -380,6 +380,13 @@ class TestLocalSearch:
         rep = local_search(start, "ideal", h, spec)
         assert rep.objective <= start_obj
 
+    def test_zero_rounds_return_the_start(self):
+        spec = quantization_preset("rfic")
+        h = synth_si_channel(SynthChannelSpec(), GRID)
+        start = quantize_config([IdealTapConfig(-20.0, 0.0, 900e6, 10.0)], spec)
+        rep = local_search(start, "ideal", h, spec, max_rounds=0)
+        assert (rep.config, rep.iterations, rep.stop_reason) == (start, 0, "max_iters")
+
 
 class TestGridSearchOracle:
     def test_lattice_size(self):
@@ -539,6 +546,35 @@ class TestPerTapFit:
         window = FrequencyGrid(GRID.points[k - 1 : k + 2])
         got = iterative_heuristic("ideal", h, [903e6]).config
         assert got == [self._one_tap("ideal", window, h.values[k - 1 : k + 2], 0)]
+
+
+class TestMisreadArguments:
+    """Arguments a solver would misread are rejected before any kernel is
+    built: a negative tap count slices from the end, negative rounds run none
+    and report "max_iters", and no frequencies fit no taps."""
+
+    @pytest.fixture(autouse=True)
+    def no_kernel(self, monkeypatch):
+        def built(*args, **kwargs):
+            raise AssertionError("a kernel was built")
+
+        monkeypatch.setattr(ModelKernel, "__init__", built)
+
+    @pytest.mark.parametrize("num_taps", [-1, 0])
+    def test_greedy_extend_tap_count(self, num_taps):
+        two = [IdealTapConfig(-20.0, 0.0, 895e6, 10.0), IdealTapConfig(-25.0, 1.0, 905e6, 10.0)]
+        with pytest.raises(InvalidArgumentError, match="^num_taps must be >= 1$"):
+            greedy_extend("ideal", flat_channel(0.1), two, num_taps)
+
+    def test_local_search_negative_rounds(self):
+        spec = quantization_preset("rfic")
+        start = quantize_config([IdealTapConfig(-20.0, 0.0, 900e6, 10.0)], spec)
+        with pytest.raises(InvalidArgumentError, match="^max_rounds must be >= 0$"):
+            local_search(start, "ideal", flat_channel(0.1), spec, max_rounds=-3)
+
+    def test_iterative_heuristic_without_frequencies(self):
+        with pytest.raises(InvalidArgumentError, match="^need at least one tap$"):
+            iterative_heuristic("ideal", flat_channel(0.1), [])
 
 
 class TestPipelineAndReports:
